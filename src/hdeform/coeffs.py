@@ -10,8 +10,12 @@ with ``num`` an integer polynomial, ``dint`` a positive integer and the
 ``fi`` distinct primitive non-constant polynomial factors with positive
 grlex-leading coefficient.  Denominators produced by the algebra are
 always products of linear forms ``h_i - h_j + k`` (or ``h_i + k``), so
-keeping the factorization makes cancellation a cheap exact-division
-probe and gives a canonical form directly.
+keeping the factorization makes cancellation an exact division by a
+known factor and gives a canonical form directly.  Factors are found by
+trial division, and a candidate is divided only when its value at each
+of the kernel's probe points divides the polynomial's value there: a
+true factor's value always does, since ``b | a`` in Z[h] implies
+``b(pt) | a(pt)`` at every integer point.
 
 The ring also carries the three automorphism families used everywhere:
 integer shifts of the variables, the shifted Weyl (permutation) action
@@ -71,7 +75,10 @@ def _linear_family_factors(n, poly):
     Returns (remaining cofactor, list of (factor_key, multiplicity)).
     Only integer offsets within a window derived from the polynomial are
     probed; every denominator the formulas of this package generate is
-    fully split by this.
+    fully split by this.  The remainder is evaluated at ``K.PROBE_POINTS``
+    once per remainder; a candidate's value there is
+    ``pt[i] - pt[j] + k``, and only a candidate whose nonzero values all
+    divide the remainder's values is divided.
     """
     deg = K.p_degree(poly)
     window = max(8, 2 * n + deg + 2)
@@ -87,10 +94,13 @@ def _linear_family_factors(n, poly):
             for k in range(-window, window + 1):
                 if i < j:
                     candidates.append((i, j, k))   # h_i - h_j + k
+    points = K.PROBE_POINTS if n <= len(K.PROBE_POINTS[0]) else ()
+    values = [K.p_eval(rem, pt) for pt in points]
     for (i, j, k) in candidates:
         if K.p_is_const(rem):
             break
-        while True:
+        fvals = [pt[i] - pt[j] + k if j >= 0 else pt[i] + k for pt in points]
+        while all(v == 0 or val % v == 0 for v, val in zip(fvals, values)):
             fac = {tuple(1 if t == i else 0 for t in range(n)): 1}
             if j >= 0:
                 fac[tuple(1 if t == j else 0 for t in range(n))] = -1
@@ -102,6 +112,7 @@ def _linear_family_factors(n, poly):
             key = _fac_key(fac)
             found[key] = found.get(key, 0) + 1
             rem = q
+            values = [K.p_eval(rem, pt) for pt in points]
     return rem, sorted(found.items())
 
 

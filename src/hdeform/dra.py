@@ -18,8 +18,8 @@ regression against the printed ordering table use the table's own order
 
 from __future__ import annotations
 
-from .algebra import (Element, TermAlgebra, mat_first_leg, mat_from_tensor,
-                      mat_mul, mat_sub, reflection_residual)
+from .algebra import (Element, TermAlgebra, mat_add, mat_first_leg,
+                      mat_from_tensor, mat_mul, mat_sub, reflection_residual)
 from .coeffs import RatFun, eps, hdiff, phi, phi_segment, qminus, serialize
 from .errors import RelationExtractionError
 from .rmatrix import hmat, rhat
@@ -119,22 +119,14 @@ def reflection_components(n, matrix="L"):
         rh = mat_mul(alg, r12, h1, n)
         lr = mat_mul(alg, l1, r12, n)
         hr = mat_mul(alg, h1, r12, n)
-        lhs = mat_sub(mat_add2(mat_mul(alg, rl, rh, n),
-                               mat_mul(alg, rh, rl, n)),
-                      mat_add2(mat_mul(alg, lr, hr, n),
-                               mat_mul(alg, hr, lr, n)))
+        lhs = mat_sub(mat_add(mat_mul(alg, rl, rh, n),
+                              mat_mul(alg, rh, rl, n)),
+                      mat_add(mat_mul(alg, lr, hr, n),
+                              mat_mul(alg, hr, lr, n)))
         rhs = mat_sub(rl, lr)
         rhs = {k: v.times_int(2) for k, v in rhs.items()}
         return mat_sub(lhs, rhs)
     raise ValueError(f"unknown matrix kind {matrix!r}")
-
-
-def mat_add2(a, b):
-    out = dict(a)
-    for key, el in b.items():
-        acc = out.get(key)
-        out[key] = el if acc is None else acc + el
-    return {k: v for k, v in out.items() if not v.is_zero}
 
 
 # ---------------------------------------------------------------------------

@@ -2,11 +2,15 @@
 """Compiled kernel for dense-exponent sparse integer polynomials.
 
 Behavioural twin of ``_poly_py``; see that module for the data-model
-documentation.  Coefficients stay arbitrary-precision Python ints, so
+documentation and for the probe rejection and heap-order division of
+``p_divexact``.  Coefficients stay arbitrary-precision Python ints, so
 the speedup comes from compiled dispatch, not machine integers.
 """
 
+from heapq import heapify, heappop, heappush
 from math import gcd as _gcd
+
+from ._poly_py import PROBE_POINTS
 
 BACKEND = "cython"
 
@@ -303,19 +307,59 @@ def p_fraction_normalize(dict num, dint, fac_items):
     return num, dint, tuple(sorted(facs.items()))
 
 
+cdef bint _probe_rejects(dict a, dict b):
+    # sound: b | a in Z[x] implies b(pt) | a(pt) at every integer point
+    cdef Py_ssize_t nvars = len(<tuple>next(iter(b)))
+    for pt in PROBE_POINTS:
+        if nvars > len(pt):
+            return False
+        v = p_eval(b, pt)
+        if v and p_eval(a, pt) % v:
+            return True
+    return False
+
+
+cdef object _grlex_weight(tuple e, list weights):
+    total = 0
+    cdef Py_ssize_t i
+    for i in range(len(e)):
+        total += <object>e[i] * <object>weights[i]
+    return total
+
+
 def p_divexact(dict a, dict b):
     if not a:
         return {}
+    if _probe_rejects(a, b):
+        return None
     be, bc = p_lead(b)
+    cdef Py_ssize_t m = len(<tuple>be)
     cdef Py_ssize_t bs = 0
+    cdef Py_ssize_t i
     for v in <tuple>be:
         bs += <Py_ssize_t>v
+    # linear grlex key, exact on exponents below base (see _poly_py)
+    base = p_degree(a) + 1
+    cdef list weights = []
+    for i in range(m):
+        weights.append(base ** m + base ** (m - 1 - i))
+    kbe = _grlex_weight(<tuple>be, weights)
+    cdef list tail = []
+    for e2, c2 in b.items():
+        if e2 != be:
+            tail.append((_grlex_weight(<tuple>e2, weights), e2, c2))
     cdef dict r = dict(a)
+    cdef list heap = []
+    for e in r:
+        heap.append((-_grlex_weight(<tuple>e, weights), e))
+    heapify(heap)
     cdef dict q = {}
-    cdef Py_ssize_t i, m
-    while r:
-        re, rc = p_lead(r)
-        m = len(<tuple>re)
+    cdef Py_ssize_t s_deg
+    while heap:
+        nk, re = heappop(heap)
+        rc = r.pop(re, 0)
+        if not rc:
+            continue
         s_deg = 0
         for v in <tuple>re:
             s_deg += <Py_ssize_t>v
@@ -332,11 +376,17 @@ def p_divexact(dict a, dict b):
         qc = rc // bc
         qe = tuple(qe_list)
         q[qe] = qc
-        for e2, c2 in b.items():
+        qk = -nk - kbe
+        for k2, e2, c2 in tail:
             ne = _exp_add(qe, <tuple>e2)
-            s = r.get(ne, 0) - qc * c2
-            if s:
-                r[ne] = s
+            s = r.get(ne)
+            if s is None:
+                r[ne] = -qc * c2
+                heappush(heap, (-(qk + k2), ne))
             else:
-                r.pop(ne, None)
+                s = s - qc * c2
+                if s:
+                    r[ne] = s
+                else:
+                    del r[ne]
     return q

@@ -4,14 +4,33 @@ A polynomial in ``nvars`` variables is a dict mapping exponent tuples
 (length ``nvars``, nonnegative ints) to nonzero Python ints.  All
 functions are side-effect free and never mutate their arguments.
 
+Exact division (``p_divexact``) first rejects by evaluation: if ``b``
+divides ``a`` in Z[x] then ``b(pt)`` divides ``a(pt)`` at every integer
+point, so a point of ``PROBE_POINTS`` where ``b(pt)`` is nonzero and
+does not divide ``a(pt)`` proves that ``b`` does not divide ``a``.  A
+division that passes runs in heap order: the remainder's monomials sit
+in a heap keyed by grlex, and the leading term is popped instead of
+searched for.
+
 The compiled twin of this module lives in ``_poly_cy.pyx``; both expose
 the same names and must stay behaviourally identical (see
 tests/test_kernel_parity.py).
 """
 
+from heapq import heapify, heappop, heappush
 from math import comb, gcd
 
 BACKEND = "python"
+
+# Integer points at which p_divexact evaluates dividend and divisor before
+# dividing.  Coordinates lie hundreds apart, so a linear form
+# h_i - h_j + k or h_i + k with a small offset k takes a large nonzero
+# value at each point.  Polynomials in more variables than a point has
+# coordinates are not probed.
+PROBE_POINTS = (
+    tuple(1000 + 211 * i + 37 * i * i for i in range(16)),
+    tuple(3001 + 433 * i + 61 * i * i for i in range(16)),
+)
 
 
 def p_zero():
@@ -266,19 +285,55 @@ def p_fraction_normalize(num, dint, fac_items):
     return num, dint, tuple(sorted(facs.items()))
 
 
+def _probe_rejects(a, b):
+    # sound: b | a in Z[x] implies b(pt) | a(pt) at every integer point
+    nvars = len(next(iter(b)))
+    for pt in PROBE_POINTS:
+        if nvars > len(pt):
+            return False
+        v = p_eval(b, pt)
+        if v and p_eval(a, pt) % v:
+            return True
+    return False
+
+
 def p_divexact(a, b):
     """Exact division a / b, or None when b does not divide a.
 
     b must be nonzero; correctness over Z requires b primitive (Gauss).
+    A division that the probe points do not reject (see the module
+    docstring) runs in heap order.  Each new remainder monomial
+    ``qe + e2`` lies strictly below the current leading term, so the
+    popped leads, the quotient and every ``None`` are those of the
+    schoolbook division that rescans the remainder for its lead.
     """
     if not a:
         return {}
+    if _probe_rejects(a, b):
+        return None
     be, bc = p_lead(b)
     bs = sum(be)
+    # Every remainder monomial has degree <= deg(a), so every exponent is
+    # below `base`; on such exponents this linear key orders as grlex and
+    # key(qe + e2) == key(qe) + key(e2).
+    base = p_degree(a) + 1
+    nvars = len(be)
+    weights = [base ** nvars + base ** (nvars - 1 - i) for i in range(nvars)]
+
+    def key(e):
+        return sum(x * w for x, w in zip(e, weights))
+
+    kbe = key(be)
+    tail = [(key(e2), e2, c2) for e2, c2 in b.items() if e2 != be]
     r = dict(a)
+    heap = [(-key(e), e) for e in r]
+    heapify(heap)
     q = {}
-    while r:
-        re, rc = p_lead(r)
+    while heap:
+        nk, re = heappop(heap)
+        rc = r.pop(re, 0)
+        if not rc:
+            continue        # cancelled, or a duplicate heap entry
         if sum(re) < bs:
             return None
         qe = tuple(x - y for x, y in zip(re, be))
@@ -288,11 +343,17 @@ def p_divexact(a, b):
             return None
         qc = rc // bc
         q[qe] = qc
-        for e2, c2 in b.items():
+        qk = -nk - kbe
+        for k2, e2, c2 in tail:
             ne = tuple(x + y for x, y in zip(qe, e2))
-            s = r.get(ne, 0) - qc * c2
-            if s:
-                r[ne] = s
+            s = r.get(ne)
+            if s is None:
+                r[ne] = -qc * c2
+                heappush(heap, (-(qk + k2), ne))
             else:
-                r.pop(ne, None)
+                s -= qc * c2
+                if s:
+                    r[ne] = s
+                else:
+                    del r[ne]
     return q

@@ -270,3 +270,45 @@ def test_unit_detection_in_localization():
     h1, h2 = hvar(3, 1), hvar(3, 2)
     assert not (h1 * h1 + h2 * h2 + 1).is_unit_in_localization()
     assert not RatFun.zero(3).is_unit_in_localization()
+
+
+def _trial_factors(n, poly):
+    """Reference split: every candidate of the window goes to division."""
+    import hdeform.kernel as K
+    window = max(8, 2 * n + K.p_degree(poly) + 2)
+    found = {}
+    rem = poly
+    for i in range(n):
+        for j in [-1] + list(range(i + 1, n)):
+            for k in range(-window, window + 1):
+                fac = K.p_add(K.p_var(n, i), K.p_const(n, k))
+                if j >= 0:
+                    fac = K.p_sub(fac, K.p_var(n, j))
+                while not K.p_is_const(rem):
+                    q = K.p_divexact(rem, fac)
+                    if q is None:
+                        break
+                    found[K.fac_key(fac)] = found.get(K.fac_key(fac), 0) + 1
+                    rem = q
+    return rem, sorted(found.items())
+
+
+def test_probed_factor_split_matches_trial_division():
+    import hdeform.kernel as K
+    from hdeform.coeffs import _linear_family_factors
+    rng = random.Random(31)
+    for _ in range(40):
+        n = rng.randint(2, 4)
+        poly = K.p_const(n, rng.choice([1, 2, 3]))
+        for _ in range(rng.randint(1, 5)):
+            i, j = rng.sample(range(n), 2)
+            fac = K.p_add(K.p_var(n, i), K.p_const(n, rng.randint(-9, 9)))
+            if rng.random() < 0.7:
+                fac = K.p_sub(fac, K.p_var(n, j))
+            poly = K.p_mul(poly, fac)
+        if rng.random() < 0.5:
+            # a cofactor with no linear factor
+            poly = K.p_mul(poly, K.p_add(K.p_mul(K.p_var(n, 0), K.p_var(n, 0)),
+                                         K.p_const(n, rng.randint(1, 5))))
+        _, _, prim = K.p_primitive_sign(poly)
+        assert _linear_family_factors(n, prim) == _trial_factors(n, prim)

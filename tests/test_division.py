@@ -1,0 +1,159 @@
+"""Exact division in the pure-Python kernel: probe rejection and heap order."""
+
+import random
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from hdeform.kernel import _poly_py as K
+
+
+def schoolbook_divexact(a, b):
+    """Reference division that rescans the remainder for its lead."""
+    if not a:
+        return {}
+    be, bc = K.p_lead(b)
+    r = dict(a)
+    q = {}
+    while r:
+        re, rc = K.p_lead(r)
+        qe = tuple(x - y for x, y in zip(re, be))
+        if sum(re) < sum(be) or min(qe) < 0 or rc % bc:
+            return None
+        q[qe] = rc // bc
+        r = K.p_sub(r, K.p_mul({qe: rc // bc}, b))
+    return q
+
+
+def linear_form(nvars, i, j, k):
+    """h_i - h_j + k, or h_i + k when j is None (0-based indices)."""
+    form = K.p_var(nvars, i)
+    if j is not None:
+        form = K.p_sub(form, K.p_var(nvars, j))
+    return K.p_add(form, K.p_const(nvars, k))
+
+
+def random_poly(rng, nvars, terms, deg, span):
+    out = {}
+    for _ in range(rng.randint(1, terms)):
+        exp = tuple(rng.randint(0, deg) for _ in range(nvars))
+        c = rng.randint(-span, span)
+        if c:
+            out[exp] = c
+    return out
+
+
+def random_divisor(rng, nvars):
+    if rng.random() < 0.5:
+        i, j = rng.sample(range(nvars), 2)
+        return linear_form(nvars, i, j if rng.random() < 0.7 else None,
+                           rng.randint(-40, 40))
+    while True:
+        b = random_poly(rng, nvars, terms=4, deg=2, span=5)
+        if not K.p_is_const(b):
+            return K.p_primitive_sign(b)[2]
+
+
+def test_products_divide_back():
+    rng = random.Random(21)
+    for _ in range(400):
+        nvars = rng.randint(2, 5)
+        b = random_divisor(rng, nvars)
+        q = random_poly(rng, nvars, terms=8, deg=4, span=50)
+        a = K.p_mul(q, b)
+        assert K.p_divexact(a, b) == q
+        assert K.p_divexact(a, b) == schoolbook_divexact(a, b)
+
+
+def test_far_offsets_divide_back():
+    # offsets past any trial-division window, with repeated factors
+    rng = random.Random(22)
+    for k in (-40, -33, 29, 40):
+        b = linear_form(3, 0, 2, k)
+        q = K.p_mul(K.p_mul(b, linear_form(3, 1, None, -k)),
+                    random_poly(rng, 3, terms=5, deg=3, span=9))
+        assert K.p_divexact(K.p_mul(q, b), b) == q
+
+
+def test_non_multiples_are_rejected():
+    rng = random.Random(23)
+    for _ in range(400):
+        nvars = rng.randint(2, 5)
+        b = random_divisor(rng, nvars)
+        q = random_poly(rng, nvars, terms=8, deg=4, span=50)
+        # b is not constant, so it divides no nonzero constant
+        a = K.p_add(K.p_mul(q, b), K.p_const(nvars, rng.choice([-3, 1, 7])))
+        assert K.p_divexact(a, b) is None
+        assert schoolbook_divexact(a, b) is None
+
+
+def test_quotient_matches_schoolbook_order():
+    rng = random.Random(24)
+    for _ in range(300):
+        nvars = rng.randint(1, 4)
+        b = random_divisor(rng, nvars) if nvars > 1 else {(1,): 1, (0,): 3}
+        a = random_poly(rng, nvars, terms=10, deg=5, span=30)
+        if rng.random() < 0.5:
+            a = K.p_mul(a, b)
+        got = K.p_divexact(a, b)
+        want = schoolbook_divexact(a, b)
+        assert got == want
+        if got is not None:
+            assert list(got) == list(want)
+
+
+def test_probe_points_keep_small_linear_forms_nonzero():
+    for pt in K.PROBE_POINTS:
+        assert len(pt) == len(K.PROBE_POINTS[0]) >= 6
+        for k in range(-40, 41):
+            assert all(x + k for x in pt)
+            assert all(x - y + k for i, x in enumerate(pt)
+                       for j, y in enumerate(pt) if i != j)
+
+
+coords = st.integers(min_value=-6, max_value=6)
+
+
+@st.composite
+def divisor_and_quotient(draw):
+    nvars = draw(st.integers(min_value=2, max_value=4))
+    i, j = draw(st.permutations(range(nvars)))[:2]
+    pt = draw(st.sampled_from(K.PROBE_POINTS))
+    if draw(st.booleans()):
+        # a linear form that vanishes at a probe point: b(pt) == 0
+        k = pt[j] - pt[i]
+    else:
+        k = draw(st.integers(min_value=-60, max_value=60))
+    b = linear_form(nvars, i, j, k)
+    if draw(st.booleans()):
+        extra = {tuple(draw(coords) % 3 for _ in range(nvars)): draw(coords)}
+        b = K.p_add(K.p_mul(b, b), extra)
+        if K.p_is_const(b) or not b:
+            b = linear_form(nvars, i, j, k)
+    terms = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 3)] * nvars), coords),
+        min_size=1, max_size=6))
+    q = {}
+    for e, c in terms:
+        if c:
+            q[e] = c
+    return b, q
+
+
+@settings(max_examples=300, deadline=None)
+@given(divisor_and_quotient())
+def test_probe_never_rejects_a_true_divisor(bq):
+    b, q = bq
+    a = K.p_mul(q, b)
+    assert not K._probe_rejects(a, b)
+    assert K.p_divexact(a, b) == q
+
+
+@settings(max_examples=200, deadline=None)
+@given(divisor_and_quotient(), st.integers(min_value=1, max_value=50))
+def test_constant_perturbation_is_rejected(bq, c):
+    b, q = bq
+    a = K.p_add(K.p_mul(q, b), K.p_const(len(next(iter(b))), c))
+    # a nonzero constant is never a multiple of a non-constant b
+    assert K.p_divexact(a, b) is None
+    assert schoolbook_divexact(a, b) is None

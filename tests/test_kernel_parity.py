@@ -85,6 +85,25 @@ def test_division_parity():
 
 
 @needs_ext
+def test_division_parity_far_offsets_and_probe_zeros():
+    # linear divisors past any trial-division window, and divisors that
+    # vanish at a probe point (no rejection is possible there)
+    rng = random.Random(15)
+    pt = pure.PROBE_POINTS[0]
+    for k in (-40, -29, 31, 40, pt[1] - pt[0], pt[0] - pt[2]):
+        for b in ({(1, 0, 0): 1, (0, 1, 0): -1, (0, 0, 0): k},
+                  {(1, 0, 0): 1, (0, 0, 1): -1, (0, 0, 0): k},
+                  {(0, 1, 0): 1, (0, 0, 0): k}):
+            q = random_poly(rng, terms=6, deg=3)
+            a = pure.p_mul(pure.p_mul(q, b), b)
+            assert pure.p_divexact(a, b) == fast.p_divexact(a, b)
+            assert pure.p_divexact(a, b) == pure.p_mul(q, b)
+            a2 = pure.p_add(a, {(0, 0, 0): 1})
+            assert pure.p_divexact(a2, b) is None
+            assert fast.p_divexact(a2, b) is None
+
+
+@needs_ext
 def test_big_integer_parity():
     a = {(3, 0, 0): 10**40, (0, 1, 0): -(7**30)}
     b = {(1, 1, 0): 2**70, (0, 0, 2): 3}
