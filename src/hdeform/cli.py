@@ -8,8 +8,8 @@ Subcommands:
 
 Exit codes: 0 all checks pass, 1 an identity failed, 2 usage or parse error.
 The HDEFORM_MAX_TERMS environment variable caps the number of monomials
-any single coefficient or element may hold (0 = unlimited); HDEFORM_PURE
-forces the pure-Python kernel.
+any single coefficient or element may hold (0 = unlimited), and
+HDEFORM_MAX_REWRITES caps the steps of the rewrite engine.
 """
 
 from __future__ import annotations
@@ -78,16 +78,11 @@ def run_unit(task):
 
 
 def _rmatrix_units(n, suite):
-    names = ["involutive", "dybe", "skew", "aux", "traces"]
-    if suite != "all":
-        if suite not in names:
-            raise UsageError(f"unknown rmatrix suite {suite!r}")
-        names = [suite]
-    fn = {"involutive": "check_involutive", "dybe": "check_dybe",
-          "skew": "check_skew_inverse", "aux": "check_aux_identities",
-          "traces": "check_traces"}
-    return [(f"rmatrix.{name}", ("rmatrix", fn[name], {"n": n}))
-            for name in names]
+    from .rmatrix import SUITES
+    if suite != "all" and suite not in SUITES:
+        raise UsageError(f"unknown rmatrix suite {suite!r}")
+    return [(f"rmatrix.{name}", ("rmatrix", fn.__name__, {"n": n}))
+            for name, fn in SUITES.items() if suite in ("all", name)]
 
 
 def _weyl_units(n, copies, fermionic, suite, across_copies=False):
@@ -321,7 +316,6 @@ def build_parser():
         description="Exact calculus in h-deformed differential-operator "
                     "algebras and the reflection-equation algebra.",
         epilog="Environment: HDEFORM_MAX_TERMS caps coefficient size; "
-               "HDEFORM_PURE=1 forces the pure-Python kernel; "
                "HDEFORM_MAX_REWRITES caps rewrite steps.")
     sub = p.add_subparsers(dest="command", required=True)
 

@@ -116,6 +116,20 @@ def _linear_family_factors(n, poly):
     return rem, sorted(found.items())
 
 
+def _split_denominator(n, den):
+    """Split a nonzero denominator polynomial into (dint, factor list):
+    its content and sign go to dint, its linear factors are split off,
+    and a non-constant cofactor is kept as one more factor."""
+    c, sign, prim = K.p_primitive_sign(den)
+    rem, facs = _linear_family_factors(n, prim)
+    dint = c * sign
+    if not K.p_is_const(rem):
+        facs = facs + [(_fac_key(rem), 1)]
+    else:
+        dint *= rem.get((0,) * n, 1) if rem else 1
+    return dint, facs
+
+
 class RatFun:
     """Immutable exact rational function over the h-variables."""
 
@@ -164,14 +178,7 @@ class RatFun:
             return cls._build(n, num, 1, ())
         if not den:
             raise CoefficientError("zero denominator")
-        c, sign, prim = K.p_primitive_sign(den)
-        rem, facs = _linear_family_factors(n, prim)
-        dint = c * sign
-        if not K.p_is_const(rem):
-            facs = list(facs) + [(_fac_key(rem), 1)]
-        else:
-            dint *= rem.get((0,) * n, 1) if rem else 1
-        return cls._build(n, num, dint, facs)
+        return cls._build(n, num, *_split_denominator(n, den))
 
     # -- predicates ---------------------------------------------------------
 
@@ -273,19 +280,8 @@ class RatFun:
     def inverse(self):
         if self.is_zero:
             raise CoefficientError("division by zero coefficient")
-        num = K.p_const(self.n, self.dint)
-        for key, m in self.dfac:
-            poly = _fac_poly(key)
-            for _ in range(m):
-                num = K.p_mul(num, poly)
-        c, sign, prim = K.p_primitive_sign(self.num)
-        rem, facs = _linear_family_factors(self.n, prim)
-        dint = c * sign
-        if not K.p_is_const(rem):
-            facs = list(facs) + [(_fac_key(rem), 1)]
-        else:
-            dint *= rem.get((0,) * self.n, 1) if rem else 1
-        return RatFun._build(self.n, num, dint, facs)
+        return RatFun._build(self.n, self._den_poly(),
+                             *_split_denominator(self.n, self.num))
 
     def __truediv__(self, other):
         other = self._check(other)

@@ -290,37 +290,43 @@ def extract_cross_rules(n, gen_order=None):
 _RULE_CACHE = {}
 
 
+def rule_system(n, gen_order=None, cross=False):
+    """The rewrite rules of rank n under gen_order (default: the engine
+    order): same-copy rules, or the braided cross-copy rules.
+
+    Each (rank, order, kind) is extracted once per process and shared by
+    every caller, so the returned dict must not be mutated.
+    """
+    order = gen_order or default_order
+    key = (n, order, cross)
+    rules = _RULE_CACHE.get(key)
+    if rules is None:
+        extract = extract_cross_rules if cross else extract_rewrite_rules
+        rules = _RULE_CACHE[key] = extract(n, order)
+    return rules
+
+
 class ReductionAlgebra(TermAlgebra):
     """The reduction algebra with its extracted rewrite system.
 
-    Rule systems are cached per (rank, order_name); a custom gen_order
-    therefore needs its own order_name.
+    A custom gen_order needs its own order_name, which tells the algebra
+    apart from the default one.
     """
 
     def __init__(self, n, copies=1, gen_order=None, order_name="default"):
         if gen_order is not None and order_name == "default":
             raise ValueError("a custom generator order needs its own "
-                             "order_name (rule systems are cached by name)")
+                             "order_name")
         super().__init__(n, ("reduction", n, copies, order_name))
         self.copies = copies
         self.order = gen_order or default_order
         self._eps = [None] + [eps(n, i) for i in range(1, n + 1)]
-        self._cache_key = (n, order_name)
-        cached = _RULE_CACHE.get(self._cache_key)
-        if cached is None:
-            cached = extract_rewrite_rules(n, self.order)
-            _RULE_CACHE[self._cache_key] = cached
-        self.same_rules = cached
+        self.same_rules = rule_system(n, self.order)
 
     @property
     def cross_rules(self):
         # only multi-copy words ever need these; extracted on first use
-        key = self._cache_key + ("cross",)
-        cached = _RULE_CACHE.get(key)
-        if cached is None:
-            cached = extract_cross_rules(self.n, self.order)
-            _RULE_CACHE[key] = cached
-        return cached
+        return rule_system(self.n, self.order, cross=True)
 
     def gen(self, i, j, t=1):
         if not (1 <= i <= self.n and 1 <= j <= self.n):
@@ -455,7 +461,7 @@ def rewrite_graph_cycle(n, gen_order=None, degree=3):
     normal ordering terminates on all inputs of that degree.
     """
     order = gen_order or default_order
-    rules = extract_rewrite_rules(n, order)
+    rules = rule_system(n, order)
     import itertools
 
     def successors(word):
@@ -694,7 +700,7 @@ def check_weyl_realization(n, copies_weyl=None):
     N = copies_weyl or n
     walg = WeylAlgebra(n, N)
     lt = walg.ltilde()
-    rules = extract_rewrite_rules(n)
+    rules = rule_system(n)
     failures = []
     for (g1, g2) in sorted(rules):
         lhs = walg.normal_form(lt[g1] * lt[g2])
@@ -843,7 +849,7 @@ def appendix_expected_rules():
 def check_appendix_rules():
     """Extracted n=2 rules match the printed table coefficient by
     coefficient (under the printed generator order)."""
-    got = extract_rewrite_rules(2, appendix_order)
+    got = rule_system(2, appendix_order)
     want = appendix_expected_rules()
     failures = []
     for key in sorted(want):
@@ -968,7 +974,7 @@ def relation_catalogue(n, generators="L"):
     generators="L" gives the extracted rewrite rules; "s" maps both
     sides through the change of basis to the first-factor generators.
     """
-    rules = extract_rewrite_rules(n, appendix_order)
+    rules = rule_system(n, appendix_order)
     cat = []
     for (g1, g2) in sorted(rules):
         rhs = rules[(g1, g2)]
@@ -1026,8 +1032,5 @@ def run_suite(n, suite="all", copies=2, power=2):
         failures.extend(check_appendix_rules())
         failures.extend(check_appendix_central_form())
         failures.extend(check_appendix_cross_copy())
-        rep = cross_copy_convention_report()
-        if rep["passing_convention"] != "same_copy_only":
-            failures.append(_fail("cross_copy_convention",
-                                  (), str(rep), "same_copy_only"))
+        failures.extend(check_cross_copy_convention())
     return failures

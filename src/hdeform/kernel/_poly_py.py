@@ -11,10 +11,6 @@ does not divide ``a(pt)`` proves that ``b`` does not divide ``a``.  A
 division that passes runs in heap order: the remainder's monomials sit
 in a heap keyed by grlex, and the leading term is popped instead of
 searched for.
-
-The compiled twin of this module lives in ``_poly_cy.pyx``; both expose
-the same names and must stay behaviourally identical (see
-tests/test_kernel_parity.py).
 """
 
 from heapq import heapify, heappop, heappush

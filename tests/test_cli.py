@@ -144,6 +144,18 @@ def test_usage_errors_exit_two(capsys):
                    "--suite", "appendix")[0] == 2
 
 
+def test_rmatrix_suites_in_table_order(capsys):
+    code, out, _ = run_cli(capsys, "verify", "rmatrix", "--n", "2")
+    assert code == 0
+    assert [s["suite"] for s in json.loads(out)["suites"]] == [
+        "rmatrix.involutive", "rmatrix.dybe", "rmatrix.skew",
+        "rmatrix.aux", "rmatrix.traces"]
+    code, _, err = run_cli(capsys, "verify", "rmatrix", "--n", "2",
+                           "--suite", "bogus")
+    assert code == 2
+    assert "unknown rmatrix suite 'bogus'" in err
+
+
 def test_guardrail_override(capsys):
     code, out, _ = run_cli(capsys, "verify", "rmatrix", "--n", "5",
                            "--suite", "traces", "--force")

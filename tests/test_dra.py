@@ -252,3 +252,23 @@ def test_orders_disagree_only_in_presentation():
     rules = extract_rewrite_rules(2, appendix_order)
     assert nf == alg_n.normal_form(nf)
     assert len(rules) == 6
+
+
+def test_rule_store_extracts_each_system_once(monkeypatch):
+    from hdeform import dra
+    calls = []
+    extract = dra.extract_rewrite_rules
+
+    def counting(n, gen_order=None):
+        calls.append((n, gen_order))
+        return extract(n, gen_order)
+
+    monkeypatch.setattr(dra, "_RULE_CACHE", {})
+    monkeypatch.setattr(dra, "extract_rewrite_rules", counting)
+    first = relation_catalogue(2)
+    assert check_appendix_rules() == []
+    assert relation_catalogue(2) == first
+    assert calls == [(2, appendix_order)]
+    alg = ReductionAlgebra(2)
+    assert alg.same_rules is ReductionAlgebra(2).same_rules
+    assert calls == [(2, appendix_order), (2, dra.normal_order)]
