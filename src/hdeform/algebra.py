@@ -19,6 +19,7 @@ import os
 
 from .coeffs import RatFun, serialize
 from .errors import ResourceLimitError, RewriteLimitError
+from .report import failure
 
 _STEP_LIMIT = int(os.environ.get("HDEFORM_MAX_REWRITES", "0") or 0) or 20_000_000
 _TERM_LIMIT = int(os.environ.get("HDEFORM_MAX_TERMS", "0") or 0)
@@ -337,3 +338,29 @@ def reflection_residual(alg, rmat, lmat_entries, n):
     lhs = mat_sub(mat_mul(alg, rl, rl, n), mat_mul(alg, lr, lr, n))
     rhs = mat_sub(rl, lr)
     return mat_sub(lhs, rhs)
+
+
+def braided_cross_residual(alg, rmat, m1_entries, m2_entries, n):
+    """Componentwise residual R M1 R M2 - M2 R M1 R of the braided
+    compatibility of two first-leg matrices (not normal ordered)."""
+    r12 = mat_from_tensor(alg, rmat)
+    m1 = mat_first_leg(alg, m1_entries, n)
+    m2 = mat_first_leg(alg, m2_entries, n)
+    lhs = mat_mul(alg, mat_mul(alg, mat_mul(alg, r12, m1, n), r12, n), m2, n)
+    rhs = mat_mul(alg, mat_mul(alg, mat_mul(alg, m2, r12, n), m1, n), r12, n)
+    return mat_sub(lhs, rhs)
+
+
+def associativity_failures(alg, triples):
+    """Degree-3 oracle: for each generator triple both bracketings must
+    normal-order identically."""
+    nf = alg.normal_form
+    failures = []
+    for g1, g2, g3 in triples:
+        e1, e2, e3 = (alg.gen_element(g) for g in (g1, g2, g3))
+        left = nf(nf(e1 * e2) * e3)
+        right = nf(e1 * nf(e2 * e3))
+        if left != right:
+            failures.append(failure("associativity_oracle", (g1, g2, g3),
+                                    left, right))
+    return failures

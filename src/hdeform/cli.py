@@ -86,87 +86,27 @@ def _rmatrix_units(n, suite):
 
 
 def _weyl_units(n, copies, fermionic, suite, across_copies=False):
-    units = []
+    from .weyl import suite_units
     stats = "fermionic" if fermionic else "bosonic"
-
-    def add(name, func, **kw):
-        units.append((f"weyl.{name}[{stats}]", ("weyl", func, kw)))
-
-    wanted = {"confluence", "reflection", "exchange", "variants",
-              "zhelobenko", "split"}
-    if suite != "all":
-        if suite not in wanted:
-            raise UsageError(f"unknown weyl suite {suite!r}")
-        wanted = {suite}
-    if "confluence" in wanted:
-        add("confluence", "check_confluence", n=n, copies=copies,
-            fermionic=fermionic)
-    if "reflection" in wanted:
-        add("reflection", "verify_reflection", n=n, copies=copies,
-            fermionic=fermionic, inhomogeneous_across_copies=across_copies)
-    if "exchange" in wanted:
-        add("exchange", "check_forward_exchange", n=n, copies=copies,
-            fermionic=fermionic)
-    if not fermionic:
-        if "variants" in wanted:
-            add("variants", "check_variant_generators", n=n)
-        if "zhelobenko" in wanted:
-            add("zhelobenko", "verify_zhelobenko", n=n, copies=copies)
-        if "split" in wanted and copies >= 2:
-            add("split", "split_realization", n=n, copies=copies, nu=1)
-    return units
+    try:
+        units = suite_units(n, copies, fermionic, suite, across_copies)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return [(f"weyl.{name}[{stats}]", ("weyl", fn, kw))
+            for name, fn, kw in units]
 
 
 def _dra_units(n, suite, power, copies=2):
-    units = []
-
-    def add(name, func, **kw):
-        units.append((f"dra.{name}", ("dra", func, kw)))
-
-    wanted = {"reflection", "associativity", "hrealization", "central",
-              "coproduct", "transforms", "appendix", "realization"}
-    if suite != "all":
-        if suite not in wanted:
-            raise UsageError(f"unknown dra suite {suite!r}")
-        wanted = {suite}
-    if "reflection" in wanted:
-        add("reflection", "check_relation_roundtrip", n=n)
-    if "associativity" in wanted:
-        add("associativity", "check_associativity_sample", n=n)
-    if "hrealization" in wanted:
-        add("hrealization", "check_h_realization", n=n)
-    if "central" in wanted:
-        for p in range(0, power + 1):
-            add(f"central.N{p}", "check_central", n=n, power=p)
-            add(f"central_primed.N{p}", "check_central", n=n, power=p,
-                primed=True)
-        add("central.weights", "check_weight_zero_diagonal", n=n, power=power)
-    if "realization" in wanted:
-        add("realization.rules", "check_weyl_realization", n=n)
-        add("realization.central", "check_central_realization", n=n,
-            power=min(power, 2))
-    if "coproduct" in wanted:
-        add("coproduct", "check_coproduct", n=n)
-        if copies > 2:
-            add(f"coproduct.sum{copies}", "check_braided_sum", n=n,
-                copies=copies)
-    if "transforms" in wanted:
-        add("transforms.cartan_sum", "check_cartan_sum", n=n)
-        add("transforms.basis", "check_generator_transforms", n=n)
-    if "appendix" in wanted:
-        if n != 2:
-            if suite == "appendix":
-                raise UsageError("the appendix suite is defined for --n 2")
-        else:
-            add("appendix.rules", "check_appendix_rules")
-            add("appendix.central", "check_appendix_central_form")
-            add("appendix.cross_copy", "check_appendix_cross_copy")
-            add("appendix.convention", "check_cross_copy_convention")
-    return units
+    from .dra import suite_units
+    try:
+        units = suite_units(n, suite, copies, power)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return [(f"dra.{name}", ("dra", fn, kw)) for name, fn, kw in units]
 
 
-def cmd_verify(args):
-    _guard(args)
+def _verify_units(args):
+    """The (report name, task) units a verify command runs, in order."""
     n = args.n
     copies = args.copies_weyl
     fermionic = args.stats == "fermionic"
@@ -185,6 +125,12 @@ def cmd_verify(args):
     if args.target in ("dra", "all"):
         units += _dra_units(n, args.suite if args.target == "dra" else "all",
                             args.power, args.copies)
+    return units
+
+
+def cmd_verify(args):
+    _guard(args)
+    units = _verify_units(args)
     reports = []
     t_all = time.time()
     if args.jobs > 1:
@@ -196,7 +142,8 @@ def cmd_verify(args):
     for (name, _task), (failures, elapsed) in zip(units, results):
         reports.append(SuiteReport(
             suite=name,
-            config={"n": n, "copies": copies, "statistics": args.stats,
+            config={"n": args.n, "copies": args.copies_weyl,
+                    "statistics": args.stats,
                     "braided_copies": args.copies, "power": args.power},
             failures=failures,
             wall_time_s=elapsed))

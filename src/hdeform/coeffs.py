@@ -301,11 +301,16 @@ class RatFun:
         return res
 
     def __eq__(self, other):
+        """Value equality.  Equal representations answer at once; a
+        product of linear forms outside the factor window can stay one
+        unsplit factor, so other pairs compare their difference to zero."""
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self.num == other.num and self.dint == other.dint
-                and self.dfac == other.dfac)
+        if (self.num == other.num and self.dint == other.dint
+                and self.dfac == other.dfac):
+            return True
+        return (self - other).is_zero
 
     def __ne__(self, other):
         r = self.__eq__(other)
@@ -342,10 +347,6 @@ class RatFun:
         facs = [(_fac_key(K.p_negate(_fac_poly(key))), m)
                 for key, m in self.dfac]
         return RatFun._build(self.n, num, self.dint, facs)
-
-    def refactor(self):
-        """Re-run denominator factor splitting (idempotent clean-up)."""
-        return RatFun.from_poly(self.n, self.num, self._den_poly())
 
     # -- evaluation ---------------------------------------------------------
 

@@ -18,10 +18,14 @@ regression against the printed ordering table use the table's own order
 
 from __future__ import annotations
 
-from .algebra import (Element, TermAlgebra, mat_add, mat_first_leg,
+import itertools
+
+from .algebra import (Element, TermAlgebra, associativity_failures,
+                      braided_cross_residual, mat_add, mat_first_leg,
                       mat_from_tensor, mat_mul, mat_sub, reflection_residual)
 from .coeffs import RatFun, eps, hdiff, phi, phi_segment, qminus, serialize
 from .errors import RelationExtractionError
+from .report import failure, select_units
 from .rmatrix import hmat, rhat
 
 
@@ -50,10 +54,6 @@ def appendix_order(pat):
     """
     i, j = pat
     return (1 if i == j else 0, -i, -j)
-
-
-# kept as the engine default
-default_order = normal_order
 
 
 # ---------------------------------------------------------------------------
@@ -235,7 +235,7 @@ def _solve_for_unordered(n, components, is_unordered):
 
 def extract_rewrite_rules(n, gen_order=None):
     """Ordering rules for one copy: unordered pair word -> ordered element."""
-    order = gen_order or default_order
+    order = gen_order or normal_order
     comps = reflection_components(n, "L")
 
     def is_unordered(word):
@@ -256,17 +256,9 @@ def extract_rewrite_rules(n, gen_order=None):
 def extract_cross_rules(n, gen_order=None):
     """Braided exchange: (higher copy gen)(lower copy gen) -> ordered."""
     alg = FreeReductionAlgebra(n, copies=2)
-    r = rhat(n)
-    r12 = mat_from_tensor(alg, r)
-    m1 = mat_first_leg(alg, {(i, j): alg.gen(1, i, j)
-                             for i in range(1, n + 1)
-                             for j in range(1, n + 1)}, n)
-    m2 = mat_first_leg(alg, {(i, j): alg.gen(2, i, j)
-                             for i in range(1, n + 1)
-                             for j in range(1, n + 1)}, n)
-    lhs = mat_mul(alg, mat_mul(alg, mat_mul(alg, r12, m1, n), r12, n), m2, n)
-    rhs = mat_mul(alg, mat_mul(alg, mat_mul(alg, m2, r12, n), m1, n), r12, n)
-    comps = mat_sub(lhs, rhs)
+    m1, m2 = ({(i, j): alg.gen(t, i, j) for i in range(1, n + 1)
+               for j in range(1, n + 1)} for t in (1, 2))
+    comps = braided_cross_residual(alg, rhat(n), m1, m2, n)
 
     def is_unordered(word):
         if len(word) != 2:
@@ -297,7 +289,7 @@ def rule_system(n, gen_order=None, cross=False):
     Each (rank, order, kind) is extracted once per process and shared by
     every caller, so the returned dict must not be mutated.
     """
-    order = gen_order or default_order
+    order = gen_order or normal_order
     key = (n, order, cross)
     rules = _RULE_CACHE.get(key)
     if rules is None:
@@ -319,7 +311,7 @@ class ReductionAlgebra(TermAlgebra):
                              "order_name")
         super().__init__(n, ("reduction", n, copies, order_name))
         self.copies = copies
-        self.order = gen_order or default_order
+        self.order = gen_order or normal_order
         self._eps = [None] + [eps(n, i) for i in range(1, n + 1)]
         self.same_rules = rule_system(n, self.order)
 
@@ -407,19 +399,6 @@ class ReductionAlgebra(TermAlgebra):
 
 
 # ---------------------------------------------------------------------------
-# failure records
-# ---------------------------------------------------------------------------
-
-def _fail(identity, indices, lhs, rhs="0"):
-    return {
-        "identity": identity,
-        "indices": list(indices),
-        "lhs": lhs if isinstance(lhs, str) else str(lhs),
-        "rhs": rhs if isinstance(rhs, str) else str(rhs),
-    }
-
-
-# ---------------------------------------------------------------------------
 # checks
 # ---------------------------------------------------------------------------
 
@@ -434,7 +413,7 @@ def check_relation_roundtrip(n, gen_order=None, order_name="default"):
         el = Element(alg, dict(free_el.terms))
         nf = alg.normal_form(el)
         if not nf.is_zero:
-            failures.append(_fail("relation_roundtrip", key, str(nf)))
+            failures.append(failure("relation_roundtrip", key, nf))
     return failures
 
 
@@ -444,10 +423,10 @@ def check_h_realization(n):
     failures = []
     for key, el in sorted(reflection_components(n, "H").items()):
         if not el.is_zero:
-            failures.append(_fail("cartan_reflection", key, str(el)))
+            failures.append(failure("cartan_reflection", key, el))
     for key, el in sorted(reflection_components(n, "mixed").items()):
         if not el.is_zero:
-            failures.append(_fail("mixed_weight_identity", key, str(el)))
+            failures.append(failure("mixed_weight_identity", key, el))
     return failures
 
 
@@ -460,9 +439,8 @@ def rewrite_graph_cycle(n, gen_order=None, degree=3):
     on a cycle, or None when the graph is acyclic, which certifies that
     normal ordering terminates on all inputs of that degree.
     """
-    order = gen_order or default_order
+    order = gen_order or normal_order
     rules = rule_system(n, order)
-    import itertools
 
     def successors(word):
         for p in range(len(word) - 1):
@@ -498,21 +476,11 @@ def rewrite_graph_cycle(n, gen_order=None, degree=3):
 
 
 def check_associativity(n, triples=None):
-    """Degree-3 oracle: both bracketings normal-order identically."""
+    """Degree-3 oracle over the given generator triples (default: all)."""
     alg = ReductionAlgebra(n)
-    gens = alg.generators()
-    failures = []
     if triples is None:
-        import itertools
-        triples = itertools.product(gens, repeat=3)
-    for g1, g2, g3 in triples:
-        e1, e2, e3 = (alg.gen_element(g) for g in (g1, g2, g3))
-        left = alg.normal_form(alg.normal_form(e1 * e2) * e3)
-        right = alg.normal_form(e1 * alg.normal_form(e2 * e3))
-        if left != right:
-            failures.append(_fail("associativity_oracle", (g1, g2, g3),
-                                  str(left), str(right)))
-    return failures
+        triples = itertools.product(alg.generators(), repeat=3)
+    return associativity_failures(alg, triples)
 
 
 def check_associativity_sample(n, sample=200, seed=20240901):
@@ -532,7 +500,7 @@ def check_cross_copy_convention():
     rep = cross_copy_convention_report()
     if rep["passing_convention"] == "same_copy_only":
         return []
-    return [_fail("cross_copy_convention", (), str(rep), "same_copy_only")]
+    return [failure("cross_copy_convention", (), rep, "same_copy_only")]
 
 
 def central_element(n, power):
@@ -553,7 +521,7 @@ def check_central(n, power, primed=False):
         g = alg.gen(i, j)
         res = alg.normal_form(c * g - g * c)
         if not res.is_zero:
-            failures.append(_fail(tag, (n, power, i, j), str(res)))
+            failures.append(failure(tag, (n, power, i, j), res))
     return failures
 
 
@@ -566,8 +534,8 @@ def check_weight_zero_diagonal(n, power):
     for i in range(1, n + 1):
         for wt in p[(i, i)].weight_decomposition():
             if wt != zero:
-                failures.append(_fail("diagonal_weight_zero", (i, power),
-                                      str(wt), str(zero)))
+                failures.append(failure("diagonal_weight_zero", (i, power),
+                                        wt, zero))
     return failures
 
 
@@ -606,14 +574,14 @@ def check_generator_transforms(n):
     for (i, j), el in sorted(trans.items()):
         diag_coeff = el.terms.get(((1, i, j),))
         if diag_coeff is None or not diag_coeff.is_unit_in_localization():
-            failures.append(_fail("transition_unit_diagonal", (i, j),
-                                  serialize(diag_coeff) if diag_coeff else "0",
-                                  "unit"))
+            failures.append(failure("transition_unit_diagonal", (i, j),
+                                    "0" if diag_coeff is None else diag_coeff,
+                                    "unit"))
         for word in el.terms:
             (_, a, b) = word[0]
             if (a, b) != (i, j) and not (i == j and a == b and a > i):
-                failures.append(_fail("transition_triangular", (i, j, a, b),
-                                      str(el), "triangular"))
+                failures.append(failure("transition_triangular", (i, j, a, b),
+                                        el, "triangular"))
     # explicit inverse: solve for s in terms of L and round trip
     inv = invert_transform(n, alg)
     for (i, j), el in sorted(inv.items()):
@@ -624,8 +592,8 @@ def check_generator_transforms(n):
             acc = acc + trans[(a, b)].times_coeff_left(c)
         want = alg.gen(1, i, j)
         if acc != want:
-            failures.append(_fail("transition_inverse_roundtrip", (i, j),
-                                  str(acc), str(want)))
+            failures.append(failure("transition_inverse_roundtrip", (i, j),
+                                    acc, want))
     return failures
 
 
@@ -677,8 +645,7 @@ def check_cartan_sum(n):
                 hval = RatFun.var(n, a) + a
                 tot = tot + c * hval
             if tot != h[i]:
-                failures.append(_fail("cartan_sum", (i,), serialize(tot),
-                                      serialize(h[i])))
+                failures.append(failure("cartan_sum", (i,), tot, h[i]))
     return failures
 
 
@@ -712,8 +679,8 @@ def check_weyl_realization(n, copies_weyl=None):
             acc = acc + term
         rhs = walg.normal_form(acc)
         if lhs != rhs:
-            failures.append(_fail("rule_in_weyl_realization", (g1, g2),
-                                  str(lhs), str(rhs)))
+            failures.append(failure("rule_in_weyl_realization", (g1, g2),
+                                    lhs, rhs))
     return failures
 
 
@@ -744,8 +711,8 @@ def check_central_realization(n, power, copies_weyl=None):
     for (i, j) in sorted(lt):
         res = walg.normal_form(trace * lt[(i, j)] - lt[(i, j)] * trace)
         if not res.is_zero:
-            failures.append(_fail("central_in_weyl_realization",
-                                  (n, power, i, j), str(res)))
+            failures.append(failure("central_in_weyl_realization",
+                                    (n, power, i, j), res))
     return failures
 
 
@@ -767,8 +734,8 @@ def check_braided_sum(n, copies):
     for key in sorted(res):
         nf = alg.normal_form(res[key])
         if not nf.is_zero:
-            failures.append(_fail("braided_sum_reflection",
-                                  (copies,) + key, str(nf)))
+            failures.append(failure("braided_sum_reflection",
+                                    (copies,) + key, nf))
     return failures
 
 
@@ -792,8 +759,8 @@ def check_coproduct(n):
             rhs = a3.normal_form(hom_right(delta))
             want = (a3.gen(i, j, 1) + a3.gen(i, j, 2) + a3.gen(i, j, 3))
             if lhs != rhs or lhs != want:
-                failures.append(_fail("coassociativity", (i, j),
-                                      str(lhs), str(rhs)))
+                failures.append(failure("coassociativity", (i, j),
+                                        lhs, rhs))
     return failures
 
 
@@ -857,14 +824,14 @@ def check_appendix_rules():
         w = want[key]
         if [x[0] for x in g] != [x[0] for x in w] or any(
                 gc != wc for (_, gc), (_, wc) in zip(g, w)):
-            failures.append(_fail(
+            failures.append(failure(
                 "appendix_rule", key,
                 "; ".join(f"{wd}:{serialize(c)}" for wd, c in g),
                 "; ".join(f"{wd}:{serialize(c)}" for wd, c in w)))
     extra = set(got) - set(want)
     if extra:
-        failures.append(_fail("appendix_rule_count", sorted(extra),
-                              str(len(got)), str(len(want))))
+        failures.append(failure("appendix_rule_count", sorted(extra),
+                                len(got), len(want)))
     return failures
 
 
@@ -881,8 +848,8 @@ def check_appendix_central_form(max_power=3):
         want = alg.normal_form(p[(1, 1)].times_coeff_left(qm1)
                                + p[(2, 2)].times_coeff_left(qm2))
         if str(got) != str(want):
-            failures.append(_fail("appendix_central_form", (power,),
-                                  str(got), str(want)))
+            failures.append(failure("appendix_central_form", (power,),
+                                    got, want))
     return failures
 
 
@@ -925,7 +892,7 @@ def check_appendix_cross_copy():
 
     def chk(tag, lhs, rhs):
         if nf(lhs) != nf(rhs):
-            failures.append(_fail(tag, (), str(nf(lhs)), str(nf(rhs))))
+            failures.append(failure(tag, (), nf(lhs), nf(rhs)))
 
     chk("xx_12", x[(1, 1)] * x[(2, 2)],
         (x[(1, 2)] * x[(2, 1)]).times_coeff_left(one / h)
@@ -959,8 +926,8 @@ def check_appendix_cross_copy():
                 + (d[(2, 2)] * x[(2, 1)]).times_coeff_left(one / (1 - h))
                 - alg.one()))
     if bad.is_zero:
-        failures.append(_fail("xd_diag_printed_constant_unexpectedly_holds",
-                              (), "0", "nonzero"))
+        failures.append(failure("xd_diag_printed_constant_unexpectedly_holds",
+                                (), "0", "nonzero"))
     return failures
 
 
@@ -1001,36 +968,52 @@ def relation_catalogue(n, generators="L"):
 # -- suite driver --------------------------------------------------------------------
 
 
+def suite_units(n, suite="all", copies=2, power=2):
+    """The ordered units (unit name, function name, kwargs) of one named
+    suite, or of every suite that applies for suite="all".
+
+    The appendix suite is defined for n = 2 only; naming it at another
+    rank raises ValueError, as does an unknown name.
+    """
+    central = []
+    for p in range(power + 1):
+        central += [(f"central.N{p}", "check_central", {"n": n, "power": p}),
+                    (f"central_primed.N{p}", "check_central",
+                     {"n": n, "power": p, "primed": True})]
+    central.append(("central.weights", "check_weight_zero_diagonal",
+                    {"n": n, "power": power}))
+    coproduct = [("coproduct", "check_coproduct", {"n": n})]
+    if copies > 2:
+        coproduct.append((f"coproduct.sum{copies}", "check_braided_sum",
+                          {"n": n, "copies": copies}))
+    table = {
+        "reflection": [("reflection", "check_relation_roundtrip", {"n": n})],
+        "associativity": [("associativity", "check_associativity_sample",
+                           {"n": n})],
+        "hrealization": [("hrealization", "check_h_realization", {"n": n})],
+        "central": central,
+        "realization": [
+            ("realization.rules", "check_weyl_realization", {"n": n}),
+            ("realization.central", "check_central_realization",
+             {"n": n, "power": min(power, 2)})],
+        "coproduct": coproduct,
+        "transforms": [
+            ("transforms.cartan_sum", "check_cartan_sum", {"n": n}),
+            ("transforms.basis", "check_generator_transforms", {"n": n})],
+        "appendix": [
+            ("appendix.rules", "check_appendix_rules", {}),
+            ("appendix.central", "check_appendix_central_form", {}),
+            ("appendix.cross_copy", "check_appendix_cross_copy", {}),
+            ("appendix.convention", "check_cross_copy_convention", {})],
+    }
+    if n != 2:
+        table["appendix"] = "the appendix suite is defined for --n 2"
+    return select_units("dra", table, suite)
+
+
 def run_suite(n, suite="all", copies=2, power=2):
+    """Run the units of :func:`suite_units`; returns their failures."""
     failures = []
-    known = {"reflection", "central", "coproduct", "appendix", "transforms",
-             "hrealization", "associativity", "realization"}
-    if suite not in known and suite != "all":
-        raise ValueError(f"unknown dra suite {suite!r}")
-    if suite in ("all", "reflection"):
-        failures.extend(check_relation_roundtrip(n))
-    if suite in ("all", "associativity"):
-        failures.extend(check_associativity(n))
-    if suite in ("all", "hrealization"):
-        failures.extend(check_h_realization(n))
-    if suite in ("all", "central"):
-        for p in range(0, power + 1):
-            failures.extend(check_central(n, p))
-            failures.extend(check_central(n, p, primed=True))
-        failures.extend(check_weight_zero_diagonal(n, power))
-    if suite in ("all", "realization"):
-        failures.extend(check_weyl_realization(n))
-        failures.extend(check_central_realization(n, min(power, 2)))
-    if suite in ("all", "coproduct"):
-        failures.extend(check_coproduct(n))
-        if copies > 2:
-            failures.extend(check_braided_sum(n, copies))
-    if suite in ("all", "transforms"):
-        failures.extend(check_cartan_sum(n))
-        failures.extend(check_generator_transforms(n))
-    if suite in ("all", "appendix") and n == 2:
-        failures.extend(check_appendix_rules())
-        failures.extend(check_appendix_central_form())
-        failures.extend(check_appendix_cross_copy())
-        failures.extend(check_cross_copy_convention())
+    for _, func, kwargs in suite_units(n, suite, copies, power):
+        failures.extend(globals()[func](**kwargs))
     return failures

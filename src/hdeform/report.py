@@ -1,9 +1,36 @@
-"""Verification reports: one record per suite run, JSON-serializable."""
+"""Verification reports: failure records, suite selection and one record
+per suite run, JSON-serializable."""
 
 from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+
+
+def failure(identity, indices, lhs, rhs="0"):
+    """One failure record; coefficients and elements print canonically."""
+    return {"identity": identity, "indices": list(indices),
+            "lhs": str(lhs), "rhs": str(rhs)}
+
+
+def select_units(kind, table, suite):
+    """The units of one named suite of an ordered suite table, or of every
+    suite that applies for suite="all".
+
+    table maps each suite name to its list of units, or to a message
+    saying why it does not apply under the given options.  An unknown
+    suite, or a named one that does not apply, raises ValueError; "all"
+    skips the latter.
+    """
+    if suite == "all":
+        return [unit for units in table.values() if not isinstance(units, str)
+                for unit in units]
+    if suite not in table:
+        raise ValueError(f"unknown {kind} suite {suite!r}")
+    units = table[suite]
+    if isinstance(units, str):
+        raise ValueError(units)
+    return units
 
 
 @dataclass
@@ -27,13 +54,10 @@ class SuiteReport:
         }
 
 
-def render_reports(reports, include_timing=True):
-    """Deterministic JSON for a list of reports (timing optional)."""
+def render_reports(reports):
+    """Deterministic JSON for a list of reports."""
     payload = {
         "status": "pass" if all(not r.failures for r in reports) else "fail",
         "suites": [r.to_dict() for r in reports],
     }
-    if not include_timing:
-        for s in payload["suites"]:
-            s.pop("wall_time_s", None)
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -13,7 +13,8 @@ failure records; an empty list means the identity holds exactly.
 
 from __future__ import annotations
 
-from .coeffs import RatFun, eps, hdiff, qminus, qplus, serialize
+from .coeffs import RatFun, eps, hdiff, qminus, qplus
+from .report import failure
 
 
 class DynTensor2:
@@ -190,17 +191,8 @@ def build(name, n):
 
 
 # ---------------------------------------------------------------------------
-# failure records
+# sparse comparison
 # ---------------------------------------------------------------------------
-
-def _fail(identity, indices, lhs, rhs):
-    return {
-        "identity": identity,
-        "indices": list(indices),
-        "lhs": serialize(lhs) if isinstance(lhs, RatFun) else str(lhs),
-        "rhs": serialize(rhs) if isinstance(rhs, RatFun) else str(rhs),
-    }
-
 
 def _compare_sparse(identity, got, expected, failures):
     for key in sorted(set(got) | set(expected)):
@@ -210,7 +202,7 @@ def _compare_sparse(identity, got, expected, failures):
         g = g if g is not None else RatFun.zero(n)
         e = e if e is not None else RatFun.zero(n)
         if g != e:
-            failures.append(_fail(identity, key, g, e))
+            failures.append(failure(identity, key, g, e))
 
 
 # ---------------------------------------------------------------------------
@@ -304,7 +296,7 @@ def check_skew_inverse(n):
                     tot = tot + v
             want = qplus(n, i) if i == j else RatFun.zero(n)
             if tot != want:
-                failures.append(_fail("psihat_trace2", (i, j), tot, want))
+                failures.append(failure("psihat_trace2", (i, j), tot, want))
     for m in range(1, n + 1):
         for nn in range(1, n + 1):
             tot = RatFun.zero(n)
@@ -314,7 +306,7 @@ def check_skew_inverse(n):
                     tot = tot + v
             want = qminus(n, nn) if m == nn else RatFun.zero(n)
             if tot != want:
-                failures.append(_fail("psihat_trace1", (m, nn), tot, want))
+                failures.append(failure("psihat_trace1", (m, nn), tot, want))
     return failures
 
 
@@ -340,14 +332,14 @@ def check_aux_identities(n):
                         tuple(-x for x in eps(n, l)))
                     rhs = r.get(l, k, j, i) or zero
                     if lhs != rhs:
-                        failures.append(_fail("that_from_rhat",
-                                              (k, l, i, j), lhs, rhs))
+                        failures.append(failure("that_from_rhat",
+                                                (k, l, i, j), lhs, rhs))
                     # shat is the one-step shift of rhat
                     lhs = s.get(i, j, k, l) or zero
                     rhs = (r.get(i, j, k, l) or zero).shift(eps(n, k))
                     if lhs != rhs:
-                        failures.append(_fail("shat_from_rhat",
-                                              (i, j, k, l), lhs, rhs))
+                        failures.append(failure("shat_from_rhat",
+                                                (i, j, k, l), lhs, rhs))
     for i in rng:
         for k in rng:
             for j in rng:
@@ -358,14 +350,14 @@ def check_aux_identities(n):
                     rhs = (qp[i].shift(shiftkl) * sv
                            * qp[l].inverse().shift(tuple(-x for x in eps(n, l))))
                     if lhs != rhs:
-                        failures.append(_fail("psihat_from_shat",
-                                              (i, k, j, l), lhs, rhs))
+                        failures.append(failure("psihat_from_shat",
+                                                (i, k, j, l), lhs, rhs))
                     # transpose symmetry under global sign reversal
                     lhs = r.get(k, i, l, j) or zero
                     rhs = (r.get(j, l, i, k) or zero).negate_h()
                     if lhs != rhs:
-                        failures.append(_fail("rhat_transpose_negation",
-                                              (i, k, j, l), lhs, rhs))
+                        failures.append(failure("rhat_transpose_negation",
+                                                (i, k, j, l), lhs, rhs))
     # weighted row/column sums of rhat collapse to the identity
     for m in rng:
         for nn in rng:
@@ -380,19 +372,19 @@ def check_aux_identities(n):
                     tot2 = tot2 + qp[a].shift(eps(n, m)) * w
             want = one if m == nn else zero
             if tot1 != want:
-                failures.append(_fail("qminus_weighted_row_sum",
-                                      (m, nn), tot1, want))
+                failures.append(failure("qminus_weighted_row_sum",
+                                        (m, nn), tot1, want))
             if tot2 != want:
-                failures.append(_fail("qplus_weighted_column_sum",
-                                      (m, nn), tot2, want))
+                failures.append(failure("qplus_weighted_column_sum",
+                                        (m, nn), tot2, want))
     # exchange of shifted q-weights
     for i in rng:
         for j in rng:
             lhs = qm[j] * qm[i].shift(tuple(-x for x in eps(n, j)))
             rhs = qm[i] * qm[j].shift(tuple(-x for x in eps(n, i)))
             if lhs != rhs:
-                failures.append(_fail("qminus_shift_exchange",
-                                      (i, j), lhs, rhs))
+                failures.append(failure("qminus_shift_exchange",
+                                        (i, j), lhs, rhs))
     for (i, k, j, l), v in r.entries.items():
         lhs = (qp[i].shift(tuple(-x for x in eps(n, i)))
                * qp[k].shift(tuple(-x - y for x, y in zip(eps(n, i), eps(n, k))))
@@ -400,8 +392,8 @@ def check_aux_identities(n):
         rhs = (v * qp[j].shift(tuple(-x for x in eps(n, j)))
                * qp[l].shift(tuple(-x - y for x, y in zip(eps(n, j), eps(n, l)))))
         if lhs != rhs:
-            failures.append(_fail("qplus_rhat_compatibility",
-                                  (i, k, j, l), lhs, rhs))
+            failures.append(failure("qplus_rhat_compatibility",
+                                    (i, k, j, l), lhs, rhs))
     return failures
 
 
@@ -413,22 +405,23 @@ def check_traces(n):
     tm = qminus_op(n).trace()
     want = RatFun.const(n, n)
     if tp != want:
-        failures.append(_fail("trace_qplus", (n,), tp, want))
+        failures.append(failure("trace_qplus", (n,), tp, want))
     if tm != want:
-        failures.append(_fail("trace_qminus", (n,), tm, want))
+        failures.append(failure("trace_qminus", (n,), tm, want))
     for j in range(1, n + 1):
         v = qminus(n, j).shift(eps(n, j)) * qplus(n, j)
         if v != one:
-            failures.append(_fail("qminus_qplus_reciprocal", (j,), v, one))
+            failures.append(failure("qminus_qplus_reciprocal", (j,), v, one))
         if qminus(n, j).negate_h() != qplus(n, j):
-            failures.append(_fail("q_sign_reversal", (j,),
-                                  qminus(n, j).negate_h(), qplus(n, j)))
+            failures.append(failure("q_sign_reversal", (j,),
+                                    qminus(n, j).negate_h(), qplus(n, j)))
     for i in range(1, n + 1):
         tot = RatFun.zero(n)
         for j in range(1, n + 1):
             tot = tot + qminus(n, j) / (hdiff(n, i, j) + 1)
         if tot != one:
-            failures.append(_fail("qminus_partial_fraction_row", (i,), tot, one))
+            failures.append(failure("qminus_partial_fraction_row", (i,),
+                                    tot, one))
     return failures
 
 
@@ -442,8 +435,9 @@ SUITES = {
 
 
 def run_suite(n, suite="all"):
-    """Run one named identity suite (or all of them) at rank n."""
-    names = sorted(SUITES) if suite == "all" else [suite]
+    """Run one named identity suite (or all of them, in table order, as
+    the command line does) at rank n."""
+    names = list(SUITES) if suite == "all" else [suite]
     failures = []
     for name in names:
         if name not in SUITES:

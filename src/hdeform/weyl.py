@@ -4,8 +4,10 @@ Generators are coordinates ``x[i,a]`` and barred derivatives ``D[j,a]``
 (index 1..n, copy 1..N) with either bosonic or fermionic statistics.
 Normal order puts all x's first, each block sorted by (index, copy);
 the exchange rules are driven by the dynamical tensors of
-:mod:`hdeform.rmatrix`, with the skew inverse supplying the rule that
-moves a derivative past a coordinate.
+:mod:`hdeform.rmatrix`.  The rule that moves a derivative past a
+coordinate reads its coefficients from the skew inverse
+:func:`hdeform.rmatrix.psihat`: the entry (i,k | i,k) for D[i] x[i] ->
+x[k] D[k], and (i,j | j,i) for D[j] x[i] with i != j.
 
 The cross-copy exchange of a coordinate with a derivative of equal
 index is homogeneous here (the inhomogeneous unit appears only for
@@ -20,11 +22,13 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import Element, TermAlgebra, mat_first_leg, reflection_residual
-from .coeffs import (RatFun, eps, hdiff, mu_coeff, phi, phi_prime, qminus,
-                     qplus)
+from .algebra import (Element, TermAlgebra, associativity_failures,
+                      braided_cross_residual, reflection_residual)
+from .coeffs import (RatFun, beta_coeff, eps, hdiff, mu_coeff, phi,
+                     phi_prime, qminus, qplus)
 from .errors import CoefficientError
-from .rmatrix import rhat, shat
+from .report import failure, select_units
+from .rmatrix import psihat, rhat, shat
 
 XK, DK = 0, 1
 
@@ -50,7 +54,7 @@ class WeylAlgebra(TermAlgebra):
         self._eps = [None] + [eps(n, i) for i in range(1, n + 1)]
         self._neps = [None] + [tuple(-x for x in eps(n, i))
                                for i in range(1, n + 1)]
-        self._psi_diag = None
+        self._psihat = None
 
     # -- generators ------------------------------------------------------------
 
@@ -119,16 +123,15 @@ class WeylAlgebra(TermAlgebra):
         if k1 == DK and k2 == XK:
             j, beta = i1, a1
             i, alpha = i2, a2
+            if self._psihat is None:
+                self._psihat = psihat(n)
+            psi = self._psihat
             if i != j:
-                if i < j:
-                    psi = RatFun.const(n, 1)
-                else:
-                    d = hdiff(n, i, j)
-                    psi = (d - 1) * (d - 1) / (d * (d - 2))
-                return [(psi * sgn, ((XK, i, alpha), (DK, j, beta)))]
+                return [(psi.get(i, j, j, i) * sgn,
+                         ((XK, i, alpha), (DK, j, beta)))]
             out = []
             for k in range(1, n + 1):
-                out.append((self._psi_diag_entry(i, k) * sgn,
+                out.append((psi.get(i, k, i, k) * sgn,
                             ((XK, k, alpha), (DK, k, beta))))
             if alpha == beta or self.inhomogeneous_across_copies:
                 # the unit term keeps its sign in the fermionic variant
@@ -139,49 +142,19 @@ class WeylAlgebra(TermAlgebra):
             return out
         raise AssertionError("x before D is never rewritten")
 
-    def _psi_diag_entry(self, i, k):
-        if self._psi_diag is None:
-            n = self.n
-            qp = {t: qplus(n, t) for t in range(1, n + 1)}
-            qm = {t: qminus(n, t) for t in range(1, n + 1)}
-            self._psi_diag = {
-                (a, b): qp[a] * qm[b] / (hdiff(n, a, b) + 1) if a != b
-                else qp[a] * qm[a]
-                for a in range(1, n + 1) for b in range(1, n + 1)}
-        return self._psi_diag[(i, k)]
-
     # -- composite operators --------------------------------------------------------
 
-    def ltilde(self):
-        """Matrix (i, j) -> sum_a x[i,a] D[j,a]; already normal ordered."""
-        out = {}
-        for i in range(1, self.n + 1):
-            for j in range(1, self.n + 1):
-                out[(i, j)] = Element(self, {
-                    (xgen(i, a), dgen(j, a)): self._one
-                    for a in range(1, self.copies + 1)})
-        return out
-
-    def partial_ltilde(self, copy_range):
+    def ltilde(self, copy_range=None):
+        """Matrix (i, j) -> sum_a x[i,a] D[j,a] over the copies a in
+        copy_range (default: every copy); already normal ordered."""
+        if copy_range is None:
+            copy_range = range(1, self.copies + 1)
         out = {}
         for i in range(1, self.n + 1):
             for j in range(1, self.n + 1):
                 out[(i, j)] = Element(self, {
                     (xgen(i, a), dgen(j, a)): self._one for a in copy_range})
         return out
-
-
-# ---------------------------------------------------------------------------
-# failure records
-# ---------------------------------------------------------------------------
-
-def _fail(identity, indices, lhs, rhs="0"):
-    return {
-        "identity": identity,
-        "indices": list(indices),
-        "lhs": lhs if isinstance(lhs, str) else str(lhs),
-        "rhs": rhs if isinstance(rhs, str) else str(rhs),
-    }
 
 
 # ---------------------------------------------------------------------------
@@ -197,23 +170,15 @@ def verify_reflection(n, copies=1, fermionic=False,
     for key in sorted(res):
         nf = res[key].normal_form()
         if not nf.is_zero:
-            failures.append(_fail("reflection_equation", key, str(nf)))
+            failures.append(failure("reflection_equation", key, nf))
     return failures
 
 
 def check_confluence(n, copies=1, fermionic=False):
     """Degree-3 associativity oracle over every generator triple."""
     alg = WeylAlgebra(n, copies, fermionic)
-    failures = []
-    gens = alg.generators()
-    for g1, g2, g3 in itertools.product(gens, repeat=3):
-        e1, e2, e3 = (alg.gen_element(g) for g in (g1, g2, g3))
-        left = alg.normal_form(alg.normal_form(e1 * e2) * e3)
-        right = alg.normal_form(e1 * alg.normal_form(e2 * e3))
-        if left != right:
-            failures.append(_fail("associativity_oracle", (g1, g2, g3),
-                                  str(left), str(right)))
-    return failures
+    return associativity_failures(
+        alg, itertools.product(alg.generators(), repeat=3))
 
 
 def check_forward_exchange(n, copies=1, fermionic=False):
@@ -245,11 +210,10 @@ def check_forward_exchange(n, copies=1, fermionic=False):
                     if a == b and i == j:
                         acc = acc + alg.one().times_int(-sgn)
                     want = alg.word_element((xgen(i, a), dgen(j, b)))
-                    if alg.normal_form(acc) != want:
-                        failures.append(_fail("forward_exchange_round_trip",
-                                              (i, j, a, b),
-                                              str(alg.normal_form(acc)),
-                                              str(want)))
+                    got = alg.normal_form(acc)
+                    if got != want:
+                        failures.append(failure("forward_exchange_round_trip",
+                                                (i, j, a, b), got, want))
     return failures
 
 
@@ -287,23 +251,23 @@ def check_variant_generators(n):
                 a_c = (hdiff(n, i, j) + 1) / hdiff(n, i, j)
                 r = nf(x[i] * x[j] - (x[j] * x[i]).times_coeff_left(a_c))
                 if not r.is_zero:
-                    failures.append(_fail("unbarred_xx", (i, j), str(r)))
+                    failures.append(failure("unbarred_xx", (i, j), r))
                 r = nf(d_un[j] * d_un[i] -
                        (d_un[i] * d_un[j]).times_coeff_left(a_c))
                 if not r.is_zero:
-                    failures.append(_fail("unbarred_dd", (i, j), str(r)))
+                    failures.append(failure("unbarred_dd", (i, j), r))
             if i != j:
                 r = nf(x[i] * d_un[j] - d_un[j] * x[i])
                 if not r.is_zero:
-                    failures.append(_fail("unbarred_xd_commute", (i, j), str(r)))
+                    failures.append(failure("unbarred_xd_commute", (i, j), r))
         acc = alg.zero()
         for j in range(1, n + 1):
-            beta = _beta(n, i, j)
+            beta = beta_coeff(n, i, j)
             acc = acc + (d_un[j] * x[j]).times_coeff_left(beta)
         acc = acc + alg.scalar(mu_coeff(n, i))
         r = nf(x[i] * d_un[i] - acc)
         if not r.is_zero:
-            failures.append(_fail("unbarred_diagonal", (i,), str(r)))
+            failures.append(failure("unbarred_diagonal", (i,), r))
 
     # doubly-barred family against the shat tensor
     s = shat(n)
@@ -319,26 +283,18 @@ def check_variant_generators(n):
                 acc = acc + one
             r = nf(d_bb[j] * x[i] - acc)
             if not r.is_zero:
-                failures.append(_fail("double_barred_exchange", (i, j), str(r)))
+                failures.append(failure("double_barred_exchange", (i, j), r))
     # derivative change of basis: D_i == bbar_i (q-)^{-1} == (q+) bbar_i
     for i in range(1, n + 1):
         lhs = d_bb[i].times_coeff_right(qminus(n, i).inverse())
         if nf(lhs - alg.d(i)) != alg.zero():
-            failures.append(_fail("derivative_scaling_right", (i,),
-                                  str(nf(lhs - alg.d(i)))))
+            failures.append(failure("derivative_scaling_right", (i,),
+                                    nf(lhs - alg.d(i))))
         lhs = d_bb[i].times_coeff_left(qplus(n, i))
         if nf(lhs - alg.d(i)) != alg.zero():
-            failures.append(_fail("derivative_scaling_left", (i,),
-                                  str(nf(lhs - alg.d(i)))))
+            failures.append(failure("derivative_scaling_left", (i,),
+                                    nf(lhs - alg.d(i))))
     return failures
-
-
-def _beta(n, i, j):
-    one = RatFun.const(n, 1)
-    pj = phi(n, j).shift(eps(n, j))
-    if i == j:
-        return pj / phi(n, i)
-    return (one / (one - hdiff(n, i, j))) * pj / phi(n, i)
 
 
 # -- Zhelobenko automorphisms ---------------------------------------------------
@@ -399,8 +355,8 @@ def verify_zhelobenko(n, copies=1):
                 rhs = nf(zhelobenko(alg, i, alg.gen_element(g1), cache)
                          * zhelobenko(alg, i, alg.gen_element(g2), cache))
                 if lhs != rhs:
-                    failures.append(_fail("automorphism_on_exchange",
-                                          (i, g1, g2), str(lhs), str(rhs)))
+                    failures.append(failure("automorphism_on_exchange",
+                                            (i, g1, g2), lhs, rhs))
     # braid relation on every generator (needs n >= 3)
     for i in range(1, n - 1):
         for g in gens:
@@ -410,19 +366,18 @@ def verify_zhelobenko(n, copies=1):
             rhs = zhelobenko(alg, i + 1, zhelobenko(
                 alg, i, zhelobenko(alg, i + 1, e, cache), cache), cache)
             if lhs != rhs:
-                failures.append(_fail("braid_relation", (i, g),
-                                      str(lhs), str(rhs)))
+                failures.append(failure("braid_relation", (i, g), lhs, rhs))
     # mu recursion: x^i d_i - sum_j beta_ij d_j x^j == mu_i == -1/phi_i
     relations = {}
     for i in range(1, n + 1):
         acc = alg.zero()
         for j in range(1, n + 1):
             acc = acc + (_unbarred_d(alg, j, 1) * alg.x(j, 1)
-                         ).times_coeff_left(_beta(n, i, j))
+                         ).times_coeff_left(beta_coeff(n, i, j))
         got = nf(alg.x(i, 1) * _unbarred_d(alg, i, 1) - acc)
         want = alg.scalar(mu_coeff(n, i))
         if got != want:
-            failures.append(_fail("mu_recursion", (i,), str(got), str(want)))
+            failures.append(failure("mu_recursion", (i,), got, want))
         relations[i] = (alg.x(i, 1) * _unbarred_d(alg, i, 1) - acc - want)
     # propagation step: the braid image of each diagonal relation element
     # is again a relation, i.e. normal-orders to zero (this is how the
@@ -431,7 +386,7 @@ def verify_zhelobenko(n, copies=1):
         for k in relations:
             img = zhelobenko(alg, i, relations[k], cache)
             if not img.is_zero:
-                failures.append(_fail("mu_propagation", (i, k), str(img)))
+                failures.append(failure("mu_propagation", (i, k), img))
     return failures
 
 
@@ -456,8 +411,8 @@ def split_realization(n, copies, nu):
     if not 1 <= nu < copies:
         raise CoefficientError("split point must satisfy 1 <= nu < N")
     alg = WeylAlgebra(n, copies)
-    m1 = alg.partial_ltilde(range(1, nu + 1))
-    m2 = alg.partial_ltilde(range(nu + 1, copies + 1))
+    m1 = alg.ltilde(range(1, nu + 1))
+    m2 = alg.ltilde(range(nu + 1, copies + 1))
     failures = []
     r = rhat(n)
     for tag, mat in (("first_interval", m1), ("second_interval", m2)):
@@ -465,49 +420,58 @@ def split_realization(n, copies, nu):
         for key in sorted(res):
             nf = res[key].normal_form()
             if not nf.is_zero:
-                failures.append(_fail(f"reflection_{tag}", key, str(nf)))
+                failures.append(failure(f"reflection_{tag}", key, nf))
     # cross relation R M1 R M2 == M2 R M1 R
-    from .algebra import mat_from_tensor, mat_mul, mat_sub
-    r12 = mat_from_tensor(alg, r)
-    a1 = mat_first_leg(alg, m1, n)
-    a2 = mat_first_leg(alg, m2, n)
-    lhs = mat_mul(alg, mat_mul(alg, mat_mul(alg, r12, a1, n), r12, n), a2, n)
-    rhs = mat_mul(alg, mat_mul(alg, mat_mul(alg, a2, r12, n), a1, n), r12, n)
-    diff = mat_sub(lhs, rhs)
+    diff = braided_cross_residual(alg, r, m1, m2, n)
     for key in sorted(diff):
         nfv = diff[key].normal_form()
         if not nfv.is_zero:
-            failures.append(_fail("braided_cross_relation", key, str(nfv)))
+            failures.append(failure("braided_cross_relation", key, nfv))
     # the two intervals sum to the full composite matrix
     lt = alg.ltilde()
     for key in sorted(lt):
-        if (m1[key] + m2[key]) != lt[key]:
-            failures.append(_fail("interval_sum", key,
-                                  str(m1[key] + m2[key]), str(lt[key])))
+        total = m1[key] + m2[key]
+        if total != lt[key]:
+            failures.append(failure("interval_sum", key, total, lt[key]))
     return failures
 
 
 # -- suite driver ----------------------------------------------------------------
 
 
+def suite_units(n, copies=1, fermionic=False, suite="all",
+                across_copies=False):
+    """The ordered units (unit name, function name, kwargs) of one named
+    suite, or of every suite that applies for suite="all".
+
+    The variants, zhelobenko and split suites are defined for bosonic
+    statistics, and split needs two copies or more; naming one of them
+    where it does not apply raises ValueError, as does an unknown name.
+    """
+    sizes = {"n": n, "copies": copies, "fermionic": fermionic}
+    table = {
+        "confluence": [("confluence", "check_confluence", dict(sizes))],
+        "reflection": [("reflection", "verify_reflection", dict(
+            sizes, inhomogeneous_across_copies=across_copies))],
+        "exchange": [("exchange", "check_forward_exchange", dict(sizes))],
+        "variants": [("variants", "check_variant_generators", {"n": n})],
+        "zhelobenko": [("zhelobenko", "verify_zhelobenko",
+                        {"n": n, "copies": copies})],
+        "split": [("split", "split_realization",
+                   {"n": n, "copies": copies, "nu": 1})],
+    }
+    # suites that do not apply keep their place, with the reason instead
+    if fermionic:
+        for name in ("variants", "zhelobenko", "split"):
+            table[name] = f"the {name} suite is defined for --stats bosonic"
+    elif copies < 2:
+        table["split"] = "the split suite needs --N 2 or more"
+    return select_units("weyl", table, suite)
+
+
 def run_suite(n, copies=1, fermionic=False, suite="all"):
+    """Run the units of :func:`suite_units`; returns their failures."""
     failures = []
-    if suite in ("all", "confluence"):
-        failures.extend(check_confluence(n, copies, fermionic))
-    if suite in ("all", "reflection"):
-        failures.extend(verify_reflection(n, copies, fermionic))
-    if suite in ("all", "exchange"):
-        failures.extend(check_forward_exchange(n, copies, fermionic))
-    if suite in ("all", "variants"):
-        if not fermionic:
-            failures.extend(check_variant_generators(n))
-    if suite in ("all", "zhelobenko"):
-        if not fermionic:
-            failures.extend(verify_zhelobenko(n, copies))
-    if suite in ("all", "split"):
-        if copies >= 2 and not fermionic:
-            failures.extend(split_realization(n, copies, 1))
-    if suite not in ("all", "confluence", "reflection", "exchange",
-                     "variants", "zhelobenko", "split"):
-        raise ValueError(f"unknown weyl suite {suite!r}")
+    for _, func, kwargs in suite_units(n, copies, fermionic, suite):
+        failures.extend(globals()[func](**kwargs))
     return failures

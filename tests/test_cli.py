@@ -8,7 +8,9 @@ import sys
 
 import pytest
 
-from hdeform.cli import main
+from hdeform import dra, rmatrix, weyl
+from hdeform.cli import (UsageError, _dra_units, _rmatrix_units,
+                         _verify_units, _weyl_units, build_parser, main)
 
 
 def run_cli(capsys, *argv):
@@ -154,6 +156,126 @@ def test_rmatrix_suites_in_table_order(capsys):
                            "--suite", "bogus")
     assert code == 2
     assert "unknown rmatrix suite 'bogus'" in err
+
+
+def unit_names(*argv):
+    return [name for name, _ in _verify_units(build_parser().parse_args(argv))]
+
+
+def test_unit_names_and_order_are_frozen():
+    # the verify_all golden digests hash these reports in this order
+    assert unit_names("verify", "all", "--n", "2", "--N", "2") == [
+        "rmatrix.involutive", "rmatrix.dybe", "rmatrix.skew", "rmatrix.aux",
+        "rmatrix.traces",
+        "weyl.confluence[bosonic]", "weyl.reflection[bosonic]",
+        "weyl.exchange[bosonic]", "weyl.variants[bosonic]",
+        "weyl.zhelobenko[bosonic]", "weyl.split[bosonic]",
+        "weyl.confluence[fermionic]", "weyl.reflection[fermionic]",
+        "dra.reflection", "dra.associativity", "dra.hrealization",
+        "dra.central.N0", "dra.central_primed.N0", "dra.central.N1",
+        "dra.central_primed.N1", "dra.central.N2", "dra.central_primed.N2",
+        "dra.central.weights", "dra.realization.rules",
+        "dra.realization.central", "dra.coproduct",
+        "dra.transforms.cartan_sum", "dra.transforms.basis",
+        "dra.appendix.rules", "dra.appendix.central",
+        "dra.appendix.cross_copy", "dra.appendix.convention"]
+    assert unit_names("verify", "weyl", "--n", "2", "--N", "2",
+                      "--stats", "fermionic") == [
+        "weyl.confluence[fermionic]", "weyl.reflection[fermionic]",
+        "weyl.exchange[fermionic]"]
+    assert unit_names("verify", "dra", "--n", "3", "--power", "1",
+                      "--copies", "3") == [
+        "dra.reflection", "dra.associativity", "dra.hrealization",
+        "dra.central.N0", "dra.central_primed.N0", "dra.central.N1",
+        "dra.central_primed.N1", "dra.central.weights",
+        "dra.realization.rules", "dra.realization.central", "dra.coproduct",
+        "dra.coproduct.sum3", "dra.transforms.cartan_sum",
+        "dra.transforms.basis"]
+
+
+def record_calls(monkeypatch, module, units):
+    """Replace every function the units name by a recorder."""
+    calls = []
+    for _, (_, fn, _) in units:
+        monkeypatch.setattr(module, fn,
+                            lambda fn=fn, **kw: calls.append((fn, kw)) or [])
+    return calls
+
+
+def test_rmatrix_run_suite_runs_the_cli_units_in_order(monkeypatch):
+    units = [fn for _, (_, fn, _) in _rmatrix_units(2, "all")]
+    calls = []
+    for name, check in list(rmatrix.SUITES.items()):
+        monkeypatch.setitem(
+            rmatrix.SUITES, name,
+            lambda n, fn=check.__name__: calls.append(fn) or [])
+    assert rmatrix.run_suite(2) == []
+    assert calls == units
+
+
+WEYL_SUITES = ("confluence", "reflection", "exchange", "variants",
+               "zhelobenko", "split", "all")
+DRA_SUITES = ("reflection", "associativity", "hrealization", "central",
+              "realization", "coproduct", "transforms", "appendix", "all")
+
+
+@pytest.mark.parametrize("fermionic", [False, True])
+@pytest.mark.parametrize("suite", WEYL_SUITES)
+def test_weyl_run_suite_dispatches_the_cli_units(monkeypatch, fermionic,
+                                                 suite):
+    try:
+        units = _weyl_units(2, 2, fermionic, suite)
+    except UsageError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            weyl.run_suite(2, 2, fermionic, suite)
+        return
+    calls = record_calls(monkeypatch, weyl, units)
+    assert weyl.run_suite(2, 2, fermionic, suite) == []
+    assert calls == [(fn, kw) for _, (_, fn, kw) in units]
+
+
+@pytest.mark.parametrize("n", [2, 3])
+@pytest.mark.parametrize("suite", DRA_SUITES)
+def test_dra_run_suite_dispatches_the_cli_units(monkeypatch, n, suite):
+    try:
+        units = _dra_units(n, suite, 1, 3)
+    except UsageError as exc:
+        with pytest.raises(ValueError, match=str(exc)):
+            dra.run_suite(n, suite, copies=3, power=1)
+        return
+    calls = record_calls(monkeypatch, dra, units)
+    assert dra.run_suite(n, suite, copies=3, power=1) == []
+    assert calls == [(fn, kw) for _, (_, fn, kw) in units]
+
+
+@pytest.mark.parametrize("argv,why", [
+    (("--stats", "fermionic", "--suite", "variants"),
+     "the variants suite is defined for --stats bosonic"),
+    (("--stats", "fermionic", "--suite", "zhelobenko"),
+     "the zhelobenko suite is defined for --stats bosonic"),
+    (("--stats", "fermionic", "--N", "2", "--suite", "split"),
+     "the split suite is defined for --stats bosonic"),
+    (("--N", "1", "--suite", "split"), "the split suite needs --N 2 or more"),
+])
+def test_named_weyl_suite_that_selects_nothing_is_a_usage_error(capsys, argv,
+                                                                why):
+    code, out, err = run_cli(capsys, "verify", "weyl", "--n", "2", *argv)
+    assert code == 2
+    assert out == ""
+    assert why in err
+
+
+def test_all_skips_suites_that_do_not_apply(capsys):
+    code, out, _ = run_cli(capsys, "verify", "weyl", "--n", "1", "--N", "1",
+                           "--stats", "fermionic")
+    assert code == 0
+    assert [s["suite"] for s in json.loads(out)["suites"]] == [
+        "weyl.confluence[fermionic]", "weyl.reflection[fermionic]",
+        "weyl.exchange[fermionic]"]
+    code, _, err = run_cli(capsys, "verify", "dra", "--n", "3",
+                           "--suite", "appendix")
+    assert code == 2
+    assert "the appendix suite is defined for --n 2" in err
 
 
 def test_guardrail_override(capsys):

@@ -234,6 +234,30 @@ def test_negate_is_involutive(s):
     assert f.negate_h().negate_h() == f
 
 
+far_offsets = st.integers(30, 40) | st.integers(-40, -30)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([(2, 1, 2), (3, 1, 3), (3, 2, 3)]), far_offsets,
+       far_offsets, far_offsets)
+def test_equal_values_compare_equal_whatever_the_route(idx, a, b, c):
+    # offsets this far are outside the factor search window, so the
+    # expanded product stays one unsplit denominator factor
+    from hdeform.weyl import WeylAlgebra
+    n, i, j = idx
+    d = hdiff(n, i, j)
+    hi = hvar(n, i)
+    by_factor = RatFun.const(n, 1) / (d + a) / (hi + b)
+    by_product = RatFun.const(n, 1) / ((d + a) * (hi + b))
+    assert by_factor == by_product
+    assert not by_factor != by_product
+    assert (d + c) / (d + a) / (d + b) == (d + c) * (1 / ((d + a) * (d + b)))
+    alg = WeylAlgebra(n)
+    assert (alg.x(i).times_coeff_left(by_factor)
+            == alg.x(i).times_coeff_left(by_product))
+    assert by_factor != by_product + 1
+
+
 def test_eval_exactness():
     f = (hdiff(2, 1, 2) + 1) / hdiff(2, 1, 2)
     assert f.eval((5, 2)) == Fraction(4, 3)
@@ -248,11 +272,6 @@ def test_division_splits_composite_denominators():
     f = one() / expanded
     assert serialize(f) == "1/((h1-h2-1)*(h1-h2+1))"
     assert f * (h - 1) == one() / (h + 1)
-
-
-def test_refactor_idempotent():
-    f = (qplus(3, 1) * qminus(3, 2)) / phi(3, 1)
-    assert f.refactor() == f
 
 
 def test_from_poly_constructor():

@@ -237,8 +237,10 @@ def test_run_suite_driver():
     from hdeform.dra import run_suite
     assert run_suite(2, "transforms") == []
     assert run_suite(2, "hrealization") == []
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown dra suite 'bogus'"):
         run_suite(2, "bogus")
+    with pytest.raises(ValueError, match="defined for --n 2"):
+        run_suite(3, "appendix")
 
 
 def test_orders_disagree_only_in_presentation():

@@ -1,0 +1,70 @@
+"""The benchmark tracer can wrap the package and put it back.
+
+perfbench/tracer.py patches functions of every layer by name; a name
+that moves or is renamed breaks only traced benchmark runs, so this
+checks install and uninstall here.
+"""
+
+import importlib.util
+import pathlib
+import sys
+
+import hdeform.cli  # noqa: F401  (loads every module the tracer patches)
+from hdeform import algebra, coeffs, dra, kernel, rmatrix, weyl
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+TRACER = ROOT / "perfbench" / "tracer.py"
+
+
+def load_tracer():
+    spec = importlib.util.spec_from_file_location("perfbench_tracer", TRACER)
+    mod = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mod)
+    return mod
+
+
+def snapshot():
+    """Every module attribute, module-level dict value and class member
+    of the package, by identity."""
+    out = {}
+    for name, mod in list(sys.modules.items()):
+        if mod is None or name.split(".")[0] != "hdeform":
+            continue
+        for key, val in vars(mod).items():
+            out[(name, key)] = val
+            if isinstance(val, dict):
+                for dkey, dval in list(val.items()):
+                    out[(name, key, repr(dkey))] = dval
+    for cls in (coeffs.RatFun, algebra.Element, algebra.TermAlgebra,
+                weyl.WeylAlgebra, dra.ReductionAlgebra,
+                dra.FreeReductionAlgebra):
+        for key, val in vars(cls).items():
+            out[(cls.__name__, key)] = val
+    return out
+
+
+def test_tracer_installs_on_the_package_and_uninstalls_cleanly():
+    tracer_mod = load_tracer()
+    before = snapshot()
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.install(tracer)
+        assert tracer.originals
+        for mod, names in ((weyl, tracer_mod.WEYL_FUNCS),
+                           (dra, tracer_mod.DRA_FUNCS),
+                           (rmatrix, tracer_mod.RMATRIX_CHECKS),
+                           (hdeform.cli,
+                            tracer_mod.CLI_COMMANDS + ("run_unit",))):
+            for name in names:
+                assert hasattr(getattr(mod, name), "__wrapped__"), name
+        assert hasattr(dra.ReductionAlgebra.mat_power, "__wrapped__")
+        assert hasattr(kernel.p_mul, "__wrapped__")
+        # a traced run goes through the wrappers and counts its calls
+        assert weyl.run_suite(1, 1, False, "confluence") == []
+        assert tracer.stats["weyl.check_confluence"][0] == 1
+    finally:
+        tracer.uninstall()
+    after = snapshot()
+    assert after.keys() == before.keys()
+    moved = [key for key in before if after[key] is not before[key]]
+    assert moved == []

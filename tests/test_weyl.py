@@ -236,8 +236,13 @@ def test_run_suite_driver():
     from hdeform.weyl import run_suite
     assert run_suite(2, 1, False, "reflection") == []
     assert run_suite(2, 2, False, "split") == []
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="unknown weyl suite 'bogus'"):
         run_suite(2, 1, False, "bogus")
+    # a named suite that selects nothing is an error, not a pass
+    with pytest.raises(ValueError, match="needs --N 2 or more"):
+        run_suite(2, 1, False, "split")
+    with pytest.raises(ValueError, match="defined for --stats bosonic"):
+        run_suite(2, 2, True, "variants")
 
 
 def test_rewrite_measure_strictly_decreases():
