@@ -77,32 +77,30 @@ def run_unit(task):
     return failures, time.perf_counter() - t0
 
 
+def _suite_units(kind, label, *args):
+    """The units of hdeform.<kind>.suite_units(*args), each named by
+    label(name); a ValueError there is a usage error with the same text."""
+    mod = importlib.import_module(f"hdeform.{kind}")
+    try:
+        units = mod.suite_units(*args)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
+    return [(label(name), (kind, fn, kw)) for name, fn, kw in units]
+
+
 def _rmatrix_units(n, suite):
-    from .rmatrix import SUITES
-    if suite != "all" and suite not in SUITES:
-        raise UsageError(f"unknown rmatrix suite {suite!r}")
-    return [(f"rmatrix.{name}", ("rmatrix", fn.__name__, {"n": n}))
-            for name, fn in SUITES.items() if suite in ("all", name)]
+    return _suite_units("rmatrix", lambda name: f"rmatrix.{name}", n, suite)
 
 
 def _weyl_units(n, copies, fermionic, suite, across_copies=False):
-    from .weyl import suite_units
     stats = "fermionic" if fermionic else "bosonic"
-    try:
-        units = suite_units(n, copies, fermionic, suite, across_copies)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return [(f"weyl.{name}[{stats}]", ("weyl", fn, kw))
-            for name, fn, kw in units]
+    return _suite_units("weyl", lambda name: f"weyl.{name}[{stats}]",
+                        n, copies, fermionic, suite, across_copies)
 
 
 def _dra_units(n, suite, power, copies=2):
-    from .dra import suite_units
-    try:
-        units = suite_units(n, suite, copies, power)
-    except ValueError as exc:
-        raise UsageError(str(exc)) from None
-    return [(f"dra.{name}", ("dra", fn, kw)) for name, fn, kw in units]
+    return _suite_units("dra", lambda name: f"dra.{name}",
+                        n, suite, copies, power)
 
 
 def _verify_units(args):

@@ -14,7 +14,7 @@ failure records; an empty list means the identity holds exactly.
 from __future__ import annotations
 
 from .coeffs import RatFun, eps, hdiff, qminus, qplus
-from .report import failure
+from .report import failure, select_units
 
 
 class DynTensor2:
@@ -434,13 +434,18 @@ SUITES = {
 }
 
 
+def suite_units(n, suite="all"):
+    """The ordered units (unit name, function name, kwargs) of one named
+    suite, or of all of them in table order for suite="all"."""
+    table = {name: [(name, fn.__name__, {"n": n})]
+             for name, fn in SUITES.items()}
+    return select_units("rmatrix", table, suite)
+
+
 def run_suite(n, suite="all"):
-    """Run one named identity suite (or all of them, in table order, as
-    the command line does) at rank n."""
-    names = list(SUITES) if suite == "all" else [suite]
+    """Run the units of :func:`suite_units` at rank n; returns their
+    failures."""
     failures = []
-    for name in names:
-        if name not in SUITES:
-            raise ValueError(f"unknown rmatrix suite {name!r}")
-        failures.extend(SUITES[name](n))
+    for name, _, kwargs in suite_units(n, suite):
+        failures.extend(SUITES[name](**kwargs))
     return failures
