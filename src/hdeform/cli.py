@@ -17,11 +17,12 @@ from __future__ import annotations
 import argparse
 import importlib
 import json
+import re
 import sys
 import time
 
 from .errors import HdeformError, ParseError
-from .report import SuiteReport, render_reports
+from .report import SuiteReport, failure, render_reports
 
 GUARD_N = 6
 GUARD_COPIES = 4
@@ -68,12 +69,20 @@ def run_unit(task):
     """Execute one (module, function, kwargs) unit.
 
     Returns (failures, seconds); module-level so worker processes can
-    import and run it.
+    import and run it.  A package error ends only its own unit: it is
+    recorded as the unit's failure, with an identity named after the
+    error type (RewriteLimitError -> rewrite_limit) and the message as
+    lhs, and the remaining units still run.
     """
     modname, funcname, kwargs = task
     mod = importlib.import_module(f"hdeform.{modname}")
     t0 = time.perf_counter()
-    failures = getattr(mod, funcname)(**kwargs)
+    try:
+        failures = getattr(mod, funcname)(**kwargs)
+    except HdeformError as exc:
+        kind = type(exc).__name__.removesuffix("Error")
+        failures = [failure(re.sub(r"(?<!^)(?=[A-Z])", "_", kind).lower(),
+                            (), exc)]
     return failures, time.perf_counter() - t0
 
 

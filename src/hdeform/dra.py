@@ -22,8 +22,8 @@ import itertools
 
 from .algebra import (Element, TermAlgebra, associativity_failures,
                       braided_cross_residual, mat_add, mat_first_leg,
-                      mat_from_tensor, mat_mul, mat_sub, reflection_residual,
-                      residual_failures, substitute)
+                      mat_from_tensor, mat_mul, mat_sub, overlap_triples,
+                      reflection_residual, residual_failures, substitute)
 from .coeffs import RatFun, eps, hdiff, phi, phi_segment, qminus, serialize
 from .errors import RelationExtractionError
 from .report import failure, select_units
@@ -38,8 +38,11 @@ def normal_order(pat):
     that.  Plain lexicographic order on (i, j) already cycles at n=2
     (the word L[2,1] L[2,2] L[1,2] reproduces itself), and the order of
     the printed n=2 table cycles at n=3.  The height order gives an
-    acyclic rewrite graph (see :func:`rewrite_graph_cycle`), which the
-    degree-3 associativity oracle then certifies for confluence.
+    acyclic rewrite graph in degree 3 (see :func:`rewrite_graph_cycle`),
+    so rewriting terminates there, and :func:`check_associativity`
+    resolves every overlap ambiguity, which gives degree-3 confluence
+    (Bergman's diamond lemma, stated over a central base ring; here
+    coefficients cross generators by shift automorphisms).
     """
     i, j = pat
     return (j - i, i, j)
@@ -145,7 +148,7 @@ def _eliminate(row, c, pivot):
             row[k] = s
 
 
-def _solve_for_unordered(n, components, is_unordered):
+def _solve_for_unordered(components, is_unordered):
     """Solve for the unordered words, weight by weight, by Gauss-Jordan
     elimination.
 
@@ -204,7 +207,7 @@ def extract_rewrite_rules(n, gen_order=None):
         (_, i1, j1), (_, i2, j2) = word
         return order((i1, j1)) > order((i2, j2))
 
-    raw = _solve_for_unordered(n, comps.values(), is_unordered)
+    raw = _solve_for_unordered(comps.values(), is_unordered)
     rules = {}
     for word, rhs in raw.items():
         (_, i1, j1), (_, i2, j2) = word
@@ -225,7 +228,7 @@ def extract_cross_rules(n, gen_order=None):
             return False
         return word[0][0] > word[1][0]
 
-    raw = _solve_for_unordered(n, comps.values(), is_unordered)
+    raw = _solve_for_unordered(comps.values(), is_unordered)
     rules = {}
     for word, rhs_el in raw.items():
         (_, i1, j1), (_, i2, j2) = word
@@ -374,14 +377,10 @@ def check_relation_roundtrip(n, gen_order=None, order_name="default"):
 def check_h_realization(n):
     """The Cartan diagonal satisfies the reflection equation, and the
     mixed linear identity holds for a formal weight-graded matrix."""
-    failures = []
-    for key, el in sorted(reflection_components(n, "H").items()):
-        if not el.is_zero:
-            failures.append(failure("cartan_reflection", key, el))
-    for key, el in sorted(reflection_components(n, "mixed").items()):
-        if not el.is_zero:
-            failures.append(failure("mixed_weight_identity", key, el))
-    return failures
+    return (residual_failures("cartan_reflection",
+                              reflection_components(n, "H"))
+            + residual_failures("mixed_weight_identity",
+                                reflection_components(n, "mixed")))
 
 
 def rewrite_graph_cycle(n, gen_order=None, degree=3):
@@ -429,24 +428,18 @@ def rewrite_graph_cycle(n, gen_order=None, degree=3):
     return None
 
 
-def check_associativity(n, triples=None):
-    """Degree-3 oracle over the given generator triples (default: all)."""
+def check_associativity(n):
+    """Degree-3 confluence: both bracketings of every overlap ambiguity
+    normal-order identically (see
+    :func:`hdeform.algebra.associativity_failures`)."""
     alg = ReductionAlgebra(n)
-    if triples is None:
-        triples = itertools.product(alg.generators(), repeat=3)
-    return associativity_failures(alg, triples)
+    return associativity_failures(alg, overlap_triples(alg, alg.generators()))
 
 
-def check_associativity_sample(n, sample=200, seed=20240901):
-    """Exhaustive degree-3 oracle at n=2; a fixed random sample above."""
-    if n <= 2:
-        return check_associativity(n)
-    import random
-    rng = random.Random(seed)
-    alg = ReductionAlgebra(n)
-    gens = alg.generators()
-    triples = [tuple(rng.choice(gens) for _ in range(3)) for _ in range(sample)]
-    return check_associativity(n, triples=triples)
+def check_associativity_sample(n):
+    """Former name of :func:`check_associativity`.  No unit calls it;
+    it stays while ``perfbench/tracer.py`` wraps the name."""
+    return check_associativity(n)
 
 
 def check_cross_copy_convention():
@@ -915,7 +908,7 @@ def suite_units(n, suite="all", copies=2, power=2):
                           {"n": n, "copies": copies}))
     table = {
         "reflection": [("reflection", "check_relation_roundtrip", {"n": n})],
-        "associativity": [("associativity", "check_associativity_sample",
+        "associativity": [("associativity", "check_associativity",
                            {"n": n})],
         "hrealization": [("hrealization", "check_h_realization", {"n": n})],
         "central": central,

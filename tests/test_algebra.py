@@ -1,13 +1,15 @@
 """Engine-level behaviour: guards, weight bookkeeping, printing."""
 
+import itertools
+
 import pytest
 
 import hdeform.algebra as A
 from hdeform import coeffs
 from hdeform.coeffs import RatFun, hdiff, set_term_limit
-from hdeform.dra import ReductionAlgebra
+from hdeform.dra import ReductionAlgebra, rule_system
 from hdeform.errors import ResourceLimitError, RewriteLimitError
-from hdeform.weyl import WeylAlgebra
+from hdeform.weyl import WeylAlgebra, dgen, xgen
 
 
 def test_rewrite_step_guard_catches_divergence(monkeypatch):
@@ -146,3 +148,60 @@ def test_normal_form_is_strategy_independent_reduction():
         for _ in range(trials):
             e = _random_word_element(alg, gens, rng, rng.randint(2, maxlen))
             assert alg.normal_form(e) == rightmost_normal_form(alg, e)
+
+
+# -- the degree-3 oracle: overlap ambiguities against every triple -----------
+
+def _oracles_agree(alg):
+    """Failures of the overlap oracle, checked against the reference
+    oracle over the full product of generator triples."""
+    gens = alg.generators()
+    overlaps = A.associativity_failures(alg, A.overlap_triples(alg, gens))
+    full = A.associativity_failures(alg, itertools.product(gens, repeat=3))
+    assert overlaps == full
+    return overlaps
+
+
+def _doubled(rule, idx):
+    rule = list(rule)
+    c, word = rule[idx]
+    rule[idx] = (c + c, word)
+    return rule
+
+
+@pytest.mark.parametrize("make,args,count", [
+    (ReductionAlgebra, (2,), 4), (ReductionAlgebra, (3,), 84),
+    (WeylAlgebra, (2, 2), 56), (WeylAlgebra, (2, 2, True), 120),
+    (WeylAlgebra, (3, 1), 20)])
+def test_overlap_triple_counts(make, args, count):
+    alg = make(*args)
+    assert len(A.overlap_triples(alg, alg.generators())) == count
+
+
+def test_overlap_oracle_matches_full_oracle_on_corrupted_rank_two_rules():
+    # every single-term doubling of a same-copy rule, on a private copy
+    # of the shared rule store
+    rules = rule_system(2)
+    caught = 0
+    corruptions = [(key, idx) for key in sorted(rules)
+                   for idx in range(len(rules[key]))]
+    for key, idx in corruptions:
+        alg = ReductionAlgebra(2)
+        alg.same_rules = dict(rules)
+        alg.same_rules[key] = _doubled(rules[key], idx)
+        caught += bool(_oracles_agree(alg))
+    assert (len(corruptions), caught) == (19, 13)
+    assert _oracles_agree(ReductionAlgebra(2)) == []
+
+
+@pytest.mark.parametrize("n,copies,fermionic", [
+    (2, 2, False), (2, 2, True), (3, 1, False)])
+def test_overlap_oracle_matches_full_oracle_on_corrupted_weyl_rule(
+        n, copies, fermionic):
+    # double the unit term of D[1,1] x[1,1] -> ... + qplus
+    alg = WeylAlgebra(n, copies, fermionic)
+    pair = (dgen(1), xgen(1))
+    rule = alg.pair_rule(*pair)
+    assert rule[-1][1] == ()
+    alg._rules[pair] = _doubled(rule, len(rule) - 1)
+    assert _oracles_agree(alg) != []

@@ -11,6 +11,7 @@ import pytest
 from hdeform import dra, rmatrix, weyl
 from hdeform.cli import (UsageError, _dra_units, _rmatrix_units,
                          _verify_units, _weyl_units, build_parser, main)
+from hdeform.errors import RelationExtractionError
 
 
 def run_cli(capsys, *argv):
@@ -135,6 +136,27 @@ def test_verify_exit_one_on_identity_failure(capsys):
     payload = json.loads(out)
     assert payload["status"] == "fail"
     assert payload["suites"][0]["failures"]
+
+
+def test_unit_that_raises_fails_alone(monkeypatch, capsys):
+    message = "inconsistent leftover relation at weight (-1, 1)"
+
+    def broken(n):
+        raise RelationExtractionError(message)
+
+    monkeypatch.setattr(dra, "check_cartan_sum", broken)
+    code, out, err = run_cli(capsys, "verify", "dra", "--n", "2",
+                             "--suite", "transforms")
+    assert code == 1
+    assert err == ""
+    payload = json.loads(out)
+    assert payload["status"] == "fail"
+    assert [(s["suite"], s["status"], s["failures"])
+            for s in payload["suites"]] == [
+        ("dra.transforms.cartan_sum", "fail",
+         [{"identity": "relation_extraction", "indices": [],
+           "lhs": message, "rhs": "0"}]),
+        ("dra.transforms.basis", "pass", [])]
 
 
 def test_usage_errors_exit_two(capsys):

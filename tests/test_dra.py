@@ -10,8 +10,7 @@ from hdeform.dra import (FreeReductionAlgebra, ReductionAlgebra,
                          appendix_order, central_element,
                          check_appendix_central_form, check_appendix_rules,
                          check_appendix_cross_copy, check_associativity,
-                         check_associativity_sample, check_braided_sum,
-                         check_cartan_sum, check_central,
+                         check_braided_sum, check_cartan_sum, check_central,
                          check_central_realization, check_coproduct,
                          check_cross_copy_convention,
                          check_generator_transforms, check_h_realization,
@@ -88,9 +87,9 @@ def test_associativity_exhaustive_rank_two():
     assert check_associativity(2) == []
 
 
-def test_associativity_sample_rank_three():
-    # the fixed 200-triple sample named by the invariants
-    assert check_associativity_sample(3) == []
+def test_associativity_exhaustive_rank_three():
+    # all 84 overlap ambiguities of rank 3
+    assert check_associativity(3) == []
 
 
 def test_rewrite_graph_acyclic_for_engine_order():
@@ -113,7 +112,7 @@ def test_solver_reports_inconsistent_leftover_relation():
     comp = alg.gen(1, 1, 1) * alg.gen(1, 1, 1)
     with pytest.raises(RelationExtractionError,
                        match=r"inconsistent leftover relation at weight \(0, 0\)"):
-        _solve_for_unordered(2, [comp], lambda w: w == ((1, 2, 1), (1, 2, 1)))
+        _solve_for_unordered([comp], lambda w: w == ((1, 2, 1), (1, 2, 1)))
 
 
 def test_solver_reports_missing_pivot():
@@ -126,7 +125,7 @@ def test_solver_reports_missing_pivot():
     with pytest.raises(RelationExtractionError, match=re.escape(
             "no pivot for unordered word ((1, 2, 2), (1, 2, 1)) "
             "at weight (-1, 1)")):
-        _solve_for_unordered(2, [comp], unordered.__contains__)
+        _solve_for_unordered([comp], unordered.__contains__)
 
 
 def _rules_digest(rules):
