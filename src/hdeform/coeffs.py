@@ -21,6 +21,29 @@ of the kernel's probe points divides the polynomial's value there: a
 true factor's value always does, since ``b | a`` in Z[h] implies
 ``b(pt) | a(pt)`` at every integer point.
 
+Arithmetic trial-divides only the denominator factors that can cancel.
+The rules rest on two facts: a primitive linear form is prime in Z[h],
+and no factor of a stored value divides its numerator.  They apply when
+every factor of the operands is linear:
+
+* ``a * b``: a factor of one operand alone can cancel only against the
+  other operand's numerator, which is divided before the product is
+  formed; a factor both share divides neither numerator, so it cannot
+  divide their product.
+* ``a + b``: over the common denominator, a factor whose multiplicities
+  differ in a and b divides exactly one of the two summands, so it
+  cannot divide the sum; only factors of equal multiplicity are tried.
+* ``inverse``: the new factors come from the old numerator, and none of
+  them can divide the old denominator, a product of linear forms that
+  do not divide that numerator.
+
+A non-linear factor is an unsplit cofactor and may be composite, so when
+an operand of these three carries one, every factor is tried against
+the full numerator.  ``shift``, ``permute`` and ``negate_h`` are ring
+automorphisms: sigma(f) divides sigma(num) only if f divides num, so they
+try no factor at all, whatever its degree; they only re-canonicalize the
+factor keys and the content.
+
 The ring also carries the three automorphism families used everywhere:
 integer shifts of the variables, the shifted Weyl (permutation) action
 and global sign reversal of the variables.
@@ -80,9 +103,10 @@ def _linear_family_factors(n, poly):
     Only integer offsets within a window derived from the polynomial are
     probed; every denominator the formulas of this package generate is
     fully split by this.  The remainder is evaluated at ``K.PROBE_POINTS``
-    once per remainder; a candidate's value there is
-    ``pt[i] - pt[j] + k``, and only a candidate whose nonzero values all
-    divide the remainder's values is divided.
+    once; a candidate's value there is ``pt[i] - pt[j] + k``, and only
+    a candidate whose nonzero values all divide the remainder's values is
+    divided.  After a division the values are divided by the candidate's,
+    and only a point where the candidate vanishes is evaluated again.
     """
     deg = K.p_degree(poly)
     window = max(8, 2 * n + deg + 2)
@@ -116,8 +140,15 @@ def _linear_family_factors(n, poly):
             key = _fac_key(fac)
             found[key] = found.get(key, 0) + 1
             rem = q
-            values = [K.p_eval(rem, pt) for pt in points]
+            values = [val // v if v else K.p_eval(rem, pt)
+                      for v, val, pt in zip(fvals, values, points)]
     return rem, sorted(found.items())
+
+
+def _all_linear(keys):
+    """True when every factor key is a linear form (the cancellation
+    rules of the module docstring hold)."""
+    return all(sum(key[0][0]) == 1 for key in keys)
 
 
 def _split_denominator(n, den):
@@ -148,13 +179,14 @@ class RatFun:
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def _build(cls, n, num, dint, dfac_items):
-        """Normalize (num, dint, factor multiset) into the stored form."""
+    def _build(cls, n, num, dint, dfac_items, trial=None):
+        """Normalize (num, dint, factor multiset) into the stored form,
+        trial-dividing the factors named in trial (None: every factor)."""
         if not num:
             return cls(n, {}, 1, ())
         if dint == 0:
             raise CoefficientError("zero denominator")
-        num, dint, dfac = K.p_fraction_normalize(num, dint, dfac_items)
+        num, dint, dfac = K.p_fraction_normalize(num, dint, dfac_items, trial)
         _guard(num)
         return cls(n, num, dint, dfac)
 
@@ -249,7 +281,11 @@ class RatFun:
             for _ in range(m - fb.get(key, 0)):
                 kb = K.p_mul(kb, poly)
         num = K.p_add(K.p_mul(self.num, ka), K.p_mul(other.num, kb))
-        return RatFun._build(self.n, num, self.dint * la, sorted(allf.items()))
+        trial = None
+        if _all_linear(allf):
+            trial = [key for key in allf if fa.get(key) == fb.get(key)]
+        return RatFun._build(self.n, num, self.dint * la, sorted(allf.items()),
+                             trial)
 
     __radd__ = __add__
 
@@ -273,19 +309,27 @@ class RatFun:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return RatFun.zero(self.n)
-        facs = dict(self.dfac)
-        for key, m in other.dfac:
-            facs[key] = facs.get(key, 0) + m
-        return RatFun._build(self.n, K.p_mul(self.num, other.num),
-                             self.dint * other.dint, sorted(facs.items()))
+        fa = dict(self.dfac)
+        fb = dict(other.dfac)
+        na, nb, trial = self.num, other.num, None
+        if _all_linear(fa) and _all_linear(fb):
+            only_a, only_b = fa.keys() - fb.keys(), fb.keys() - fa.keys()
+            na, fb = K.p_cancel(na, fb, only_b)
+            nb, fa = K.p_cancel(nb, fa, only_a)
+            trial = ()
+        for key, m in fb.items():
+            fa[key] = fa.get(key, 0) + m
+        return RatFun._build(self.n, K.p_mul(na, nb), self.dint * other.dint,
+                             sorted(fa.items()), trial)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero:
             raise CoefficientError("division by zero coefficient")
+        trial = () if _all_linear(key for key, _ in self.dfac) else None
         return RatFun._build(self.n, self._den_poly(),
-                             *_split_denominator(self.n, self.num))
+                             *_split_denominator(self.n, self.num), trial)
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -329,7 +373,7 @@ class RatFun:
         num = K.p_shift(self.num, alpha)
         facs = [(_fac_key(K.p_shift(_fac_poly(key), alpha)), m)
                 for key, m in self.dfac]
-        return RatFun._build(self.n, num, self.dint, facs)
+        return RatFun._build(self.n, num, self.dint, facs, ())
 
     def permute(self, perm):
         """Shifted Weyl action: h_k -> h_{perm(k)}; perm is 1-based."""
@@ -341,7 +385,7 @@ class RatFun:
         num = K.p_permute(self.num, p0)
         facs = [(_fac_key(K.p_permute(_fac_poly(key), p0)), m)
                 for key, m in self.dfac]
-        return RatFun._build(self.n, num, self.dint, facs)
+        return RatFun._build(self.n, num, self.dint, facs, ())
 
     def negate_h(self):
         """Global sign reversal h_i -> -h_i."""
@@ -350,7 +394,7 @@ class RatFun:
         num = K.p_negate(self.num)
         facs = [(_fac_key(K.p_negate(_fac_poly(key))), m)
                 for key, m in self.dfac]
-        return RatFun._build(self.n, num, self.dint, facs)
+        return RatFun._build(self.n, num, self.dint, facs, ())
 
     # -- evaluation ---------------------------------------------------------
 

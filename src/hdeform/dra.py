@@ -188,9 +188,11 @@ def _solve_for_unordered(components, is_unordered):
                 if c is not None:
                     _eliminate(other, c, pivot)
             pivots[u] = pivot
-        if any(remaining):
+        leftover = next((row for row in remaining if row), None)
+        if leftover is not None:
             raise RelationExtractionError(
-                f"inconsistent leftover relation at weight {wt}")
+                f"inconsistent leftover relation at weight {wt}: "
+                f"words {sorted(leftover)}")
         for u, pivot in pivots.items():
             rules[u] = {k: -v for k, v in pivot.items()}
     return rules

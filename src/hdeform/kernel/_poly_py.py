@@ -10,7 +10,9 @@ point, so a point of ``PROBE_POINTS`` where ``b(pt)`` is nonzero and
 does not divide ``a(pt)`` proves that ``b`` does not divide ``a``.  A
 division that passes runs in heap order: the remainder's monomials sit
 in a heap keyed by grlex, and the leading term is popped instead of
-searched for.
+searched for.  ``p_fraction_normalize`` and ``p_cancel`` probe a
+numerator once for a whole run of trial divisions and carry its values
+through the quotients.
 """
 
 from heapq import heapify, heappop, heappush
@@ -223,14 +225,24 @@ def fac_key(poly):
                         reverse=True))
 
 
-def p_fraction_normalize(num, dint, fac_items):
+def p_fraction_normalize(num, dint, fac_items, trial=None):
     """Canonicalize the fraction num / (dint * prod of factors).
 
     fac_items is an iterable of (factor key, multiplicity); factors need
     not be primitive or sign-normalized.  Returns (num, dint, factors)
     with dint > 0, factors primitive with positive leading coefficient,
-    distinct and sorted, none of them dividing num, and the integer
-    content of num coprime to dint.
+    distinct and sorted, and the integer content of num coprime to dint.
+
+    Only the factors whose canonical keys ``trial`` names are
+    trial-divided into num (every factor when it is None), each as often
+    as it divides and at most its multiplicity; with ``trial=None`` none
+    of the returned factors divides num.  A caller names fewer only when
+    the others cannot divide num: ``hdeform.coeffs`` names the linear
+    factors that can cancel under its arithmetic, and none after an
+    automorphism or an inverse.  num is evaluated at ``PROBE_POINTS``
+    once, not once per trial: an exact division by f turns each value v
+    into ``v // f(pt)``, and only where ``f(pt) == 0`` is the quotient
+    evaluated again.
     """
     if dint < 0:
         dint = -dint
@@ -252,25 +264,54 @@ def p_fraction_normalize(num, dint, fac_items):
                 num = p_neg(num)
             key = fac_key(prim)
         facs[key] = facs.get(key, 0) + m
-    for key in sorted(facs):
-        m = facs[key]
-        poly = dict(key)
-        while m > 0:
-            q = p_divexact(num, poly)
-            if q is None:
-                break
-            num = q
-            m -= 1
-        if m:
-            facs[key] = m
-        else:
-            del facs[key]
+    keys = sorted(facs if trial is None else facs.keys() & set(trial))
+    num = _cancel(num, facs, keys)
     c = p_content(num)
     g = gcd(c, dint)
     if g > 1:
         num = {e: v // g for e, v in num.items()}
         dint //= g
     return num, dint, tuple(sorted(facs.items()))
+
+
+def p_cancel(num, facs, keys):
+    """Divide num by the factors named in keys, each as often as it
+    divides and at most its multiplicity in facs (a dict from primitive
+    factor key to multiplicity).
+
+    Returns the quotient and a copy of facs with those multiplicities
+    lowered; a factor that cancelled fully is dropped.
+    """
+    facs = dict(facs)
+    return _cancel(num, facs, sorted(keys)), facs
+
+
+def _cancel(num, facs, keys):
+    # Trial-divide num by facs[key] for each key in turn, updating facs
+    # in place, with the probe values carried as p_fraction_normalize
+    # describes.  When f(pt) != 0 and f divides num, v // f(pt) is exact.
+    if not keys:
+        return num
+    nvars = len(keys[0][0][0])
+    points = PROBE_POINTS if nvars <= len(PROBE_POINTS[0]) else ()
+    values = [p_eval(num, pt) for pt in points]
+    for key in keys:
+        poly = dict(key)
+        fvals = [p_eval(poly, pt) for pt in points]
+        m = facs[key]
+        while m and not any(f and v % f for v, f in zip(values, fvals)):
+            q = _divide(num, poly)
+            if q is None:
+                break
+            num = q
+            values = [v // f if f else p_eval(num, pt)
+                      for v, f, pt in zip(values, fvals, points)]
+            m -= 1
+        if m:
+            facs[key] = m
+        else:
+            del facs[key]
+    return num
 
 
 def _probe_rejects(a, b):
@@ -295,10 +336,15 @@ def p_divexact(a, b):
     popped leads, the quotient and every ``None`` are those of the
     schoolbook division that rescans the remainder for its lead.
     """
-    if not a:
-        return {}
     if _probe_rejects(a, b):
         return None
+    return _divide(a, b)
+
+
+def _divide(a, b):
+    # the heap-order division of p_divexact, without the probe
+    if not a:
+        return {}
     be, bc = p_lead(b)
     bs = sum(be)
     # Every remainder monomial has degree <= deg(a), so every exponent is

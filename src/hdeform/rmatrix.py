@@ -318,6 +318,8 @@ def check_aux_identities(n):
     psi = psihat(n)
     qp = {i: qplus(n, i) for i in range(1, n + 1)}
     qm = {i: qminus(n, i) for i in range(1, n + 1)}
+    qp_inv = {l: qp[l].inverse().shift(tuple(-x for x in eps(n, l)))
+              for l in range(1, n + 1)}
     one = RatFun.const(n, 1)
     zero = RatFun.zero(n)
     failures = []
@@ -347,8 +349,7 @@ def check_aux_identities(n):
                     sv = s.get(i, k, j, l) or zero
                     shiftkl = tuple(x - y for x, y in zip(eps(n, k), eps(n, l)))
                     lhs = psi.get(i, k, j, l) or zero
-                    rhs = (qp[i].shift(shiftkl) * sv
-                           * qp[l].inverse().shift(tuple(-x for x in eps(n, l))))
+                    rhs = qp[i].shift(shiftkl) * sv * qp_inv[l]
                     if lhs != rhs:
                         failures.append(failure("psihat_from_shat",
                                                 (i, k, j, l), lhs, rhs))
@@ -401,6 +402,8 @@ def check_traces(n):
     """Exact trace values and reciprocity of the q-weights."""
     failures = []
     one = RatFun.const(n, 1)
+    qp = {j: qplus(n, j) for j in range(1, n + 1)}
+    qm = {j: qminus(n, j) for j in range(1, n + 1)}
     tp = qplus_op(n).trace()
     tm = qminus_op(n).trace()
     want = RatFun.const(n, n)
@@ -409,16 +412,17 @@ def check_traces(n):
     if tm != want:
         failures.append(failure("trace_qminus", (n,), tm, want))
     for j in range(1, n + 1):
-        v = qminus(n, j).shift(eps(n, j)) * qplus(n, j)
+        v = qm[j].shift(eps(n, j)) * qp[j]
         if v != one:
             failures.append(failure("qminus_qplus_reciprocal", (j,), v, one))
-        if qminus(n, j).negate_h() != qplus(n, j):
+        reversed_qm = qm[j].negate_h()
+        if reversed_qm != qp[j]:
             failures.append(failure("q_sign_reversal", (j,),
-                                    qminus(n, j).negate_h(), qplus(n, j)))
+                                    reversed_qm, qp[j]))
     for i in range(1, n + 1):
         tot = RatFun.zero(n)
         for j in range(1, n + 1):
-            tot = tot + qminus(n, j) / (hdiff(n, i, j) + 1)
+            tot = tot + qm[j] / (hdiff(n, i, j) + 1)
         if tot != one:
             failures.append(failure("qminus_partial_fraction_row", (i,),
                                     tot, one))

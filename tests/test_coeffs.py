@@ -2,6 +2,7 @@
 
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
@@ -343,3 +344,144 @@ def test_probed_factor_split_matches_trial_division():
                                          K.p_const(n, rng.randint(1, 5))))
         _, _, prim = K.p_primitive_sign(poly)
         assert _linear_family_factors(n, prim) == _trial_factors(n, prim)
+
+
+# -- trial division of only the factors that can cancel ----------------------
+
+def _rep(f):
+    return (f.num, f.dint, f.dfac)
+
+
+def _reference_build(num, dint, fac_items):
+    """The stored form with every factor tried against the full numerator."""
+    import hdeform.kernel as K
+    if not num:
+        return {}, 1, ()
+    if dint < 0:
+        dint, num = -dint, K.p_neg(num)
+    facs = {}
+    for key, m in fac_items:
+        c, sign, prim = K.p_primitive_sign(dict(key))
+        dint *= c ** m
+        if sign < 0 and m % 2:
+            num = K.p_neg(num)
+        if not K.p_is_const(prim):
+            facs[K.fac_key(prim)] = facs.get(K.fac_key(prim), 0) + m
+    for key in sorted(facs):
+        while facs[key]:
+            q = K.p_divexact(num, dict(key))
+            if q is None:
+                break
+            num, facs[key] = q, facs[key] - 1
+    g = gcd(K.p_content(num), dint)
+    return ({e: v // g for e, v in num.items()}, dint // g,
+            tuple(sorted((key, m) for key, m in facs.items() if m)))
+
+
+def _reference_mul(a, b):
+    import hdeform.kernel as K
+    if a.is_zero or b.is_zero:
+        return {}, 1, ()
+    facs = dict(a.dfac)
+    for key, m in b.dfac:
+        facs[key] = facs.get(key, 0) + m
+    return _reference_build(K.p_mul(a.num, b.num), a.dint * b.dint,
+                            facs.items())
+
+
+def _reference_add(a, b):
+    import hdeform.kernel as K
+    if a.is_zero or b.is_zero:
+        return _rep(b if a.is_zero else a)
+    g = gcd(a.dint, b.dint)
+    ka = K.p_const(a.n, b.dint // g)
+    kb = K.p_const(a.n, a.dint // g)
+    fa, fb = dict(a.dfac), dict(b.dfac)
+    lcm = {key: max(fa.get(key, 0), fb.get(key, 0)) for key in {**fa, **fb}}
+    for key, m in lcm.items():
+        for _ in range(m - fa.get(key, 0)):
+            ka = K.p_mul(ka, dict(key))
+        for _ in range(m - fb.get(key, 0)):
+            kb = K.p_mul(kb, dict(key))
+    num = K.p_add(K.p_mul(a.num, ka), K.p_mul(b.num, kb))
+    return _reference_build(num, a.dint * (b.dint // g), lcm.items())
+
+
+def _reference_inverse(a):
+    from hdeform.coeffs import _split_denominator
+    return _reference_build(a._den_poly(), *_split_denominator(a.n, a.num))
+
+
+def _reference_map(a, poly_map):
+    """An automorphism applied to numerator and factors, then rebuilt."""
+    import hdeform.kernel as K
+    if a.is_zero:
+        return _rep(a)
+    return _reference_build(
+        poly_map(a.num), a.dint,
+        [(K.fac_key(poly_map(dict(key))), m) for key, m in a.dfac])
+
+
+def _linear(i, j, k, n=3):
+    """h_i - h_j + k, or h_i + k when j is 0."""
+    return (hdiff(n, i, j) if j and j != i else hvar(n, i)) + k
+
+
+_SPECIALS = ([phi(3, i) for i in (1, 2)] + [qplus(3, 2), qminus(3, 1)]
+             + [alpha_coeff(3, 1, 3), beta_coeff(3, 2, 1), mu_coeff(3, 1),
+                phi_prime(3, 3)])
+
+_atoms = (st.builds(_linear, st.integers(1, 3), st.integers(0, 3),
+                    st.integers(-40, 40))
+          | st.sampled_from(_SPECIALS))
+
+
+@st.composite
+def _coefficients(draw):
+    """Products, quotients and sums of linear forms and special elements;
+    a quotient by a product of far forms leaves an unsplit cofactor."""
+    f = draw(_atoms)
+    for _ in range(draw(st.integers(0, 4))):
+        g = draw(_atoms)
+        if draw(st.booleans()):
+            g = g * draw(_atoms)
+        op = draw(st.sampled_from("**//+"))
+        f = f * g if op == "*" else f / g if op == "/" else f + g
+    return f
+
+
+@settings(max_examples=120, deadline=None)
+@given(_coefficients(), _coefficients(), weights,
+       st.permutations([1, 2, 3]))
+def test_arithmetic_matches_trial_of_every_factor(a, b, alpha, perm):
+    import hdeform.kernel as K
+    assert _rep(a * b) == _reference_mul(a, b)
+    assert _rep(a + b) == _reference_add(a, b)
+    assert _rep(a - b) == _reference_add(a, -b)
+    if not a.is_zero:
+        assert _rep(a.inverse()) == _reference_inverse(a)
+    assert _rep(a.shift(alpha)) == _reference_map(
+        a, lambda p: K.p_shift(p, alpha))
+    p0 = tuple(x - 1 for x in perm)
+    assert _rep(a.permute(tuple(perm))) == _reference_map(
+        a, lambda p: K.p_permute(p, p0))
+    assert _rep(a.negate_h()) == _reference_map(a, K.p_negate)
+
+
+def test_nonlinear_cofactor_is_tried_against_the_full_numerator():
+    # (h1-h2+40)(h1-h2+41) lies outside the factor window, so it stays one
+    # unsplit (composite) factor; skipping it would leave a wrong dfac
+    import hdeform.kernel as K
+    d = K.p_sub(K.p_var(2, 0), K.p_var(2, 1))
+    f40, f41, f42 = (K.p_add(d, K.p_const(2, k)) for k in (40, 41, 42))
+    cof = K.p_mul(f40, f41)
+    lin = hdiff(2, 1, 2) + 40
+    assert [sum(key[0][0]) for key, _ in RatFun.from_poly(2, f41, cof).dfac] \
+        == [2]
+    # the cofactor cancels against a product of the operands' numerators
+    assert_same(RatFun.from_poly(2, f41, cof) * lin, one())
+    # 1/C + 1/(h1-h2+40) == (h1-h2+42)/C: the linear factor cancels
+    assert_same(RatFun.from_poly(2, K.p_const(2, 1), cof) + one() / lin,
+                RatFun.from_poly(2, f42, cof))
+    # the inverse of (h1-h2+40)/C keeps only h1-h2+41
+    assert_same(RatFun.from_poly(2, f40, cof).inverse(), lin + 1)

@@ -157,3 +157,56 @@ def test_constant_perturbation_is_rejected(bq, c):
     # a nonzero constant is never a multiple of a non-constant b
     assert K.p_divexact(a, b) is None
     assert schoolbook_divexact(a, b) is None
+
+
+@st.composite
+def numerator_and_factors(draw):
+    """A numerator built from linear factors, the first of which vanishes
+    at a probe point, and a multiplicity for each factor."""
+    nvars = draw(st.integers(min_value=2, max_value=4))
+    pt = draw(st.sampled_from(K.PROBE_POINTS))
+    facs = {}
+    for idx in range(draw(st.integers(min_value=1, max_value=4))):
+        i, j = draw(st.permutations(range(nvars)))[:2]
+        if idx == 0:
+            k = pt[j] - pt[i]      # h_i - h_j + k vanishes at pt
+        else:
+            k = draw(st.integers(min_value=-40, max_value=40))
+            if draw(st.booleans()):
+                j = None
+        form = linear_form(nvars, i, j, k)
+        facs[K.fac_key(K.p_primitive_sign(form)[2])] = draw(
+            st.integers(min_value=1, max_value=3))
+    terms = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 2)] * nvars), coords),
+        min_size=1, max_size=4))
+    num = {e: c for e, c in terms if c} or K.p_const(nvars, 1)
+    for n_key, key in enumerate(facs):
+        for _ in range(draw(st.integers(min_value=1 if n_key == 0 else 0,
+                                        max_value=facs[key] + 1))):
+            num = K.p_mul(num, dict(key))
+    return num, facs
+
+
+@settings(max_examples=200, deadline=None)
+@given(numerator_and_factors())
+def test_normalize_carries_probe_values_through_divisions(case):
+    # the probe values are divided by f(pt) after each exact division and
+    # evaluated again where f(pt) == 0; the result must be that of
+    # dividing by repeated p_divexact, which probes afresh every time
+    num, facs = case
+    want_num, want = num, {}
+    for key in sorted(facs):
+        m = facs[key]
+        while m:
+            q = K.p_divexact(want_num, dict(key))
+            if q is None:
+                break
+            want_num, m = q, m - 1
+        if m:
+            want[key] = m
+    assert any(K.p_eval(dict(key), pt) == 0
+               for key in facs for pt in K.PROBE_POINTS)
+    got = K.p_fraction_normalize(num, 1, facs.items())
+    assert got == (want_num, 1, tuple(sorted(want.items())))
+    assert K.p_cancel(num, facs, facs) == (want_num, want)

@@ -111,8 +111,11 @@ def test_solver_reports_inconsistent_leftover_relation():
     # a relation without unordered words is left over after elimination
     comp = alg.gen(1, 1, 1) * alg.gen(1, 1, 1)
     with pytest.raises(RelationExtractionError,
-                       match=r"inconsistent leftover relation at weight \(0, 0\)"):
+                       match=r"inconsistent leftover relation at weight \(0, 0\)"
+                       ) as excinfo:
         _solve_for_unordered([comp], lambda w: w == ((1, 2, 1), (1, 2, 1)))
+    # the message names the words of the leftover row
+    assert str(excinfo.value).endswith("words [((1, 1, 1), (1, 1, 1))]")
 
 
 def test_solver_reports_missing_pivot():
