@@ -138,7 +138,6 @@ def _verify_units(args):
 def cmd_verify(args):
     _guard(args)
     units = _verify_units(args)
-    reports = []
     t_all = time.time()
     if args.jobs > 1:
         import multiprocessing
@@ -146,21 +145,16 @@ def cmd_verify(args):
             results = pool.map(run_unit, [task for _, task in units])
     else:
         results = [run_unit(task) for _, task in units]
-    for (name, _task), (failures, elapsed) in zip(units, results):
-        reports.append(SuiteReport(
-            suite=name,
-            config={"n": args.n, "copies": args.copies_weyl,
-                    "statistics": args.stats,
-                    "braided_copies": args.copies, "power": args.power},
-            failures=failures,
-            wall_time_s=elapsed))
-    total = time.time() - t_all
-    text = render_reports(reports)
-    payload = json.loads(text)
-    payload["wall_time_s"] = round(total, 6)
-    text = json.dumps(payload, indent=2, sort_keys=True)
-    _emit(args, text)
-    return 0 if payload["status"] == "pass" else 1
+    reports = [SuiteReport(
+        suite=name,
+        config={"n": args.n, "copies": args.copies_weyl,
+                "statistics": args.stats,
+                "braided_copies": args.copies, "power": args.power},
+        failures=failures,
+        wall_time_s=elapsed)
+        for (name, _task), (failures, elapsed) in zip(units, results)]
+    _emit(args, render_reports(reports, time.time() - t_all))
+    return 1 if any(r.failures for r in reports) else 0
 
 
 def cmd_relations(args):
@@ -269,24 +263,28 @@ def build_parser():
                "size; HDEFORM_MAX_REWRITES caps rewrite steps.")
     sub = p.add_subparsers(dest="command", required=True)
 
-    def common(sp, power=False):
+    # each subcommand declares the options it reads: --n, --out, --force
+    # and the ones it names
+    options = {
+        "--N": dict(dest="copies_weyl", type=int, default=1,
+                    help="number of copies of the coordinate family"),
+        "--stats": dict(choices=["bosonic", "fermionic"], default="bosonic",
+                        help="statistics of the variables"),
+        "--copies": dict(type=int, default=2,
+                         help="braided copies for coproduct checks"),
+        "--format": dict(choices=["json", "text"], default="json"),
+        "--jobs": dict(type=int, default=1,
+                       help="parallel processes for independent checks"),
+    }
+
+    def common(sp, *names):
         sp.add_argument("--n", type=int, required=True,
                         help="rank (number of indices)")
-        sp.add_argument("--N", dest="copies_weyl", type=int, default=1,
-                        help="number of copies of the coordinate family")
-        sp.add_argument("--stats", choices=["bosonic", "fermionic"],
-                        default="bosonic", help="statistics of the variables")
-        sp.add_argument("--copies", type=int, default=2,
-                        help="braided copies for coproduct checks")
-        sp.add_argument("--format", choices=["json", "text"], default="json")
+        for name in names:
+            sp.add_argument(name, **options[name])
         sp.add_argument("--out", help="write output to a file")
-        sp.add_argument("--jobs", type=int, default=1,
-                        help="parallel processes for independent checks")
         sp.add_argument("--force", action="store_true",
                         help="override the size guardrails")
-        if power:
-            sp.add_argument("--power", type=int, default=2,
-                            help="highest trace power to check")
 
     sp = sub.add_parser("verify", help="run identity suites")
     sp.add_argument("target", choices=["rmatrix", "weyl", "dra", "all"])
@@ -297,17 +295,19 @@ def build_parser():
                     help="convention for the inhomogeneous unit of the "
                          "cross-copy exchange (the all_copies variant is "
                          "expected to fail the reflection oracle)")
-    common(sp, power=True)
+    common(sp, "--N", "--stats", "--copies", "--jobs")
+    sp.add_argument("--power", type=int, default=2,
+                    help="highest trace power to check")
     sp.set_defaults(func=cmd_verify)
 
     sp = sub.add_parser("relations",
                         help="ordering relations of the reduction algebra")
     sp.add_argument("--generators", choices=["L", "s"], default="L")
-    common(sp)
+    common(sp, "--format")
     sp.set_defaults(func=cmd_relations)
 
     sp = sub.add_parser("central", help="quantum-trace central elements")
-    common(sp)
+    common(sp, "--format")
     sp.add_argument("--power", type=int, required=True)
     sp.add_argument("--check", action="store_true",
                     help="verify centrality by commutators")
@@ -315,7 +315,7 @@ def build_parser():
 
     sp = sub.add_parser("normal-form",
                         help="normal-order a differential-operator expression")
-    common(sp)
+    common(sp, "--N", "--stats", "--format")
     sp.add_argument("--expr", required=True,
                     help="expression in x[i,a], D[j,a] and coefficients")
     sp.set_defaults(func=cmd_normal_form)

@@ -51,6 +51,7 @@ and global sign reversal of the variables.
 
 from __future__ import annotations
 
+import operator
 import os
 from fractions import Fraction
 from math import gcd
@@ -430,11 +431,7 @@ def hdiff(n, i, j):
 
 def phi(n, j):
     """prod_{k > j} h_jk / (h_jk - 1); empty product is 1."""
-    res = RatFun.const(n, 1)
-    for k in range(j + 1, n + 1):
-        d = hdiff(n, j, k)
-        res = res * d / (d - 1)
-    return res
+    return phi_segment(n, j, n + 1)
 
 
 def phi_prime(n, j):
@@ -479,26 +476,24 @@ def mu_coeff(n, i):
     return -(phi(n, i).inverse())
 
 
-def qplus(n, i):
-    """prod_{k != i} (h_ik + 1) / h_ik."""
+def _q_weight(n, i, step):
+    """prod_{k != i} step(h_ik, 1) / h_ik, step being + or -."""
     res = RatFun.const(n, 1)
     for k in range(1, n + 1):
-        if k == i:
-            continue
-        d = hdiff(n, i, k)
-        res = res * (d + 1) / d
+        if k != i:
+            d = hdiff(n, i, k)
+            res = res * step(d, 1) / d
     return res
+
+
+def qplus(n, i):
+    """prod_{k != i} (h_ik + 1) / h_ik."""
+    return _q_weight(n, i, operator.add)
 
 
 def qminus(n, i):
     """prod_{k != i} (h_ik - 1) / h_ik."""
-    res = RatFun.const(n, 1)
-    for k in range(1, n + 1):
-        if k == i:
-            continue
-        d = hdiff(n, i, k)
-        res = res * (d - 1) / d
-    return res
+    return _q_weight(n, i, operator.sub)
 
 
 SPECIAL_BUILDERS = {

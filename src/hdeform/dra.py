@@ -65,15 +65,30 @@ def appendix_order(pat):
 # ---------------------------------------------------------------------------
 
 class FreeReductionAlgebra(TermAlgebra):
-    """Formal weight-graded generators; only coefficients move."""
+    """The free algebra on the generators L[i,j] of weight eps_i - eps_j,
+    in ``copies`` braided copies M1, M2, ...: no relations, so only
+    coefficients move.  Generators are (copy, i, j) triples.
+    :class:`ReductionAlgebra` is this algebra plus its rewrite system."""
 
     def __init__(self, n, copies=1):
         super().__init__(n, ("free-reduction", n, copies))
         self.copies = copies
         self._eps = [None] + [eps(n, i) for i in range(1, n + 1)]
 
-    def gen(self, t, i, j):
+    def gen(self, i, j, t=1):
+        if not (1 <= i <= self.n and 1 <= j <= self.n):
+            raise ValueError(f"generator index ({i},{j}) out of range")
+        if not 1 <= t <= self.copies:
+            raise ValueError(f"copy {t} out of range 1..{self.copies}")
         return self.gen_element((t, i, j))
+
+    def generators(self, t=1):
+        return [(t, i, j) for i in range(1, self.n + 1)
+                for j in range(1, self.n + 1)]
+
+    def lmatrix(self, t=1):
+        return {(i, j): self.gen(i, j, t)
+                for i in range(1, self.n + 1) for j in range(1, self.n + 1)}
 
     def weight(self, g):
         _, i, j = g
@@ -92,11 +107,6 @@ class FreeReductionAlgebra(TermAlgebra):
         return f"M{t}[{i},{j}]"
 
 
-def lmat_formal(alg):
-    return {(i, j): alg.gen(1, i, j)
-            for i in range(1, alg.n + 1) for j in range(1, alg.n + 1)}
-
-
 def reflection_components(n, matrix="L"):
     """Componentwise reflection-equation residual for a generator matrix.
 
@@ -108,7 +118,7 @@ def reflection_components(n, matrix="L"):
     alg = FreeReductionAlgebra(n)
     r = rhat(n)
     if matrix == "L":
-        return reflection_residual(alg, r, lmat_formal(alg), n)
+        return reflection_residual(alg, r, alg.lmatrix(), n)
     if matrix == "H":
         h = hmat(n)
         entries = {(i, i): alg.scalar(h[i]) for i in range(1, n + 1)}
@@ -116,7 +126,7 @@ def reflection_components(n, matrix="L"):
     if matrix == "mixed":
         h = hmat(n)
         r12 = mat_from_tensor(alg, r)
-        l1 = mat_first_leg(alg, lmat_formal(alg), n)
+        l1 = mat_first_leg(alg, alg.lmatrix(), n)
         h1 = mat_first_leg(
             alg, {(i, i): alg.scalar(h[i]) for i in range(1, n + 1)}, n)
         rl = mat_mul(alg, r12, l1, n)
@@ -221,9 +231,8 @@ def extract_rewrite_rules(n, gen_order=None):
 def extract_cross_rules(n, gen_order=None):
     """Braided exchange: (higher copy gen)(lower copy gen) -> ordered."""
     alg = FreeReductionAlgebra(n, copies=2)
-    m1, m2 = ({(i, j): alg.gen(t, i, j) for i in range(1, n + 1)
-               for j in range(1, n + 1)} for t in (1, 2))
-    comps = braided_cross_residual(alg, rhat(n), m1, m2, n)
+    comps = braided_cross_residual(alg, rhat(n), alg.lmatrix(1),
+                                   alg.lmatrix(2), n)
 
     def is_unordered(word):
         if len(word) != 2:
@@ -263,48 +272,24 @@ def rule_system(n, gen_order=None, cross=False):
     return rules
 
 
-class ReductionAlgebra(TermAlgebra):
-    """The reduction algebra with its extracted rewrite system.
+class ReductionAlgebra(FreeReductionAlgebra):
+    """The reduction algebra: the free algebra plus the rewrite system
+    extracted under gen_order (default: the engine order).
 
-    A custom gen_order needs its own order_name, which tells the algebra
-    apart from the default one.
+    The order is part of the algebra's signature, so elements of
+    algebras under different orders never mix.
     """
 
-    def __init__(self, n, copies=1, gen_order=None, order_name="default"):
-        if gen_order is not None and order_name == "default":
-            raise ValueError("a custom generator order needs its own "
-                             "order_name")
-        super().__init__(n, ("reduction", n, copies, order_name))
-        self.copies = copies
+    def __init__(self, n, copies=1, gen_order=None):
+        super().__init__(n, copies)
         self.order = gen_order or normal_order
-        self._eps = [None] + [eps(n, i) for i in range(1, n + 1)]
+        self.signature = ("reduction", n, copies, self.order)
         self.same_rules = rule_system(n, self.order)
 
     @property
     def cross_rules(self):
         # only multi-copy words ever need these; extracted on first use
         return rule_system(self.n, self.order, cross=True)
-
-    def gen(self, i, j, t=1):
-        if not (1 <= i <= self.n and 1 <= j <= self.n):
-            raise ValueError(f"generator index ({i},{j}) out of range")
-        if not 1 <= t <= self.copies:
-            raise ValueError(f"copy {t} out of range 1..{self.copies}")
-        return self.gen_element((t, i, j))
-
-    def generators(self, t=1):
-        return [(t, i, j) for i in range(1, self.n + 1)
-                for j in range(1, self.n + 1)]
-
-    def weight(self, g):
-        _, i, j = g
-        return tuple(a - b for a, b in zip(self._eps[i], self._eps[j]))
-
-    def gen_str(self, g):
-        t, i, j = g
-        if self.copies == 1:
-            return f"L[{i},{j}]"
-        return f"M{t}[{i},{j}]"
 
     def _key(self, g):
         t, i, j = g
@@ -323,10 +308,6 @@ class ReductionAlgebra(TermAlgebra):
         return [(c, ((t2,) + lo, (t1,) + hi)) for c, (lo, hi) in rule]
 
     # -- derived operators ---------------------------------------------------
-
-    def lmatrix(self, t=1):
-        return {(i, j): self.gen(i, j, t)
-                for i in range(1, self.n + 1) for j in range(1, self.n + 1)}
 
     def lprime_matrix(self, t=1):
         h = hmat(self.n)
@@ -367,10 +348,10 @@ class ReductionAlgebra(TermAlgebra):
 # checks
 # ---------------------------------------------------------------------------
 
-def check_relation_roundtrip(n, gen_order=None, order_name="default"):
+def check_relation_roundtrip(n, gen_order=None):
     """Substituting the extracted rules back into every reflection
     component must give zero identically."""
-    alg = ReductionAlgebra(n, 1, gen_order, order_name)
+    alg = ReductionAlgebra(n, 1, gen_order)
     comps = reflection_components(n, "L")
     return residual_failures("relation_roundtrip", {
         key: Element(alg, dict(el.terms)) for key, el in comps.items()})
@@ -499,18 +480,16 @@ def _transform_matrix(n, alg=None):
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
-                el = alg.gen(1, i, j).times_coeff_right(phi(n, j))
+                el = alg.gen(i, j).times_coeff_right(phi(n, j))
             else:
-                el = alg.gen(1, i, i)
+                el = alg.gen(i, i)
                 for m in range(i + 1, n + 1):
                     seg = phi_segment(n, i, m)
                     c = (hdiff(n, i, m) * seg).inverse()
-                    el = el - alg.gen(1, m, m).times_coeff_right(c)
+                    el = el - alg.gen(m, m).times_coeff_right(c)
                 el = el.times_coeff_right(phi(n, i))
             out[(i, j)] = el
     return out
-
-
 
 
 def check_generator_transforms(n):
@@ -539,7 +518,7 @@ def check_generator_transforms(n):
         for word, c in el.terms.items():
             (_, a, b) = word[0]
             acc = acc + trans[(a, b)].times_coeff_left(c)
-        want = alg.gen(1, i, j)
+        want = alg.gen(i, j)
         if acc != want:
             failures.append(failure("transition_inverse_roundtrip", (i, j),
                                     acc, want))
@@ -556,7 +535,7 @@ def invert_transform(n, alg=None):
         for j in range(1, n + 1):
             if i != j:
                 c = trans[(i, j)].terms[((1, i, j),)]
-                inv[(i, j)] = alg.gen(1, i, j).times_coeff_left(c.inverse())
+                inv[(i, j)] = alg.gen(i, j).times_coeff_left(c.inverse())
     # diagonal block is upper triangular in m; solve upward from m = n
     for i in range(n, 0, -1):
         expr = trans[(i, i)]
@@ -567,7 +546,7 @@ def invert_transform(n, alg=None):
             if (a, b) != (i, i):
                 rest = rest + inv[(a, b)].times_coeff_left(c)
         # the generator symbol here stands for the transformed family
-        inv[(i, i)] = (alg.gen(1, i, i) - rest).times_coeff_left(diag.inverse())
+        inv[(i, i)] = (alg.gen(i, i) - rest).times_coeff_left(diag.inverse())
     return inv
 
 
@@ -601,20 +580,18 @@ def check_cartan_sum(n):
 # -- independent oracle: the differential-operator realization -------------------
 
 
-def check_weyl_realization(n, copies_weyl=None):
+def check_weyl_realization(n):
     """Re-verify every extracted ordering rule inside the differential
     algebra.
 
     The generators map to the composite operators (coordinate times
-    barred derivative, summed over copies), injectively once the copy
-    count reaches the rank; each rule, transported through that map,
-    must hold under the *differential-operator* rewriting engine.  This
+    barred derivative, summed over n copies, enough for the map to be
+    injective); each rule, transported through that map, must hold under the *differential-operator* rewriting engine.  This
     route never touches the reduction-algebra rule system, so it checks
     the extraction and the engine against one another.
     """
     from .weyl import WeylAlgebra
-    N = copies_weyl or n
-    walg = WeylAlgebra(n, N)
+    walg = WeylAlgebra(n, n)
     lt = walg.ltilde()
     rules = rule_system(n)
     failures = []
@@ -627,13 +604,12 @@ def check_weyl_realization(n, copies_weyl=None):
     return failures
 
 
-def check_central_realization(n, power, copies_weyl=None):
+def check_central_realization(n, power):
     """Centrality of the quantum trace checked in the differential
-    algebra: the image of Tr(L^N Q^-) must commute with every composite
-    operator entry there."""
+    algebra (n copies): the image of Tr(L^N Q^-) must commute with every
+    composite operator entry there."""
     from .weyl import WeylAlgebra
-    N = copies_weyl or n
-    walg = WeylAlgebra(n, N)
+    walg = WeylAlgebra(n, n)
     lt = walg.ltilde()
     power_mat = {(i, j): (walg.one() if i == j else walg.zero())
                  for i in range(1, n + 1) for j in range(1, n + 1)}

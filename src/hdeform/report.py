@@ -54,10 +54,12 @@ class SuiteReport:
         }
 
 
-def render_reports(reports):
-    """Deterministic JSON for a list of reports."""
+def render_reports(reports, wall_time_s):
+    """Deterministic JSON for a list of reports and the run's total wall
+    time; the wall times are the only fields that vary between runs."""
     payload = {
         "status": "pass" if all(not r.failures for r in reports) else "fail",
         "suites": [r.to_dict() for r in reports],
+        "wall_time_s": round(wall_time_s, 6),
     }
     return json.dumps(payload, indent=2, sort_keys=True)

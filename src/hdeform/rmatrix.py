@@ -172,24 +172,6 @@ def hmat(n):
                           for j in range(1, n + 1)})
 
 
-BUILDERS = {
-    "rhat": rhat,
-    "that": that,
-    "shat": shat,
-    "psihat": psihat,
-    "qplus": qplus_op,
-    "qminus": qminus_op,
-    "hmat": hmat,
-}
-
-
-def build(name, n):
-    try:
-        return BUILDERS[name](n)
-    except KeyError:
-        raise ValueError(f"unknown tensor {name!r}") from None
-
-
 # ---------------------------------------------------------------------------
 # sparse comparison
 # ---------------------------------------------------------------------------

@@ -15,7 +15,7 @@ from hdeform.weyl import WeylAlgebra, dgen, xgen
 def test_rewrite_step_guard_catches_divergence(monkeypatch):
     # plain lexicographic generator order cycles; the guard must fire
     monkeypatch.setattr(A, "_STEP_LIMIT", 40)
-    alg = ReductionAlgebra(2, gen_order=lambda p: p, order_name="lex-test")
+    alg = ReductionAlgebra(2, gen_order=lambda p: p)
     word = alg.gen(2, 1) * alg.gen(2, 2) * alg.gen(1, 2)
     with pytest.raises(RewriteLimitError):
         alg.normal_form(word)

@@ -1,8 +1,10 @@
 """Command-line interface: determinism, exit codes, formats."""
 
+import importlib.util
 import json
 import pathlib
 import re
+import shlex
 import subprocess
 import sys
 
@@ -166,6 +168,55 @@ def test_usage_errors_exit_two(capsys):
     assert run_cli(capsys, "central", "--n", "2", "--power", "-1")[0] == 2
     assert run_cli(capsys, "verify", "dra", "--n", "3",
                    "--suite", "appendix")[0] == 2
+
+
+
+# one option each subcommand used to accept without reading it
+@pytest.mark.parametrize("argv", [
+    ("verify", "rmatrix", "--n", "2", "--format", "text"),
+    ("relations", "--n", "2", "--N", "2"),
+    ("relations", "--n", "2", "--stats", "fermionic"),
+    ("relations", "--n", "2", "--copies", "3"),
+    ("relations", "--n", "2", "--jobs", "2"),
+    ("central", "--n", "2", "--power", "1", "--N", "9"),
+    ("central", "--n", "2", "--power", "1", "--stats", "fermionic"),
+    ("central", "--n", "2", "--power", "1", "--copies", "3"),
+    ("central", "--n", "2", "--power", "1", "--jobs", "2"),
+    ("normal-form", "--n", "2", "--expr", "x[1]", "--copies", "3"),
+    ("normal-form", "--n", "2", "--expr", "x[1]", "--jobs", "2"),
+])
+def test_option_the_subcommand_does_not_read_is_a_usage_error(capsys, argv):
+    with pytest.raises(SystemExit) as exc:
+        main(list(argv))
+    assert exc.value.code == 2
+    assert "unrecognized arguments: " + argv[-2] in capsys.readouterr().err
+
+
+ROOT = pathlib.Path(__file__).resolve().parents[1]
+
+
+def documented_invocations():
+    """The argv of every command line in the README and of every
+    perfbench job (the jobs that write tests/fixtures among them)."""
+    out = []
+    for line in (ROOT / "README.md").read_text().splitlines():
+        m = re.match(r"(?:hdeform|.*-m hdeform\.cli) (.*?)(?:\s+#.*)?$", line)
+        if m:
+            out.append(shlex.split(m.group(1)))
+    spec = importlib.util.spec_from_file_location(
+        "perfbench_workloads", ROOT / "perfbench" / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    for jobs in workloads.VERIFY_JOBS.values():
+        out += [job[1] for job in jobs]
+    return out
+
+
+def test_documented_invocations_still_parse():
+    argvs = documented_invocations()
+    assert len(argvs) >= 15
+    for argv in argvs:
+        build_parser().parse_args(argv)
 
 
 def test_rmatrix_suites_in_table_order(capsys):

@@ -73,6 +73,28 @@ def test_already_ordered_word_is_fixed():
     assert alg.normal_form(e) == e
 
 
+
+def test_generator_indices_are_range_checked():
+    with pytest.raises(ValueError, match=r"generator index \(3,1\)"):
+        FreeReductionAlgebra(2).gen(3, 1)
+    with pytest.raises(ValueError, match="copy 2 out of range 1..1"):
+        ReductionAlgebra(2).gen(1, 1, 2)
+
+
+def test_elements_of_different_orders_do_not_mix():
+    appendix = ReductionAlgebra(2, gen_order=appendix_order)
+    engine = ReductionAlgebra(2)
+    a, b = appendix.gen(1, 1), engine.gen(1, 1)
+    assert a != b
+    for op in (a.__add__, a.__mul__):
+        with pytest.raises(ValueError, match="algebra mismatch"):
+            op(b)
+    with pytest.raises(ValueError, match="algebra mismatch"):
+        a + FreeReductionAlgebra(2).gen(1, 1)
+    # one order, one algebra, however many times it is built
+    assert a == ReductionAlgebra(2, gen_order=appendix_order).gen(1, 1)
+
+
 @pytest.mark.parametrize("n", [2, 3])
 def test_relation_roundtrip(n):
     assert check_relation_roundtrip(n) == []
@@ -80,7 +102,7 @@ def test_relation_roundtrip(n):
 
 def test_roundtrip_under_presentation_order():
     # degree-2 words rewrite in one step, so any order is safe here
-    assert check_relation_roundtrip(2, appendix_order, "appendix") == []
+    assert check_relation_roundtrip(2, appendix_order) == []
 
 
 def test_associativity_exhaustive_rank_two():
@@ -109,7 +131,7 @@ def test_solver_reports_inconsistent_leftover_relation():
     from hdeform.dra import _solve_for_unordered
     alg = FreeReductionAlgebra(2)
     # a relation without unordered words is left over after elimination
-    comp = alg.gen(1, 1, 1) * alg.gen(1, 1, 1)
+    comp = alg.gen(1, 1) * alg.gen(1, 1)
     with pytest.raises(RelationExtractionError,
                        match=r"inconsistent leftover relation at weight \(0, 0\)"
                        ) as excinfo:
@@ -122,8 +144,8 @@ def test_solver_reports_missing_pivot():
     from hdeform.dra import _solve_for_unordered
     alg = FreeReductionAlgebra(2)
     # one row, two unordered words: the second finds no row left to pivot
-    comp = (alg.gen(1, 2, 1) * alg.gen(1, 1, 1)
-            + alg.gen(1, 2, 2) * alg.gen(1, 2, 1))
+    comp = (alg.gen(2, 1) * alg.gen(1, 1)
+            + alg.gen(2, 2) * alg.gen(2, 1))
     unordered = {((1, 2, 1), (1, 1, 1)), ((1, 2, 2), (1, 2, 1))}
     with pytest.raises(RelationExtractionError, match=re.escape(
             "no pivot for unordered word ((1, 2, 2), (1, 2, 1)) "
@@ -203,7 +225,7 @@ def test_transform_rank_two_values():
     trans = _transform_matrix(2, alg)
     h = hdiff(2, 1, 2)
     # off-diagonal entries carry the plain phi factor
-    assert trans[(1, 2)] == alg.gen(1, 1, 2)  # phi_2 == 1
+    assert trans[(1, 2)] == alg.gen(1, 2)  # phi_2 == 1
     # the diagonal combines the two diagonal generators
     el = trans[(1, 1)]
     assert el.terms[((1, 1, 1),)] == h / (h - 1)

@@ -3,7 +3,7 @@
 import pytest
 
 from hdeform.coeffs import RatFun, eps, hdiff, parse, qminus, qplus
-from hdeform.rmatrix import (build, check_aux_identities, check_dybe,
+from hdeform.rmatrix import (check_aux_identities, check_dybe,
                              check_involutive, check_skew_inverse,
                              check_traces, hmat, psihat, qminus_op, rhat,
                              run_suite, shat, that)
@@ -144,8 +144,3 @@ def test_run_suite_dispatch():
     with pytest.raises(ValueError):
         run_suite(2, "nonsense")
 
-
-def test_build_dispatch():
-    assert build("rhat", 2).entries == rhat(2).entries
-    with pytest.raises(ValueError):
-        build("unknown", 2)
