@@ -4,45 +4,65 @@ Elements are rational functions in the shifted Cartan variables
 h1, ..., hn with arbitrary-precision integer arithmetic throughout; no
 floating point anywhere.  A :class:`RatFun` is stored as
 
-    num / (dint * f1^m1 * ... * fk^mk)
+    content * l1^a1 * ... * lr^ar * cof / (dint * f1^m1 * ... * fk^mk)
 
-with ``num`` an integer polynomial, ``dint`` a positive integer and the
-``fi`` distinct primitive non-constant polynomial factors with positive
-grlex-leading coefficient.  Denominators produced by the algebra are
-always products of linear forms ``h_i - h_j + k`` (or ``h_i + k``), so
-keeping the factorization makes cancellation an exact division by a
-known factor.  The form is canonical only when every linear factor's
-offset ``k`` lies inside the window :func:`_linear_family_factors`
-probes; a factor outside it can stay inside an unsplit polynomial, so
-two equal values can be stored and serialized differently.  ``==``
-compares values, and equal representations answer at once.  Factors
-are found by trial division, and a candidate is divided only when its value at each
-of the kernel's probe points divides the polynomial's value there: a
-true factor's value always does, since ``b | a`` in Z[h] implies
+with ``content`` a signed integer (the integer content of the
+numerator), the ``li`` distinct linear forms ``h_i - h_j + k`` (i < j)
+or ``h_i + k`` of the family the algebra inverts, ``cof`` one primitive
+cofactor polynomial with positive grlex-leading coefficient (often 1;
+the bracket of a sum stays in it unsplit), ``dint`` a positive integer
+coprime to the content and the ``fi`` distinct primitive non-constant
+polynomial factors with positive leading coefficient.  Numerator and denominator
+factors are kept as sorted multisets of canonical keys.  The numerator
+is expanded only where its terms are needed: ``+``, :func:`serialize`,
+``==`` on unequal factor lists and the term guard; the expansion is
+not kept.
+
+Denominators are split by :func:`_linear_family_factors`, which finds
+every factor of the family whatever its offset, so a denominator factor
+is either linear or one non-linear cofactor with no factor of the
+family.  When every denominator factor is linear, the form is
+canonical: numerator and denominator are coprime, so equal values have
+equal denominators and equal expanded numerators, and serialize to the
+same text.
+
+Arithmetic works on the multisets and trial-divides only what can
+cancel.  The rules rest on two facts: a primitive linear form is prime
+in Z[h], and no denominator factor of a stored value divides its
+numerator.  A linear factor divides a numerator exactly as often as it
+appears in the numerator's multiset plus as often as it divides the
+cofactor, so only a non-constant cofactor is ever trial-divided:
+
+* ``a * b``: a linear factor of one operand's denominator alone cancels
+  against the other operand's multiset, then against its cofactor; a
+  factor both share divides neither numerator, so it cannot divide
+  their product.
+* ``a + b``: the numerator factors both summands share stay outside the
+  bracket.  Over the common denominator, a factor whose multiplicities
+  differ in a and b divides exactly one of the two summands, so it
+  cannot divide the sum; only factors of equal multiplicity are tried
+  against the bracket.
+* ``inverse``: numerator and denominator multisets swap places; only
+  the old cofactor is split, and none of the new factors can divide the
+  old denominator, a product of linear forms that do not divide the old
+  numerator.
+
+A non-linear denominator factor may be composite, so when an operand
+of these three carries one, every factor that can meet it is tried:
+each non-linear factor against the product of the cofactors in ``*``,
+every factor against the bracket in ``+`` and against the new cofactor
+in ``inverse``.  It has no factor of the family, so it is coprime to
+every numerator multiset.  Such a value may also be stored in more than
+one way, and ``==`` then compares the difference with zero.  Trial
+division divides a candidate only when its value at each of the
+kernel's probe points divides the polynomial's value there: a true
+factor's value always does, since ``b | a`` in Z[h] implies
 ``b(pt) | a(pt)`` at every integer point.
 
-Arithmetic trial-divides only the denominator factors that can cancel.
-The rules rest on two facts: a primitive linear form is prime in Z[h],
-and no factor of a stored value divides its numerator.  They apply when
-every factor of the operands is linear:
-
-* ``a * b``: a factor of one operand alone can cancel only against the
-  other operand's numerator, which is divided before the product is
-  formed; a factor both share divides neither numerator, so it cannot
-  divide their product.
-* ``a + b``: over the common denominator, a factor whose multiplicities
-  differ in a and b divides exactly one of the two summands, so it
-  cannot divide the sum; only factors of equal multiplicity are tried.
-* ``inverse``: the new factors come from the old numerator, and none of
-  them can divide the old denominator, a product of linear forms that
-  do not divide that numerator.
-
-A non-linear factor is an unsplit cofactor and may be composite, so when
-an operand of these three carries one, every factor is tried against
-the full numerator.  ``shift``, ``permute`` and ``negate_h`` are ring
-automorphisms: sigma(f) divides sigma(num) only if f divides num, so they
-try no factor at all, whatever its degree; they only re-canonicalize the
-factor keys and the content.
+``shift``, ``permute`` and ``negate_h`` are ring automorphisms that map
+the family onto itself: sigma(f) divides sigma(num) only if f divides
+num, so they try no factor at all; they map each factor key, fold sign
+changes into the content and map the cofactor.
 
 The ring also carries the three automorphism families used everywhere:
 integer shifts of the variables, the shifted Weyl (permutation) action
@@ -54,7 +74,7 @@ from __future__ import annotations
 import operator
 import os
 from fractions import Fraction
-from math import gcd
+from math import comb, gcd
 
 from . import kernel as K
 from .errors import CoefficientError, ParseError, ResourceLimitError
@@ -68,11 +88,16 @@ def set_term_limit(limit):
     _MAX_TERMS = int(limit)
 
 
-def _guard(poly):
-    if _MAX_TERMS and len(poly) > _MAX_TERMS:
-        raise ResourceLimitError(
-            f"polynomial exceeds HDEFORM_MAX_TERMS={_MAX_TERMS} ({len(poly)} terms)")
-    return poly
+def _guard(f):
+    """Check the expanded numerator's term count; expands only when a
+    limit is set."""
+    if _MAX_TERMS:
+        size = len(f.num)
+        if size > _MAX_TERMS:
+            raise ResourceLimitError(
+                f"polynomial exceeds HDEFORM_MAX_TERMS={_MAX_TERMS} "
+                f"({size} terms)")
+    return f
 
 
 # ---------------------------------------------------------------------------
@@ -87,154 +112,349 @@ def eps(n, i):
 
 
 # ---------------------------------------------------------------------------
-# factored denominators
+# factors
 # ---------------------------------------------------------------------------
 
 _fac_key = K.fac_key
+_ONES = {}
 
 
-def _fac_poly(key):
-    return dict(key)
+def _one(n):
+    """The cofactor 1 of rank n: one dict per rank, shared by every value
+    (no polynomial is ever changed in place)."""
+    one = _ONES.get(n)
+    if one is None:
+        one = _ONES[n] = {(0,) * n: 1}
+    return one
 
 
-def _linear_family_factors(n, poly):
-    """Split off factors ``h_i - h_j + k`` / ``h_i + k`` by trial division.
+def _is_one(poly):
+    # a stored cofactor is primitive with positive lead: constant means 1
+    return len(poly) == 1 and not any(next(iter(poly)))
 
-    Returns (remaining cofactor, list of (factor_key, multiplicity)).
-    Only integer offsets within a window derived from the polynomial are
-    probed; every denominator the formulas of this package generate is
-    fully split by this.  The remainder is evaluated at ``K.PROBE_POINTS``
-    once; a candidate's value there is ``pt[i] - pt[j] + k``, and only
-    a candidate whose nonzero values all divide the remainder's values is
-    divided.  After a division the values are divided by the candidate's,
-    and only a point where the candidate vanishes is evaluated again.
-    """
-    deg = K.p_degree(poly)
-    window = max(8, 2 * n + deg + 2)
-    found = {}
-    rem = poly
-    candidates = []
-    for i in range(n):
-        for k in range(-window, window + 1):
-            candidates.append((i, -1, k))          # h_i + k
-        for j in range(n):
-            if j == i:
-                continue
-            for k in range(-window, window + 1):
-                if i < j:
-                    candidates.append((i, j, k))   # h_i - h_j + k
-    points = K.PROBE_POINTS if n <= len(K.PROBE_POINTS[0]) else ()
-    values = [K.p_eval(rem, pt) for pt in points]
-    for (i, j, k) in candidates:
-        if K.p_is_const(rem):
-            break
-        fvals = [pt[i] - pt[j] + k if j >= 0 else pt[i] + k for pt in points]
-        while all(v == 0 or val % v == 0 for v, val in zip(fvals, values)):
-            fac = {tuple(1 if t == i else 0 for t in range(n)): 1}
-            if j >= 0:
-                fac[tuple(1 if t == j else 0 for t in range(n))] = -1
-            if k:
-                fac[(0,) * n] = k
-            q = K.p_divexact(rem, fac)
-            if q is None:
-                break
-            key = _fac_key(fac)
-            found[key] = found.get(key, 0) + 1
-            rem = q
-            values = [val // v if v else K.p_eval(rem, pt)
-                      for v, val, pt in zip(fvals, values, points)]
-    return rem, sorted(found.items())
+
+def _is_linear(key):
+    return sum(key[0][0]) == 1
 
 
 def _all_linear(keys):
     """True when every factor key is a linear form (the cancellation
     rules of the module docstring hold)."""
-    return all(sum(key[0][0]) == 1 for key in keys)
+    return all(map(_is_linear, keys))
+
+
+def _is_family(key):
+    """True for the key of h_i + k or h_i - h_j + k (i < j)."""
+    return _is_linear(key) and [c for e, c in key if any(e)] in ([1], [1, -1])
+
+
+def _family_form(n, i, j, k):
+    """h_i - h_j + k, or h_i + k when j is None (0-based indices)."""
+    fac = {tuple(1 if t == i else 0 for t in range(n)): 1}
+    if j is not None:
+        fac[tuple(1 if t == j else 0 for t in range(n))] = -1
+    if k:
+        fac[(0,) * n] = k
+    return fac
+
+
+def _positive(poly):
+    """(sign, poly with positive grlex-leading coefficient)."""
+    if K.p_lead(poly)[1] > 0:
+        return 1, poly
+    return -1, K.p_neg(poly)
+
+
+def _minus(facs, other):
+    """The multiset facs - other, as (key, multiplicity) pairs."""
+    for key, m in facs.items():
+        m -= other.get(key, 0)
+        if m > 0:
+            yield key, m
+
+
+def _expand(c, cof, facs):
+    """c * cof * the product of the (key, multiplicity) pairs facs."""
+    poly = cof if c == 1 else {e: c * v for e, v in cof.items()}
+    for key, m in facs:
+        form = dict(key)
+        for _ in range(m):
+            poly = K.p_mul(poly, form)
+    return poly
+
+
+# ---------------------------------------------------------------------------
+# the factor search
+# ---------------------------------------------------------------------------
+
+def _add_variable(poly, i, j):
+    """Substitute h_i -> h_i + h_j (0-based), which maps the factor
+    h_i - h_j + k to h_i + k."""
+    res = {}
+    for exp, c in poly.items():
+        e = exp[i]
+        for t in range(e + 1):
+            ne = list(exp)
+            ne[i] = t
+            ne[j] += e - t
+            ne = tuple(ne)
+            s = res.get(ne, 0) + c * comb(e, t)
+            if s:
+                res[ne] = s
+            else:
+                del res[ne]
+    return res
+
+
+def _horner(a, x):
+    v = 0
+    for c in reversed(a):
+        v = v * x + c
+    return v
+
+
+def _root_brackets(a, lo, hi):
+    """Integers t in [lo, hi) such that every real root in [lo, hi] of
+    sum a[k] x^k (degree >= 1) lies in one of the intervals [t, t + 1].
+
+    Between the brackets of the derivative's roots the polynomial is
+    strictly monotonic, so each such piece holds at most one root, found
+    by bisection; the derivative's brackets are kept too, since a
+    multiple root lies in one of them.
+    """
+    if len(a) == 2:
+        t = -a[0] // a[1]                   # the floor of the root
+        return [min(t, hi - 1)] if lo <= t <= hi else []
+    crit = _root_brackets([k * c for k, c in enumerate(a)][1:], lo, hi)
+    out = set(crit)
+    points = sorted({lo, hi, *crit, *(t + 1 for t in crit)})
+    for x0, x1 in zip(points, points[1:]):
+        v0, v1 = _horner(a, x0), _horner(a, x1)
+        if v0 == 0:
+            out.add(x0)
+        if v1 == 0:
+            out.add(x1 - 1)
+        if v0 and v1 and (v0 < 0) != (v1 < 0):
+            while x1 - x0 > 1:
+                mid = (x0 + x1) // 2
+                vm = _horner(a, mid)
+                if vm == 0:
+                    x0, x1 = mid, mid + 1
+                elif (vm < 0) == (v0 < 0):
+                    x0 = mid
+                else:
+                    x1 = mid
+            out.add(x0)
+    return sorted(out)
+
+
+def _integer_roots(poly, i):
+    """Integer candidates r for a factor h_i - r of poly.
+
+    Grouped by the exponents of the other variables, poly is a sum of
+    univariate slices in h_i, and h_i - r divides poly only if r is a
+    root of every slice.  The candidates are the integer roots of the
+    slice of least degree: 0 when h_i divides it, and the integers at
+    the ends of the root brackets of its quotient by the power of h_i,
+    within Cauchy's bound 1 + max |a_k / a_d|, at which it vanishes.
+    The bisection makes the cost logarithmic in the offsets.
+    """
+    slices = {}
+    for exp, c in poly.items():
+        rest = exp[:i] + exp[i + 1:]
+        slices.setdefault(rest, {})[exp[i]] = c
+    best = None
+    for sl in slices.values():
+        lo, hi = min(sl), max(sl)
+        if hi == 0:
+            return []                       # a slice free of h_i
+        if best is None or hi - lo < best[1] - best[0]:
+            best = (lo, hi, sl)
+    lo, hi, sl = best
+    roots = [0] if lo > 0 else []
+    a = [sl.get(e, 0) for e in range(lo, hi + 1)]   # a[0] != 0 != a[-1]
+    if len(a) > 1:
+        bound = 1 - (-max(map(abs, a[:-1])) // abs(a[-1]))
+        roots += sorted({x for t in _root_brackets(a, -bound, bound)
+                         for x in (t, t + 1) if _horner(a, x) == 0})
+    return roots
+
+
+def _linear_family_factors(n, poly):
+    """Split off every factor ``h_i + k`` / ``h_i - h_j + k``, k any integer.
+
+    Returns (remaining cofactor, sorted list of (factor_key, multiplicity)).
+    For each variable h_i, and for each pair i < j after substituting
+    h_i -> h_i + h_j, the candidates are the integer roots found by
+    :func:`_integer_roots`; each is confirmed by exact division, repeated
+    for its multiplicity.  No candidate is missed, so the remaining
+    cofactor has no factor of the family.
+    """
+    found = {}
+    rem = poly
+    for i in range(n):
+        for j in [None] + list(range(i + 1, n)):
+            if K.p_is_const(rem):
+                return rem, sorted(found.items())
+            if j is None:
+                probe = rem
+            elif any(e[i] for e in rem) and any(e[j] for e in rem):
+                probe = _add_variable(rem, i, j)
+            else:
+                continue
+            for r in _integer_roots(probe, i):
+                fac = _family_form(n, i, j, -r)
+                q = K.p_divexact(rem, fac)
+                while q is not None:
+                    key = _fac_key(fac)
+                    found[key] = found.get(key, 0) + 1
+                    rem = q
+                    q = K.p_divexact(rem, fac)
+    return rem, sorted(found.items())
 
 
 def _split_denominator(n, den):
     """Split a nonzero denominator polynomial into (dint, factor list):
-    its content and sign go to dint, its linear factors are split off,
-    and a non-constant cofactor is kept as one more factor."""
+    its content and sign go to dint, its factors of the family are split
+    off, and a non-constant cofactor is kept as one more factor."""
     c, sign, prim = K.p_primitive_sign(den)
     rem, facs = _linear_family_factors(n, prim)
-    dint = c * sign
     if not K.p_is_const(rem):
         facs = facs + [(_fac_key(rem), 1)]
-    else:
-        dint *= rem.get((0,) * n, 1) if rem else 1
-    return dint, facs
+    return c * sign, facs
+
+
+def _cancel_linear(nfac, cof, dfac, keys):
+    """Cancel the linear factors ``keys`` of the denominator multiset
+    dfac against a numerator nfac * cof, each as often as it divides and
+    at most its multiplicity.  nfac is lowered in place; returns the
+    cofactor and the lowered dfac."""
+    tried = []
+    for key in keys:
+        if not _is_linear(key):
+            continue
+        m, c = dfac[key], nfac.get(key, 0)
+        if c:
+            t = min(m, c)
+            if c > t:
+                nfac[key] = c - t
+            else:
+                del nfac[key]
+            m -= t
+            if m:
+                dfac[key] = m
+            else:
+                del dfac[key]
+        if m:
+            tried.append(key)
+    if tried and not _is_one(cof):
+        cof, dfac = K.p_cancel(cof, dfac, tried)
+    return cof, dfac
 
 
 class RatFun:
     """Immutable exact rational function over the h-variables."""
 
-    __slots__ = ("n", "num", "dint", "dfac")
+    __slots__ = ("n", "content", "nfac", "cof", "dint", "dfac")
 
-    def __init__(self, n, num, dint=1, dfac=()):
+    def __init__(self, n, content, nfac, cof, dint, dfac):
         self.n = n
-        self.num = num
+        self.content = content
+        self.nfac = nfac
+        self.cof = cof
         self.dint = dint
         self.dfac = dfac
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def _build(cls, n, num, dint, dfac_items, trial=None):
-        """Normalize (num, dint, factor multiset) into the stored form,
-        trial-dividing the factors named in trial (None: every factor)."""
-        if not num:
-            return cls(n, {}, 1, ())
-        if dint == 0:
-            raise CoefficientError("zero denominator")
-        num, dint, dfac = K.p_fraction_normalize(num, dint, dfac_items, trial)
-        _guard(num)
-        return cls(n, num, dint, dfac)
+    def _new(cls, n, content, nfac, cof, dint, dfac):
+        """The stored form of content * nfac * cof / (dint * dfac), given
+        the multisets as dicts and cof primitive with positive lead: a
+        cofactor of the family moves into the multiset and the content's
+        common divisor with dint cancels."""
+        if not content:
+            return cls.zero(n)
+        if len(cof) <= 3 and max(sum(e) for e in cof) == 1:
+            key = _fac_key(cof)
+            if _is_family(key):
+                nfac[key] = nfac.get(key, 0) + 1
+                cof = _one(n)
+        g = gcd(content, dint)
+        if g > 1:
+            content //= g
+            dint //= g
+        return _guard(cls(n, content, tuple(sorted(nfac.items())), cof, dint,
+                          tuple(sorted(dfac.items()))))
 
     @classmethod
     def zero(cls, n):
-        return cls(n, {}, 1, ())
+        return cls(n, 0, (), _one(n), 1, ())
 
     @classmethod
     def const(cls, n, value):
         if isinstance(value, Fraction):
-            return cls._build(n, K.p_const(n, value.numerator), value.denominator, ())
-        return cls(n, K.p_const(n, int(value)), 1, ())
+            return cls._new(n, value.numerator, {}, _one(n),
+                            value.denominator, {})
+        value = int(value)
+        if not value:
+            return cls.zero(n)
+        return cls(n, value, (), _one(n), 1, ())
 
     @classmethod
     def var(cls, n, i):
         """h_i (1-based)."""
         if not 1 <= i <= n:
             raise CoefficientError(f"variable index {i} out of range 1..{n}")
-        return cls(n, K.p_var(n, i - 1), 1, ())
+        key = _fac_key(_family_form(n, i - 1, None, 0))
+        return cls(n, 1, ((key, 1),), _one(n), 1, ())
 
     @classmethod
     def from_poly(cls, n, num, den=None):
-        """Build num/den from raw integer polynomials."""
-        if den is None or den == K.p_const(n, 1):
-            return cls._build(n, num, 1, ())
-        if not den:
+        """Build num/den from raw integer polynomials; every denominator
+        factor is tried against num."""
+        if den is not None and not den:
             raise CoefficientError("zero denominator")
-        return cls._build(n, num, *_split_denominator(n, den))
+        if not num:
+            return cls.zero(n)
+        c, sign, cof = K.p_primitive_sign(num)
+        content, dint, facs = c * sign, 1, {}
+        if den is not None and den != K.p_const(n, 1):
+            dint, items = _split_denominator(n, den)
+            facs = dict(items)
+            if dint < 0:
+                content, dint = -content, -dint
+            cof, facs = K.p_cancel(cof, facs, facs)
+        return cls._new(n, content, {}, cof, dint, facs)
 
     # -- predicates ---------------------------------------------------------
 
     @property
     def is_zero(self):
-        return not self.num
+        return not self.content
 
     @property
     def is_one(self):
-        return (self.dint == 1 and not self.dfac
-                and self.num == K.p_const(self.n, 1))
+        return (self.content == 1 and self.dint == 1 and not self.nfac
+                and not self.dfac and _is_one(self.cof))
+
+    @property
+    def num(self):
+        """The expanded numerator polynomial, built on each access."""
+        if not self.content:
+            return {}
+        poly = _expand(self.content, self.cof, self.nfac)
+        return dict(poly) if poly is self.cof else poly
 
     def is_unit_in_localization(self):
         """True when both numerator and denominator are (up to a rational
-        constant) products of the inverted linear forms."""
+        constant) products of the inverted linear forms: the numerator's
+        cofactor splits into factors of the family."""
         if self.is_zero:
             return False
-        _, _, prim = K.p_primitive_sign(self.num)
-        rem, _ = _linear_family_factors(self.n, prim)
+        if _is_one(self.cof):
+            return True
+        rem, _ = _linear_family_factors(self.n, self.cof)
         return K.p_is_const(rem)
 
     # -- arithmetic ---------------------------------------------------------
@@ -251,12 +471,7 @@ class RatFun:
         return other
 
     def _den_poly(self):
-        den = K.p_const(self.n, self.dint)
-        for key, m in self.dfac:
-            poly = _fac_poly(key)
-            for _ in range(m):
-                den = K.p_mul(den, poly)
-        return den
+        return _expand(1, K.p_const(self.n, self.dint), self.dfac)
 
     def __add__(self, other):
         other = self._check(other)
@@ -267,33 +482,35 @@ class RatFun:
         if other.is_zero:
             return self
         g = gcd(self.dint, other.dint)
-        la, lb = other.dint // g, self.dint // g
-        ka = K.p_const(self.n, la)
-        kb = K.p_const(self.n, lb)
-        fa = dict(self.dfac)
-        fb = dict(other.dfac)
-        allf = {}
-        for key in set(fa) | set(fb):
-            allf[key] = max(fa.get(key, 0), fb.get(key, 0))
-        for key, m in allf.items():
-            poly = _fac_poly(key)
-            for _ in range(m - fa.get(key, 0)):
-                ka = K.p_mul(ka, poly)
-            for _ in range(m - fb.get(key, 0)):
-                kb = K.p_mul(kb, poly)
-        num = K.p_add(K.p_mul(self.num, ka), K.p_mul(other.num, kb))
-        trial = None
-        if _all_linear(allf):
-            trial = [key for key in allf if fa.get(key) == fb.get(key)]
-        return RatFun._build(self.n, num, self.dint * la, sorted(allf.items()),
-                             trial)
+        ka, kb = other.dint // g, self.dint // g
+        fa, fb = dict(self.dfac), dict(other.dfac)
+        facs = {key: max(fa.get(key, 0), fb.get(key, 0))
+                for key in fa.keys() | fb.keys()}
+        la, lb = dict(self.nfac), dict(other.nfac)
+        common = {key: min(m, lb[key]) for key, m in la.items() if key in lb}
+        bracket = K.p_add(
+            _expand(ka * self.content, self.cof,
+                    [*_minus(la, common), *_minus(facs, fa)]),
+            _expand(kb * other.content, other.cof,
+                    [*_minus(lb, common), *_minus(facs, fb)]))
+        if not bracket:
+            return RatFun.zero(self.n)
+        c, sign, cof = K.p_primitive_sign(bracket)
+        trial = list(facs)
+        if _all_linear(facs):
+            trial = [key for key in facs if fa.get(key) == fb.get(key)]
+        if trial and not _is_one(cof):
+            cof, facs = K.p_cancel(cof, facs, trial)
+        return RatFun._new(self.n, c * sign, common, cof, self.dint * ka,
+                           facs)
 
     __radd__ = __add__
 
     def __neg__(self):
         if self.is_zero:
             return self
-        return RatFun(self.n, K.p_neg(self.num), self.dint, self.dfac)
+        return RatFun(self.n, -self.content, self.nfac, self.cof, self.dint,
+                      self.dfac)
 
     def __sub__(self, other):
         other = self._check(other)
@@ -310,27 +527,40 @@ class RatFun:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return RatFun.zero(self.n)
-        fa = dict(self.dfac)
-        fb = dict(other.dfac)
-        na, nb, trial = self.num, other.num, None
-        if _all_linear(fa) and _all_linear(fb):
-            only_a, only_b = fa.keys() - fb.keys(), fb.keys() - fa.keys()
-            na, fb = K.p_cancel(na, fb, only_b)
-            nb, fa = K.p_cancel(nb, fa, only_a)
-            trial = ()
+        fa, fb = dict(self.dfac), dict(other.dfac)
+        la, lb = dict(self.nfac), dict(other.nfac)
+        only_a, only_b = fa.keys() - fb.keys(), fb.keys() - fa.keys()
+        ca, fb = _cancel_linear(la, self.cof, fb, only_b)
+        cb, fa = _cancel_linear(lb, other.cof, fa, only_a)
         for key, m in fb.items():
             fa[key] = fa.get(key, 0) + m
-        return RatFun._build(self.n, K.p_mul(na, nb), self.dint * other.dint,
-                             sorted(fa.items()), trial)
+        for key, m in lb.items():
+            la[key] = la.get(key, 0) + m
+        cof = ca if _is_one(cb) else cb if _is_one(ca) else K.p_mul(ca, cb)
+        if not _all_linear(fa) and not _is_one(cof):
+            cof, fa = K.p_cancel(
+                cof, fa, [key for key in fa if not _is_linear(key)])
+        return RatFun._new(self.n, self.content * other.content, la, cof,
+                           self.dint * other.dint, fa)
 
     __rmul__ = __mul__
 
     def inverse(self):
         if self.is_zero:
             raise CoefficientError("division by zero coefficient")
-        trial = () if _all_linear(key for key, _ in self.dfac) else None
-        return RatFun._build(self.n, self._den_poly(),
-                             *_split_denominator(self.n, self.num), trial)
+        n = self.n
+        nfac = {key: m for key, m in self.dfac if _is_family(key)}
+        cof = _expand(1, _one(n), [(key, m) for key, m in self.dfac
+                                   if key not in nfac])
+        dfac = dict(self.nfac)
+        if not _is_one(self.cof):
+            for key, m in _split_denominator(n, self.cof)[1]:
+                dfac[key] = dfac.get(key, 0) + m
+        if not _all_linear(key for key, _ in self.dfac) and not _is_one(cof):
+            cof, dfac = K.p_cancel(cof, dfac, dfac)
+        sign = 1 if self.content > 0 else -1
+        return RatFun._new(n, sign * self.dint, nfac, cof, abs(self.content),
+                           dfac)
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -350,16 +580,20 @@ class RatFun:
         return res
 
     def __eq__(self, other):
-        """Value equality.  Equal representations answer at once; a
-        product of linear forms outside the factor window can stay one
-        unsplit factor, so other pairs compare their difference to zero."""
+        """Value equality.  When every denominator factor is linear the
+        stored form is canonical: equal denominators and equal expanded
+        numerators.  A non-linear denominator factor may be composite,
+        so such a pair compares its difference with zero."""
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        if (self.num == other.num and self.dint == other.dint
-                and self.dfac == other.dfac):
-            return True
-        return (self - other).is_zero
+        if not (_all_linear(key for key, _ in self.dfac)
+                and _all_linear(key for key, _ in other.dfac)):
+            return (self - other).is_zero
+        return (self.content == other.content and self.dint == other.dint
+                and self.dfac == other.dfac
+                and ((self.nfac == other.nfac and self.cof == other.cof)
+                     or self.num == other.num))
 
     def __ne__(self, other):
         r = self.__eq__(other)
@@ -367,14 +601,49 @@ class RatFun:
 
     # -- automorphisms ------------------------------------------------------
 
+    def _map(self, linear_key, poly_map):
+        """Apply a ring automorphism that maps the family onto itself:
+        linear_key(key) gives (sign, image key) for a linear factor and
+        poly_map maps any other polynomial."""
+        sign = 1
+
+        def image(facs):
+            nonlocal sign
+            out = []
+            for key, m in facs:
+                if _is_linear(key):
+                    s, key = linear_key(key)
+                else:
+                    s, poly = _positive(poly_map(dict(key)))
+                    key = _fac_key(poly)
+                if s < 0 and m % 2:
+                    sign = -sign
+                out.append((key, m))
+            return tuple(sorted(out))
+
+        nfac, dfac = image(self.nfac), image(self.dfac)
+        cof = self.cof
+        if not _is_one(cof):
+            s, cof = _positive(poly_map(cof))
+            sign *= s
+        return _guard(RatFun(self.n, sign * self.content, nfac, cof,
+                             self.dint, dfac))
+
     def shift(self, alpha):
         """f[alpha]: substitute h_i -> h_i + alpha_i."""
         if self.is_zero or not any(alpha):
             return self
-        num = K.p_shift(self.num, alpha)
-        facs = [(_fac_key(K.p_shift(_fac_poly(key), alpha)), m)
-                for key, m in self.dfac]
-        return RatFun._build(self.n, num, self.dint, facs, ())
+
+        def linear_key(key):
+            # l(h) + k -> l(h) + k + l(alpha)
+            terms = [(e, c) for e, c in key if any(e)]
+            k = sum(c for e, c in key if not any(e))
+            k += sum(c * alpha[e.index(1)] for e, c in terms)
+            if k:
+                terms.append(((0,) * len(alpha), k))
+            return 1, tuple(terms)
+
+        return self._map(linear_key, lambda p: K.p_shift(p, alpha))
 
     def permute(self, perm):
         """Shifted Weyl action: h_k -> h_{perm(k)}; perm is 1-based."""
@@ -383,28 +652,40 @@ class RatFun:
             raise CoefficientError("not a permutation of 1..n")
         if self.is_zero:
             return self
-        num = K.p_permute(self.num, p0)
-        facs = [(_fac_key(K.p_permute(_fac_poly(key), p0)), m)
-                for key, m in self.dfac]
-        return RatFun._build(self.n, num, self.dint, facs, ())
+
+        def poly_map(p):
+            return K.p_permute(p, p0)
+
+        def linear_key(key):
+            s, poly = _positive(poly_map(dict(key)))
+            return s, _fac_key(poly)
+
+        return self._map(linear_key, poly_map)
 
     def negate_h(self):
         """Global sign reversal h_i -> -h_i."""
         if self.is_zero:
             return self
-        num = K.p_negate(self.num)
-        facs = [(_fac_key(K.p_negate(_fac_poly(key))), m)
-                for key, m in self.dfac]
-        return RatFun._build(self.n, num, self.dint, facs, ())
+
+        def linear_key(key):
+            # l(h) + k -> -l(h) + k = -(l(h) - k)
+            return -1, tuple((e, c if any(e) else -c) for e, c in key)
+
+        return self._map(linear_key, K.p_negate)
 
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, point):
         """Exact evaluation at an integer point; Fraction result."""
-        den = K.p_eval(self._den_poly(), point)
+        den = self.dint
+        for key, m in self.dfac:
+            den *= K.p_eval(dict(key), point) ** m
         if den == 0:
             raise CoefficientError("evaluation at a denominator zero")
-        return Fraction(K.p_eval(self.num, point), den)
+        num = self.content * K.p_eval(self.cof, point)
+        for key, m in self.nfac:
+            num *= K.p_eval(dict(key), point) ** m
+        return Fraction(num, den)
 
     # -- printing -----------------------------------------------------------
 
@@ -555,7 +836,7 @@ def _den_str(dint, dfac):
     if dint != 1:
         parts.append(str(dint))
     for key, m in dfac:
-        poly = _fac_poly(key)
+        poly = dict(key)
         if len(poly) == 1:
             base = poly_str(poly)
         else:
@@ -568,14 +849,16 @@ def _den_str(dint, dfac):
 
 
 def serialize(f):
-    """Text form: expanded numerator over a factored denominator
-    (canonical when every linear factor lies in the factor window)."""
+    """Text form: expanded numerator over a factored denominator.  Equal
+    values print the same text when every denominator factor is linear
+    (the stored form is then canonical)."""
     if f.is_zero:
         return "0"
-    num = poly_str(f.num)
+    poly = f.num
+    num = poly_str(poly)
     if f.dint == 1 and not f.dfac:
         return num
-    if len(f.num) > 1:
+    if len(poly) > 1:
         num = f"({num})"
     return f"{num}/{_den_str(f.dint, f.dfac)}"
 

@@ -13,6 +13,5 @@ __all__ = [
     "p_add", "p_sub", "p_neg", "p_mul",
     "p_shift", "p_permute", "p_negate", "p_eval",
     "grlex_key", "p_lead", "p_degree", "p_content",
-    "p_primitive_sign", "p_divexact", "fac_key", "p_fraction_normalize",
-    "p_cancel",
+    "p_primitive_sign", "p_divexact", "fac_key", "p_cancel",
 ]

@@ -10,9 +10,8 @@ point, so a point of ``PROBE_POINTS`` where ``b(pt)`` is nonzero and
 does not divide ``a(pt)`` proves that ``b`` does not divide ``a``.  A
 division that passes runs in heap order: the remainder's monomials sit
 in a heap keyed by grlex, and the leading term is popped instead of
-searched for.  ``p_fraction_normalize`` and ``p_cancel`` probe a
-numerator once for a whole run of trial divisions and carry its values
-through the quotients.
+searched for.  ``p_cancel`` probes a numerator once for a whole run
+of trial divisions and carries its values through the quotients.
 """
 
 from heapq import heapify, heappop, heappush
@@ -225,55 +224,6 @@ def fac_key(poly):
                         reverse=True))
 
 
-def p_fraction_normalize(num, dint, fac_items, trial=None):
-    """Canonicalize the fraction num / (dint * prod of factors).
-
-    fac_items is an iterable of (factor key, multiplicity); factors need
-    not be primitive or sign-normalized.  Returns (num, dint, factors)
-    with dint > 0, factors primitive with positive leading coefficient,
-    distinct and sorted, and the integer content of num coprime to dint.
-
-    Only the factors whose canonical keys ``trial`` names are
-    trial-divided into num (every factor when it is None), each as often
-    as it divides and at most its multiplicity; with ``trial=None`` none
-    of the returned factors divides num.  A caller names fewer only when
-    the others cannot divide num: ``hdeform.coeffs`` names the linear
-    factors that can cancel under its arithmetic, and none after an
-    automorphism or an inverse.  num is evaluated at ``PROBE_POINTS``
-    once, not once per trial: an exact division by f turns each value v
-    into ``v // f(pt)``, and only where ``f(pt) == 0`` is the quotient
-    evaluated again.
-    """
-    if dint < 0:
-        dint = -dint
-        num = p_neg(num)
-    facs = {}
-    for key, m in fac_items:
-        if not m:
-            continue
-        poly = dict(key)
-        c, sign, prim = p_primitive_sign(poly)
-        if p_is_const(prim):
-            dint *= c ** m
-            if sign < 0 and m % 2:
-                num = p_neg(num)
-            continue
-        if c != 1 or sign < 0:
-            dint *= c ** m
-            if sign < 0 and m % 2:
-                num = p_neg(num)
-            key = fac_key(prim)
-        facs[key] = facs.get(key, 0) + m
-    keys = sorted(facs if trial is None else facs.keys() & set(trial))
-    num = _cancel(num, facs, keys)
-    c = p_content(num)
-    g = gcd(c, dint)
-    if g > 1:
-        num = {e: v // g for e, v in num.items()}
-        dint //= g
-    return num, dint, tuple(sorted(facs.items()))
-
-
 def p_cancel(num, facs, keys):
     """Divide num by the factors named in keys, each as often as it
     divides and at most its multiplicity in facs (a dict from primitive
@@ -288,8 +238,10 @@ def p_cancel(num, facs, keys):
 
 def _cancel(num, facs, keys):
     # Trial-divide num by facs[key] for each key in turn, updating facs
-    # in place, with the probe values carried as p_fraction_normalize
-    # describes.  When f(pt) != 0 and f divides num, v // f(pt) is exact.
+    # in place.  num is evaluated at PROBE_POINTS once, not once per
+    # trial: an exact division by f turns each value v into v // f(pt),
+    # exact when f(pt) != 0, and only where f(pt) == 0 is the quotient
+    # evaluated again.
     if not keys:
         return num
     nvars = len(keys[0][0][0])

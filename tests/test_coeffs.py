@@ -298,10 +298,17 @@ def test_from_poly_constructor():
 
 
 def test_unit_detection_in_localization():
+    import hdeform.kernel as K
     assert qminus(3, 2).is_unit_in_localization()
     h1, h2 = hvar(3, 1), hvar(3, 2)
     assert not (h1 * h1 + h2 * h2 + 1).is_unit_in_localization()
     assert not RatFun.zero(3).is_unit_in_localization()
+    # an expanded numerator is split whatever the offsets of its factors
+    far = RatFun.from_poly(3, K.p_mul(
+        K.p_sub(K.p_add(K.p_var(3, 0), K.p_const(3, 400)), K.p_var(3, 2)),
+        K.p_add(K.p_var(3, 1), K.p_const(3, -250))))
+    assert far.is_unit_in_localization()
+    assert not (far + 1).is_unit_in_localization()
 
 
 def _trial_factors(n, poly):
@@ -469,19 +476,125 @@ def test_arithmetic_matches_trial_of_every_factor(a, b, alpha, perm):
 
 
 def test_nonlinear_cofactor_is_tried_against_the_full_numerator():
-    # (h1-h2+40)(h1-h2+41) lies outside the factor window, so it stays one
-    # unsplit (composite) factor; skipping it would leave a wrong dfac
+    # C = P*Q with P, Q irreducible quadratics: no linear factor, so C stays
+    # one composite denominator factor; skipping it would leave a wrong dfac
     import hdeform.kernel as K
-    d = K.p_sub(K.p_var(2, 0), K.p_var(2, 1))
-    f40, f41, f42 = (K.p_add(d, K.p_const(2, k)) for k in (40, 41, 42))
-    cof = K.p_mul(f40, f41)
-    lin = hdiff(2, 1, 2) + 40
-    assert [sum(key[0][0]) for key, _ in RatFun.from_poly(2, f41, cof).dfac] \
-        == [2]
+    h1, h2 = K.p_var(2, 0), K.p_var(2, 1)
+    p = K.p_add(K.p_add(K.p_mul(h1, h1), K.p_mul(h2, h2)), K.p_const(2, 1))
+    q = K.p_add(p, K.p_mul(h2, h2))            # h1^2 + 2*h2^2 + 1
+    cof = K.p_mul(p, q)
+    assert [sum(key[0][0]) for key, _ in RatFun.from_poly(2, q, cof).dfac] \
+        == [4]
     # the cofactor cancels against a product of the operands' numerators
-    assert_same(RatFun.from_poly(2, f41, cof) * lin, one())
-    # 1/C + 1/(h1-h2+40) == (h1-h2+42)/C: the linear factor cancels
-    assert_same(RatFun.from_poly(2, K.p_const(2, 1), cof) + one() / lin,
-                RatFun.from_poly(2, f42, cof))
-    # the inverse of (h1-h2+40)/C keeps only h1-h2+41
-    assert_same(RatFun.from_poly(2, f40, cof).inverse(), lin + 1)
+    assert_same(RatFun.from_poly(2, q, cof) * RatFun.from_poly(2, p), one())
+    # 1/C + 1/P == (Q + 1)/C: P cancels, though only one summand has it
+    assert_same(RatFun.from_poly(2, K.p_const(2, 1), cof)
+                + one() / RatFun.from_poly(2, p),
+                RatFun.from_poly(2, K.p_add(q, K.p_const(2, 1)), cof))
+    # the inverse of P/C keeps only Q
+    assert_same(RatFun.from_poly(2, p, cof).inverse(), RatFun.from_poly(2, q))
+
+
+# -- exact factor search and canonical text ----------------------------------
+
+def test_far_factors_print_the_same_whatever_the_route():
+    texts = ["1/(h1-h2+30)/(h1-h2+31)", "1/((h1-h2+30)*(h1-h2+31))",
+             "1/(h1^2-2*h1*h2+h2^2+61*h1-61*h2+930)"]
+    assert {serialize(parse(2, t)) for t in texts} \
+        == {"1/((h1-h2+30)*(h1-h2+31))"}
+
+
+def _family_poly(n, i, j, k):
+    """h_i - h_j + k, or h_i + k when j is None, primitive with positive
+    lead (0-based indices in either order)."""
+    import hdeform.kernel as K
+    form = K.p_add(K.p_var(n, i), K.p_const(n, k))
+    if j is not None:
+        form = K.p_sub(form, K.p_var(n, j))
+    return K.p_primitive_sign(form)[2]
+
+
+def test_factor_search_finds_every_family_factor():
+    import hdeform.kernel as K
+    from hdeform.coeffs import _linear_family_factors
+    rng = random.Random(41)
+    h = [K.p_var(4, i) for i in range(4)]
+    cofactors = [K.p_const(4, 1),
+                 K.p_add(K.p_add(K.p_mul(h[0], h[0]), K.p_mul(h[1], h[1])),
+                         K.p_const(4, 1)),
+                 K.p_add(K.p_add(K.p_mul(h[0], h[0]), K.p_mul(h[1], h[1])),
+                         h[2])]
+    for _ in range(80):
+        cof = rng.choice(cofactors)
+        poly, want = K.p_const(4, rng.choice([1, 3])), {}
+        for _ in range(rng.randint(1, 6)):
+            i, j = rng.sample(range(4), 2)
+            form = _family_poly(4, i, j if rng.random() < 0.6 else None,
+                                rng.randint(-500, 500))
+            for _ in range(rng.choice([1, 1, 2, 3])):
+                poly = K.p_mul(poly, form)
+                want[K.fac_key(form)] = want.get(K.fac_key(form), 0) + 1
+        prim = K.p_primitive_sign(K.p_mul(poly, cof))[2]
+        assert _linear_family_factors(4, prim) == (cof, sorted(want.items()))
+    # offsets of any size: the root search bisects, it does not sweep
+    far = [_family_poly(2, 0, 1, k) for k in (10**12, 10**12, 10**12 + 1)]
+    far.append(_family_poly(2, 1, None, -10**15))
+    poly = far[0]
+    for form in far[1:]:
+        poly = K.p_mul(poly, form)
+    assert _linear_family_factors(2, poly) == (K.p_const(2, 1), sorted(
+        [(K.fac_key(far[0]), 2), (K.fac_key(far[2]), 1),
+         (K.fac_key(far[3]), 1)]))
+
+
+def _forms(n):
+    return st.tuples(st.integers(1, n), st.integers(0, n),
+                     st.integers(-500, 500))
+
+
+@st.composite
+def _far_fractions(draw):
+    """A rank and the linear forms of a numerator and a denominator, with
+    offsets far past any fixed search window."""
+    n = draw(st.integers(2, 3))
+    num = draw(st.lists(_forms(n), max_size=3))
+    den = draw(st.lists(_forms(n), min_size=1, max_size=4))
+    return n, num, den
+
+
+@settings(max_examples=80, deadline=None)
+@given(_far_fractions(), st.sampled_from([(1, 2, 7), (2, 0, -300)]))
+def test_equal_values_serialize_identically(case, extra):
+    from functools import reduce
+    from hdeform.coeffs import poly_str
+    n, num, den = case
+    num = [_linear(i, j, k, n) for i, j, k in num]
+    den = [_linear(i, j, k, n) for i, j, k in den]
+    unit = RatFun.const(n, 1)
+    top = reduce(RatFun.__mul__, num, unit)
+    bottom = reduce(RatFun.__mul__, den)
+    e = _linear(*extra, n)
+    routes = [reduce(RatFun.__truediv__, den, top),
+              top / bottom,
+              (top * e) / (bottom * e),
+              RatFun.from_poly(n, top.num, bottom.num),
+              parse(n, f"({poly_str(top.num)})/({poly_str(bottom.num)})"),
+              parse(n, "(" + "*".join(f"({g})" for g in [unit] + num)
+                    + ")/(" + "*".join(f"({g})" for g in den) + ")")]
+    assert len({serialize(f) for f in routes}) == 1
+    for f in routes[1:]:
+        assert_same(f, routes[0])
+
+
+def test_equality_of_linear_denominators_needs_no_subtraction(monkeypatch):
+    a = parse(2, "(h1+200)/(h1-h2+30)/(h1-h2+31)")
+    b = parse(2, "(h1+200)/(h1^2-2*h1*h2+h2^2+61*h1-61*h2+930)")
+    c = a + 1
+
+    def no_sub(self, other):
+        raise AssertionError("== subtracted")
+
+    monkeypatch.setattr(RatFun, "__sub__", no_sub)
+    assert a == b
+    assert a != c
+
