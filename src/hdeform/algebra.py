@@ -11,6 +11,12 @@ Concrete algebras supply the generator set, the weight map and the
 exchange (rewrite) rules; :meth:`TermAlgebra.normal_form` repeatedly
 rewrites the leftmost out-of-order adjacent generator pair until every
 word is ordered, merging equal words as it goes.
+
+A rule applied after a prefix of weight w has its coefficients shifted
+by -w.  Each algebra keeps those shifted rules, keyed by the generator
+pair and the prefix weight, together with the rule they came from; an
+entry is reused only while ``pair_rule`` returns that very rule object,
+so replacing a rule takes effect at the next step.
 """
 
 from __future__ import annotations
@@ -161,11 +167,13 @@ class TermAlgebra:
         self.signature = signature or (type(self).__name__, n)
         self._one = RatFun.const(n, 1)
         self._wcache = {}
+        self._shifted = {}   # (g1, g2, prefix weight) -> (rule, shifted)
 
     # subclasses implement:
     #   weight(gen) -> tuple[int, ...]
     #   needs_rewrite(g1, g2) -> bool
-    #   pair_rule(g1, g2) -> list[(RatFun, word-tuple)]
+    #   pair_rule(g1, g2) -> list[(RatFun, word-tuple)], the same list
+    #       object for a pair until its rule is replaced
     #   gen_str(gen) -> str
 
     def weight(self, gen):  # pragma: no cover - abstract
@@ -223,6 +231,7 @@ class TermAlgebra:
     def normal_form(self, el):
         out = {}
         pending = dict(el.terms)
+        shifted = self._shifted
         steps = 0
         while pending:
             word, coeff = pending.popitem()
@@ -242,13 +251,23 @@ class TermAlgebra:
             steps += 1
             if steps > _STEP_LIMIT:
                 raise RewriteLimitError(
-                    f"normal ordering exceeded {_STEP_LIMIT} rewrite steps")
+                    f"normal ordering exceeded {_STEP_LIMIT} rewrite steps: "
+                    f"step {steps} would rewrite "
+                    f"{'*'.join(self.gen_str(g) for g in word)} "
+                    f"(length {len(word)})")
             prefix = word[:pos]
             suffix = word[pos + 2:]
-            cross = tuple(-x for x in self.word_weight(prefix))
-            for rc, repl in self.pair_rule(word[pos], word[pos + 1]):
+            g1, g2 = word[pos], word[pos + 1]
+            rule = self.pair_rule(g1, g2)
+            key = (g1, g2, self.word_weight(prefix))
+            entry = shifted.get(key)
+            if entry is None or entry[0] is not rule:
+                cross = tuple(-x for x in key[2])
+                entry = shifted[key] = (
+                    rule, [(rc.shift(cross), repl) for rc, repl in rule])
+            for rc, repl in entry[1]:
                 nw = prefix + repl + suffix
-                nc = coeff * rc.shift(cross)
+                nc = coeff * rc
                 if nc.is_zero:
                     continue
                 s = pending.get(nw)

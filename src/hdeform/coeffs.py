@@ -59,6 +59,13 @@ kernel's probe points divides the polynomial's value there: a true
 factor's value always does, since ``b | a`` in Z[h] implies
 ``b(pt) | a(pt)`` at every integer point.
 
+Factor keys go through the kernel's factor table: a family form is
+recognized by ``K.fac_family``, expanded into a numerator by
+``K.p_mul_family`` (the product by ``h_i - h_j + k`` is three shifted
+copies of the multiplicand) and divided out inside ``K.p_cancel`` by
+synthetic division in ``h_i``; any other factor keeps ``K.p_mul`` and the
+heap-order division.
+
 ``shift``, ``permute`` and ``negate_h`` are ring automorphisms that map
 the family onto itself: sigma(f) divides sigma(num) only if f divides
 num, so they try no factor at all; they map each factor key, fold sign
@@ -115,7 +122,10 @@ def eps(n, i):
 # factors
 # ---------------------------------------------------------------------------
 
+# key helpers are bound once; the arithmetic goes through ``K.`` so that a
+# wrapper on the kernel module sees every product and division
 _fac_key = K.fac_key
+_fac_family = K.fac_family
 _ONES = {}
 
 
@@ -145,7 +155,7 @@ def _all_linear(keys):
 
 def _is_family(key):
     """True for the key of h_i + k or h_i - h_j + k (i < j)."""
-    return _is_linear(key) and [c for e, c in key if any(e)] in ([1], [1, -1])
+    return _fac_family(key) is not None
 
 
 def _family_form(n, i, j, k):
@@ -177,9 +187,13 @@ def _expand(c, cof, facs):
     """c * cof * the product of the (key, multiplicity) pairs facs."""
     poly = cof if c == 1 else {e: c * v for e, v in cof.items()}
     for key, m in facs:
-        form = dict(key)
-        for _ in range(m):
-            poly = K.p_mul(poly, form)
+        if _is_family(key):
+            for _ in range(m):
+                poly = K.p_mul_family(poly, key)
+        else:
+            form = dict(key)
+            for _ in range(m):
+                poly = K.p_mul(poly, form)
     return poly
 
 

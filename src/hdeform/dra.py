@@ -285,6 +285,7 @@ class ReductionAlgebra(FreeReductionAlgebra):
         self.order = gen_order or normal_order
         self.signature = ("reduction", n, copies, self.order)
         self.same_rules = rule_system(n, self.order)
+        self._relabelled = {}   # (g1, g2) -> (source rule, relabelled rule)
 
     @property
     def cross_rules(self):
@@ -299,13 +300,21 @@ class ReductionAlgebra(FreeReductionAlgebra):
         return self._key(g1) > self._key(g2)
 
     def pair_rule(self, g1, g2):
+        """The rule for g1 g2 relabelled to their copies: one list per
+        pair, built again only when its source rule is replaced."""
         t1, i1, j1 = g1
         t2, i2, j2 = g2
-        if t1 == t2:
-            rule = self.same_rules[((i1, j1), (i2, j2))]
-            return [(c, tuple((t1, i, j) for (i, j) in w)) for c, w in rule]
-        rule = self.cross_rules[((i1, j1), (i2, j2))]
-        return [(c, ((t2,) + lo, (t1,) + hi)) for c, (lo, hi) in rule]
+        rules = self.same_rules if t1 == t2 else self.cross_rules
+        rule = rules[((i1, j1), (i2, j2))]
+        entry = self._relabelled.get((g1, g2))
+        if entry is None or entry[0] is not rule:
+            if t1 == t2:
+                out = [(c, tuple((t1, i, j) for (i, j) in w))
+                       for c, w in rule]
+            else:
+                out = [(c, ((t2,) + lo, (t1,) + hi)) for c, (lo, hi) in rule]
+            entry = self._relabelled[(g1, g2)] = (rule, out)
+        return entry[1]
 
     # -- derived operators ---------------------------------------------------
 

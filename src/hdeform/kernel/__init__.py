@@ -14,4 +14,5 @@ __all__ = [
     "p_shift", "p_permute", "p_negate", "p_eval",
     "grlex_key", "p_lead", "p_degree", "p_content",
     "p_primitive_sign", "p_divexact", "fac_key", "p_cancel",
+    "fac_family", "p_mul_family", "p_div_family",
 ]

@@ -12,8 +12,24 @@ division that passes runs in heap order: the remainder's monomials sit
 in a heap keyed by grlex, and the leading term is popped instead of
 searched for.  ``p_cancel`` probes a numerator once for a whole run
 of trial divisions and carries its values through the quotients.
+
+Factors are named by canonical keys (``fac_key``).  One table, filled on
+first use, maps a key to its polynomial, its values at ``PROBE_POINTS``
+and, when the key is a family form ``h_i - h_j + k`` (i < j) or
+``h_i + k``, the triple ``(i, j, k)`` (j None for ``h_i + k``).  The
+family forms get two fast paths: ``p_mul_family`` adds the two or three
+shifted copies of the multiplicand instead of forming a general product,
+and ``p_div_family`` divides by synthetic division in ``h_i``.  A family
+form is monic in ``h_i``, so grouped by powers of ``h_i`` the dividend's
+coefficients are polynomials in the other variables and each quotient
+coefficient is the next dividend coefficient minus ``(k - h_j)`` times
+the previous one; the division is exact when the last remainder is
+zero.  ``p_cancel`` reads each factor's probe values from the table and
+divides family forms this way; any other factor keeps the heap-order
+division.
 """
 
+from functools import lru_cache
 from heapq import heapify, heappop, heappush
 from math import comb, gcd
 
@@ -224,6 +240,102 @@ def fac_key(poly):
                         reverse=True))
 
 
+@lru_cache(maxsize=None)
+def _factor(key):
+    # the factor table: (polynomial, values at PROBE_POINTS, family triple);
+    # the polynomial is shared by every caller and never changed
+    poly = dict(key)
+    nvars = len(key[0][0])
+    points = PROBE_POINTS if nvars <= len(PROBE_POINTS[0]) else ()
+    return poly, tuple(p_eval(poly, pt) for pt in points), _family(key)
+
+
+def _family(key):
+    # (i, j, k) when key is h_i - h_j + k (i < j) or h_i + k (j None)
+    if sum(key[0][0]) != 1 or key[0][1] != 1:
+        return None
+    i = key[0][0].index(1)
+    j = k = None
+    for e, c in key[1:]:
+        if any(e):
+            if j is not None or c != -1:
+                return None
+            j = e.index(1)
+        else:
+            k = c
+    return i, j, k or 0
+
+
+def fac_family(key):
+    """(i, j, k) when key names h_i - h_j + k (i < j, 0-based) or h_i + k
+    (j None), else None."""
+    return _factor(key)[2]
+
+
+def p_mul_family(a, key):
+    """a times the family form named by key (see fac_family)."""
+    i, j, k = _factor(key)[2]
+    res = {e: k * c for e, c in a.items()} if k else {}
+    for e, c in a.items():
+        ne = e[:i] + (e[i] + 1,) + e[i + 1:]
+        s = res.get(ne, 0) + c
+        if s:
+            res[ne] = s
+        else:
+            del res[ne]
+        if j is not None:
+            ne = e[:j] + (e[j] + 1,) + e[j + 1:]
+            s = res.get(ne, 0) - c
+            if s:
+                res[ne] = s
+            else:
+                del res[ne]
+    return res
+
+
+def p_div_family(a, key):
+    """Exact division of a by the family form named by key, or None when
+    it does not divide a (synthetic division in h_i, see the module
+    docstring)."""
+    return _div_family(a, _factor(key)[2])
+
+
+def _div_family(a, fam):
+    # a = (h_i + r) * sum_t Q_t h_i^t with r = k - h_j, so from the top
+    # Q_{t-1} = A_t - r Q_t, and A_0 - r Q_0 must vanish.  Coefficients
+    # in h_i are kept as dicts over exponents whose i-th entry is 0.
+    if not a:
+        return {}
+    i, j, k = fam
+    slices = {}
+    for e, c in a.items():
+        slices.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+    q = {}
+    cur = {}
+    for t in range(max(slices), -1, -1):
+        nxt = slices.get(t, {})
+        for e, c in cur.items():
+            # nxt -= (k - h_j) * c * e
+            if k:
+                s = nxt.get(e, 0) - k * c
+                if s:
+                    nxt[e] = s
+                else:
+                    del nxt[e]
+            if j is not None:
+                ne = e[:j] + (e[j] + 1,) + e[j + 1:]
+                s = nxt.get(ne, 0) + c
+                if s:
+                    nxt[ne] = s
+                else:
+                    del nxt[ne]
+        if not t:
+            return None if nxt else q
+        for e, c in nxt.items():
+            q[e[:i] + (t - 1,) + e[i + 1:]] = c
+        cur = nxt
+
+
 def p_cancel(num, facs, keys):
     """Divide num by the factors named in keys, each as often as it
     divides and at most its multiplicity in facs (a dict from primitive
@@ -248,11 +360,10 @@ def _cancel(num, facs, keys):
     points = PROBE_POINTS if nvars <= len(PROBE_POINTS[0]) else ()
     values = [p_eval(num, pt) for pt in points]
     for key in keys:
-        poly = dict(key)
-        fvals = [p_eval(poly, pt) for pt in points]
+        poly, fvals, fam = _factor(key)
         m = facs[key]
         while m and not any(f and v % f for v, f in zip(values, fvals)):
-            q = _divide(num, poly)
+            q = _divide(num, poly) if fam is None else _div_family(num, fam)
             if q is None:
                 break
             num = q

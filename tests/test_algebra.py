@@ -17,7 +17,10 @@ def test_rewrite_step_guard_catches_divergence(monkeypatch):
     monkeypatch.setattr(A, "_STEP_LIMIT", 40)
     alg = ReductionAlgebra(2, gen_order=lambda p: p)
     word = alg.gen(2, 1) * alg.gen(2, 2) * alg.gen(1, 2)
-    with pytest.raises(RewriteLimitError):
+    with pytest.raises(RewriteLimitError,
+                       match=r"exceeded 40 rewrite steps: step 41 would "
+                             r"rewrite L\[\d,\d\]\*L\[\d,\d\]\*L\[\d,\d\] "
+                             r"\(length 3\)"):
         alg.normal_form(word)
 
 
@@ -205,3 +208,63 @@ def test_overlap_oracle_matches_full_oracle_on_corrupted_weyl_rule(
     assert rule[-1][1] == ()
     alg._rules[pair] = _doubled(rule, len(rule) - 1)
     assert _oracles_agree(alg) != []
+
+
+# -- the shifted-rule cache of the rewrite engine -----------------------------
+
+def test_replaced_weyl_rule_takes_effect_after_use():
+    # D[1,1] x[1,1] is rewritten after an empty prefix and after x[1,1]
+    pair = (dgen(1), xgen(1))
+    words = [pair, (xgen(1),) + pair, (xgen(2), xgen(1)) + pair]
+    alg = WeylAlgebra(2, 1)
+    before = [alg.normal_form(alg.word_element(w)) for w in words]
+    rule = alg.pair_rule(*pair)
+    alg._rules[pair] = _doubled(rule, len(rule) - 1)
+    fresh = WeylAlgebra(2, 1)
+    fresh._rules[pair] = alg._rules[pair]
+    for w, old in zip(words, before):
+        got = alg.normal_form(alg.word_element(w))
+        assert got == fresh.normal_form(fresh.word_element(w))
+        assert str(got) != str(old)
+
+
+def test_replaced_same_copy_rule_takes_effect_after_use():
+    key = ((1, 1), (2, 1))
+    rules = rule_system(2)
+    words = [(1, 1, 2, 1), (1, 2, 1, 1, 2, 1), (2, 2, 1, 2, 1, 1, 2, 1)]
+
+    def nf(alg, flat):
+        pairs = zip(flat[::2], flat[1::2])
+        return alg.normal_form(alg.word_element(
+            tuple((1, i, j) for i, j in pairs)))
+
+    alg = ReductionAlgebra(2)
+    alg.same_rules = dict(rules)
+    before = [nf(alg, w) for w in words]
+    alg.same_rules[key] = _doubled(rules[key], 0)
+    fresh = ReductionAlgebra(2)
+    fresh.same_rules = dict(alg.same_rules)
+    for w, old in zip(words, before):
+        got = nf(alg, w)
+        assert got == nf(fresh, w)
+        assert str(got) != str(old)
+
+
+def test_one_pair_rule_call_per_rewrite_step(monkeypatch):
+    # 19 calls, as before rules were cached: each rewrite step asks
+    # pair_rule once, cached or not
+    calls = []
+    pair_rule = ReductionAlgebra.pair_rule
+
+    def counted(self, g1, g2):
+        calls.append((g1, g2))
+        return pair_rule(self, g1, g2)
+
+    monkeypatch.setattr(ReductionAlgebra, "pair_rule", counted)
+    alg = ReductionAlgebra(2)
+    word = (alg.gen(2, 2) * alg.gen(1, 2) * alg.gen(2, 1) * alg.gen(1, 1)
+            * alg.gen(1, 2))
+    assert len(alg.normal_form(word).terms) == 11
+    assert (len(calls), len(set(calls))) == (19, 4)
+    # the same list object comes back for a pair each time
+    assert alg.pair_rule(*calls[0]) is alg.pair_rule(*calls[0])

@@ -208,3 +208,116 @@ def test_normalize_carries_probe_values_through_divisions(case):
     assert any(K.p_eval(dict(key), pt) == 0
                for key in facs for pt in K.PROBE_POINTS)
     assert K.p_cancel(num, facs, facs) == (want_num, want)
+
+
+# -- the family-form fast paths -----------------------------------------------
+
+OFFSETS = st.sampled_from([0, 1, -1, 10**12, -10**12]) | st.integers(-60, 60)
+
+
+@st.composite
+def family_and_poly(draw):
+    """A family form h_i + k or h_i - h_j + k (i < j) in 1-5 variables,
+    its (i, j, k), and a polynomial that may be a constant."""
+    nvars = draw(st.integers(min_value=1, max_value=5))
+    i = draw(st.integers(min_value=0, max_value=nvars - 1))
+    j = None
+    if i + 1 < nvars and draw(st.booleans()):
+        j = draw(st.integers(min_value=i + 1, max_value=nvars - 1))
+    k = draw(OFFSETS)
+    terms = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 3)] * nvars),
+                  st.integers(-20, 20) | st.sampled_from([10**12, -10**12])),
+        max_size=6))
+    poly = {e: c for e, c in terms if c}
+    if draw(st.booleans()):
+        poly = K.p_const(nvars, draw(st.integers(-5, 5)))
+    return (i, j, k), linear_form(nvars, i, j, k), poly
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_and_poly())
+def test_family_product_matches_p_mul(case):
+    fam, form, poly = case
+    key = K.fac_key(form)
+    assert K.fac_family(key) == fam
+    assert K.p_mul_family(poly, key) == K.p_mul(poly, form)
+
+
+@settings(max_examples=300, deadline=None)
+@given(family_and_poly(), st.sampled_from(["multiple", "perturbed", "plain"]),
+       st.integers(min_value=1, max_value=9))
+def test_family_division_matches_divide(case, kind, c):
+    _, form, poly = case
+    nvars = len(next(iter(form)))
+    if kind == "multiple":
+        poly = K.p_mul(poly, form)
+    elif kind == "perturbed":
+        # a non-divisor whenever poly * form is not constant
+        poly = K.p_add(K.p_mul(poly, form), K.p_const(nvars, c))
+    key = K.fac_key(form)
+    got = K.p_div_family(poly, key)
+    assert got == K._divide(poly, form)
+    if kind == "perturbed":
+        assert got is None
+
+
+def test_fac_family_rejects_other_linear_forms():
+    for poly in ({(1, 0): 2, (0, 0): 1}, {(1, 0): 1, (0, 1): 1},
+                 {(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 1): -2}):
+        assert K.fac_family(K.fac_key(poly)) is None
+
+
+def reference_cancel(num, facs):
+    """p_cancel's contract by plain heap-order division alone."""
+    want = {}
+    for key in sorted(facs):
+        m = facs[key]
+        while m:
+            q = K._divide(num, dict(key))
+            if q is None:
+                break
+            num, m = q, m - 1
+        if m:
+            want[key] = m
+    return num, want
+
+
+@st.composite
+def numerator_and_mixed_factors(draw):
+    """A numerator built from family and non-family factors, and a
+    multiplicity for each factor key (which may exceed how often it
+    divides)."""
+    nvars = draw(st.integers(min_value=2, max_value=4))
+    others = [{(1,) + (0,) * (nvars - 1): 2, (0,) * nvars: 1},
+              {(1,) + (0,) * (nvars - 1): 1, (0, 1) + (0,) * (nvars - 2): 1,
+               (0,) * nvars: draw(st.integers(-5, 5)) or 1},
+              {(2,) + (0,) * (nvars - 1): 1, (0, 1) + (0,) * (nvars - 2): 1,
+               (0,) * nvars: 1}]
+    forms = []
+    for _ in range(draw(st.integers(min_value=1, max_value=4))):
+        if draw(st.booleans()):
+            forms.append(draw(st.sampled_from(others)))
+        else:
+            i, j = draw(st.permutations(range(nvars)))[:2]
+            form = linear_form(nvars, i, j if draw(st.booleans()) else None,
+                               draw(OFFSETS))
+            forms.append(K.p_primitive_sign(form)[2])
+    terms = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 2)] * nvars), coords),
+        min_size=1, max_size=4))
+    num = {e: c for e, c in terms if c} or K.p_const(nvars, 1)
+    facs = {}
+    for form in forms:
+        key = K.fac_key(form)
+        facs[key] = draw(st.integers(min_value=1, max_value=3))
+        for _ in range(draw(st.integers(min_value=0, max_value=2))):
+            num = K.p_mul(num, form)
+    return num, facs
+
+
+@settings(max_examples=200, deadline=None)
+@given(numerator_and_mixed_factors())
+def test_cancel_matches_plain_division(case):
+    num, facs = case
+    assert K.p_cancel(num, facs, facs) == reference_cancel(num, facs)

@@ -45,6 +45,9 @@ def snapshot():
 
 def test_tracer_installs_on_the_package_and_uninstalls_cleanly():
     tracer_mod = load_tracer()
+    # the rank-1 cofactor is cached on first use; make it before the
+    # snapshot so the test also passes when run alone
+    coeffs.RatFun.const(1, 1)
     before = snapshot()
     tracer = tracer_mod.Tracer()
     try:
@@ -84,6 +87,27 @@ def test_legacy_probes_install_on_the_package_and_uninstall_cleanly():
     finally:
         tracer.uninstall()
     assert_restored(before)
+
+
+def test_tracer_sees_the_family_form_entry_points():
+    # coeffs calls the family product through ``K.``, so the tracer's
+    # kernel wrappers see it
+    tracer_mod = load_tracer()
+    a = coeffs.parse(2, "1/(h1-h2+1)")
+    b = coeffs.parse(2, "h1/((h1-h2)*(h2+3))")
+    before = snapshot()
+    tracer = tracer_mod.Tracer()
+    try:
+        tracer_mod.install(tracer)
+        for name in ("fac_family", "p_mul_family", "p_div_family"):
+            assert hasattr(getattr(kernel, name), "__wrapped__"), name
+        total = a + b
+        assert tracer.stats["kernel.p_mul_family"][0] > 0
+    finally:
+        tracer.uninstall()
+    assert_restored(before)
+    assert total == coeffs.parse(
+        2, "(h1^2-h2^2+4*h1-3*h2)/((h1-h2)*(h1-h2+1)*(h2+3))")
 
 
 def assert_restored(before):
