@@ -8,9 +8,16 @@ its left replaces f by f[w], i.e.  g * f == f[w]... more precisely
     f * g == g * f[w]      and      g * f == f[-w] * g.
 
 Concrete algebras supply the generator set, the weight map and the
-exchange (rewrite) rules; :meth:`TermAlgebra.normal_form` repeatedly
-rewrites the leftmost out-of-order adjacent generator pair until every
-word is ordered, merging equal words as it goes.
+exchange (rewrite) rules; :meth:`TermAlgebra.normal_form` rewrites the
+leftmost out-of-order adjacent generator pair (the leftmost descent) of
+each word until every word is ordered: each word once, in topological
+order.  A depth-first search over the coefficient-free rewrite graph
+from the input words finds every word to rewrite and its successors,
+and rejects a cycle; a pass in reverse post-order then hands each word
+its whole coefficient, summed over every branch that reaches it, before
+the word is rewritten.  This is "reduce the largest monomial first" of
+noncommutative Groebner-basis reduction (T. Mora, Theoret. Comput.
+Sci. 134 (1994) 131-173), with the rewrite graph as the order.
 
 A rule applied after a prefix of weight w has its coefficients shifted
 by -w.  Each algebra keeps those shifted rules, keyed by the generator
@@ -25,7 +32,7 @@ import itertools
 import os
 
 from . import coeffs
-from .coeffs import RatFun, serialize
+from .coeffs import RatFun, qminus, serialize
 from .errors import ResourceLimitError, RewriteLimitError
 from .report import failure
 
@@ -229,32 +236,54 @@ class TermAlgebra:
     # -- rewriting ------------------------------------------------------------------
 
     def normal_form(self, el):
-        out = {}
-        pending = dict(el.terms)
-        shifted = self._shifted
-        steps = 0
-        while pending:
-            word, coeff = pending.popitem()
-            pos = -1
-            for p in range(len(word) - 1):
-                if self.needs_rewrite(word[p], word[p + 1]):
-                    pos = p
-                    break
-            if pos < 0:
-                s = out.get(word)
-                s = coeff if s is None else s + coeff
-                if s.is_zero:
-                    out.pop(word, None)
-                else:
-                    out[word] = s
+        """The normal form of el: the rewritten words in topological
+        order, each receiving its whole coefficient before its one
+        rewrite."""
+        acc = dict(el.terms)
+        for word, edges in self.rewrite_order(el.terms, _STEP_LIMIT):
+            coeff = acc.pop(word, None)
+            if coeff is None:
                 continue
-            steps += 1
-            if steps > _STEP_LIMIT:
+            for rc, nw in edges:
+                nc = coeff * rc
+                s = acc.get(nw)
+                s = nc if s is None else s + nc
+                if s.is_zero:
+                    acc.pop(nw, None)
+                else:
+                    acc[nw] = s
+        return Element(self, acc)
+
+    def rewrite_order(self, words, limit=None):
+        """Search the coefficient-free rewrite graph from words.
+
+        Returns the words that need a rewrite, each with its edges (the
+        shifted coefficient and the word of every term its leftmost
+        descent rewrites to), in topological order: a word comes before
+        every word it rewrites to.  Each word's descent and shifted rule
+        are found once.  Raises :class:`RewriteLimitError` naming a word
+        on a cycle, or the word whose rewrite would exceed limit
+        rewritten words (None: no bound).
+        """
+        shifted = self._shifted
+        needs_rewrite = self.needs_rewrite
+        edges = {}      # word -> its edges; None for an ordered word
+        grey = set()    # the words on the search path
+        post = []       # the finished words, each after its successors
+
+        def expand(word):
+            for pos in range(len(word) - 1):
+                if needs_rewrite(word[pos], word[pos + 1]):
+                    break
+            else:
+                edges[word] = None
+                return None
+            steps = len(grey) + len(post)
+            if limit is not None and steps >= limit:
                 raise RewriteLimitError(
-                    f"normal ordering exceeded {_STEP_LIMIT} rewrite steps: "
-                    f"step {steps} would rewrite "
-                    f"{'*'.join(self.gen_str(g) for g in word)} "
-                    f"(length {len(word)})")
+                    f"normal ordering exceeded {limit} rewrite steps: "
+                    f"step {steps + 1} would rewrite "
+                    f"{self.word_str(word)} (length {len(word)})", word)
             prefix = word[:pos]
             suffix = word[pos + 2:]
             g1, g2 = word[pos], word[pos + 1]
@@ -265,18 +294,38 @@ class TermAlgebra:
                 cross = tuple(-x for x in key[2])
                 entry = shifted[key] = (
                     rule, [(rc.shift(cross), repl) for rc, repl in rule])
-            for rc, repl in entry[1]:
-                nw = prefix + repl + suffix
-                nc = coeff * rc
-                if nc.is_zero:
-                    continue
-                s = pending.get(nw)
-                s = nc if s is None else s + nc
-                if s.is_zero:
-                    pending.pop(nw, None)
+            out = edges[word] = [(rc, prefix + repl + suffix)
+                                 for rc, repl in entry[1]]
+            grey.add(word)
+            return out
+
+        for start in words:
+            if start in edges:
+                continue
+            out = expand(start)
+            stack = [(start, iter(out))] if out is not None else []
+            while stack:
+                word, it = stack[-1]
+                for _, nxt in it:
+                    if nxt in grey:
+                        raise RewriteLimitError(
+                            f"normal ordering cycles: {self.word_str(nxt)} "
+                            f"(length {len(nxt)}) rewrites back to itself",
+                            nxt)
+                    if nxt not in edges:
+                        out = expand(nxt)
+                        if out is not None:
+                            stack.append((nxt, iter(out)))
+                            break
                 else:
-                    pending[nw] = s
-        return Element(self, out)
+                    stack.pop()
+                    grey.discard(word)
+                    post.append((word, edges[word]))
+        post.reverse()
+        return post
+
+    def word_str(self, word):
+        return "*".join(self.gen_str(g) for g in word)
 
     # -- printing ---------------------------------------------------------------------
 
@@ -286,7 +335,7 @@ class TermAlgebra:
         parts = []
         for word in sorted(el.terms):
             c = el.terms[word]
-            wstr = "*".join(self.gen_str(g) for g in word)
+            wstr = self.word_str(word)
             if not word:
                 parts.append(serialize(c))
             elif c.is_one:
@@ -328,6 +377,33 @@ def mat_mul(alg, a, b, n):
             acc = out.get(key)
             out[key] = prod if acc is None else acc + prod
     return {k: v for k, v in out.items() if not v.is_zero}
+
+
+def mat_power(alg, mat, power):
+    """Entrywise normal-ordered power (power >= 0) of an n x n matrix
+    mat: (i, j) -> Element of alg, with n the rank of alg."""
+    idx = range(1, alg.n + 1)
+    out = {(i, j): (alg.one() if i == j else alg.zero())
+           for i in idx for j in idx}
+    for _ in range(power):
+        nxt = {}
+        for i in idx:
+            for j in idx:
+                acc = alg.zero()
+                for k in idx:
+                    acc = acc + mat[(i, k)] * out[(k, j)]
+                nxt[(i, j)] = alg.normal_form(acc)
+        out = nxt
+    return out
+
+
+def quantum_trace(alg, mat):
+    """Tr(A Q^-): the weighted trace of an n x n matrix of alg's
+    elements, normal ordered; central when A is a power of L."""
+    acc = alg.zero()
+    for i in range(1, alg.n + 1):
+        acc = acc + mat[(i, i)].times_coeff_right(qminus(alg.n, i))
+    return alg.normal_form(acc)
 
 
 def mat_add(a, b):

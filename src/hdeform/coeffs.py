@@ -453,6 +453,12 @@ class RatFun:
                 and not self.dfac and _is_one(self.cof))
 
     @property
+    def _is_unit(self):
+        """True for +1 and -1."""
+        return (self.content in (1, -1) and self.dint == 1 and not self.nfac
+                and not self.dfac and _is_one(self.cof))
+
+    @property
     def num(self):
         """The expanded numerator polynomial, built on each access."""
         if not self.content:
@@ -541,6 +547,11 @@ class RatFun:
             return NotImplemented
         if self.is_zero or other.is_zero:
             return RatFun.zero(self.n)
+        # rule coefficients are mostly +-1: no arithmetic for a unit
+        if other._is_unit:
+            return self if other.content == 1 else -self
+        if self._is_unit:
+            return other if self.content == 1 else -other
         fa, fb = dict(self.dfac), dict(other.dfac)
         la, lb = dict(self.nfac), dict(other.nfac)
         only_a, only_b = fa.keys() - fb.keys(), fb.keys() - fa.keys()

@@ -22,10 +22,11 @@ import itertools
 
 from .algebra import (Element, TermAlgebra, associativity_failures,
                       braided_cross_residual, mat_add, mat_first_leg,
-                      mat_from_tensor, mat_mul, mat_sub, overlap_triples,
-                      reflection_residual, residual_failures, substitute)
-from .coeffs import RatFun, eps, hdiff, phi, phi_segment, qminus, serialize
-from .errors import RelationExtractionError
+                      mat_from_tensor, mat_mul, mat_power, mat_sub,
+                      overlap_triples, quantum_trace, reflection_residual,
+                      residual_failures, substitute)
+from .coeffs import RatFun, eps, hdiff, phi, phi_segment, serialize
+from .errors import RelationExtractionError, RewriteLimitError
 from .report import failure, select_units
 from .rmatrix import hmat, rhat
 
@@ -329,28 +330,13 @@ class ReductionAlgebra(FreeReductionAlgebra):
                 out[(i, j)] = el
         return out
 
+    # perfbench/tracer.py times these two names; the work is in the
+    # module functions of hdeform.algebra, over any TermAlgebra
     def mat_power(self, mat, power):
-        """Entrywise normal-ordered matrix power (power >= 0)."""
-        n = self.n
-        out = {(i, j): (self.one() if i == j else self.zero())
-               for i in range(1, n + 1) for j in range(1, n + 1)}
-        for _ in range(power):
-            nxt = {}
-            for i in range(1, n + 1):
-                for j in range(1, n + 1):
-                    acc = self.zero()
-                    for k in range(1, n + 1):
-                        acc = acc + mat[(i, k)] * out[(k, j)]
-                    nxt[(i, j)] = self.normal_form(acc)
-            out = nxt
-        return out
+        return mat_power(self, mat, power)
 
     def quantum_trace(self, mat_pow):
-        """Tr(A Q^-): weighted trace producing central elements."""
-        acc = self.zero()
-        for i in range(1, self.n + 1):
-            acc = acc + mat_pow[(i, i)].times_coeff_right(qminus(self.n, i))
-        return self.normal_form(acc)
+        return quantum_trace(self, mat_pow)
 
 
 # ---------------------------------------------------------------------------
@@ -380,43 +366,18 @@ def rewrite_graph_cycle(n, gen_order=None, degree=3):
 
     Explores every word of the given degree under "rewrite the leftmost
     descent", following rule words only (coefficients dropped; exact
-    cancellations could only shrink the graph).  Returns a witness word
-    on a cycle, or None when the graph is acyclic, which certifies that
-    normal ordering terminates on all inputs of that degree.
+    cancellations could only shrink the graph), with the engine's own
+    search (:meth:`hdeform.algebra.TermAlgebra.rewrite_order`).  Returns
+    a witness word on a cycle, or None when the graph is acyclic, which
+    certifies that normal ordering terminates on all inputs of that
+    degree.
     """
-    order = gen_order or normal_order
-    rules = rule_system(n, order)
-
-    def successors(word):
-        for p in range(len(word) - 1):
-            if order(word[p]) > order(word[p + 1]):
-                rule = rules[(word[p], word[p + 1])]
-                return [word[:p] + w + word[p + 2:] for _, w in rule]
-        return None
-
-    WHITE, GRAY, BLACK = 0, 1, 2
-    color = {}
-    pats = [(i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
-    for start in itertools.product(pats, repeat=degree):
-        if color.get(start, WHITE) != WHITE:
-            continue
-        stack = [(start, iter(successors(start) or ()))]
-        color[start] = GRAY
-        while stack:
-            node, it = stack[-1]
-            advanced = False
-            for nxt in it:
-                c = color.get(nxt, WHITE)
-                if c == GRAY:
-                    return nxt
-                if c == WHITE:
-                    color[nxt] = GRAY
-                    stack.append((nxt, iter(successors(nxt) or ())))
-                    advanced = True
-                    break
-            if not advanced:
-                color[node] = BLACK
-                stack.pop()
+    alg = ReductionAlgebra(n, gen_order=gen_order)
+    pats = [(1, i, j) for i in range(1, n + 1) for j in range(1, n + 1)]
+    try:
+        alg.rewrite_order(itertools.product(pats, repeat=degree))
+    except RewriteLimitError as exc:
+        return tuple(g[1:] for g in exc.word)
     return None
 
 
@@ -620,21 +581,7 @@ def check_central_realization(n, power):
     from .weyl import WeylAlgebra
     walg = WeylAlgebra(n, n)
     lt = walg.ltilde()
-    power_mat = {(i, j): (walg.one() if i == j else walg.zero())
-                 for i in range(1, n + 1) for j in range(1, n + 1)}
-    for _ in range(power):
-        nxt = {}
-        for i in range(1, n + 1):
-            for j in range(1, n + 1):
-                acc = walg.zero()
-                for k in range(1, n + 1):
-                    acc = acc + lt[(i, k)] * power_mat[(k, j)]
-                nxt[(i, j)] = walg.normal_form(acc)
-        power_mat = nxt
-    trace = walg.zero()
-    for i in range(1, n + 1):
-        trace = trace + power_mat[(i, i)].times_coeff_right(qminus(n, i))
-    trace = walg.normal_form(trace)
+    trace = quantum_trace(walg, mat_power(walg, lt, power))
     failures = []
     for (i, j) in sorted(lt):
         res = walg.normal_form(trace * lt[(i, j)] - lt[(i, j)] * trace)

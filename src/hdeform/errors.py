@@ -26,4 +26,11 @@ class ResourceLimitError(HdeformError):
 
 
 class RewriteLimitError(HdeformError):
-    """Normal ordering exceeded the rewrite step guard."""
+    """Normal ordering does not end: a word rewrites back to itself, or
+    more words need a rewrite than ``HDEFORM_MAX_REWRITES`` allows.
+    ``word`` is the word on the cycle, or the word that would be
+    rewritten beyond the limit."""
+
+    def __init__(self, message, word):
+        super().__init__(message)
+        self.word = word

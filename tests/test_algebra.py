@@ -6,22 +6,41 @@ import pytest
 
 import hdeform.algebra as A
 from hdeform import coeffs
-from hdeform.coeffs import RatFun, hdiff, set_term_limit
+from hdeform.coeffs import RatFun, hdiff, set_term_limit, special
 from hdeform.dra import ReductionAlgebra, rule_system
 from hdeform.errors import ResourceLimitError, RewriteLimitError
-from hdeform.weyl import WeylAlgebra, dgen, xgen
+from hdeform.weyl import WeylAlgebra, dgen, verify_reflection, xgen
 
 
-def test_rewrite_step_guard_catches_divergence(monkeypatch):
-    # plain lexicographic generator order cycles; the guard must fire
-    monkeypatch.setattr(A, "_STEP_LIMIT", 40)
+def test_rewrite_step_guard_catches_divergence():
+    # plain lexicographic generator order cycles; the search names a word
+    # on the cycle at once instead of spinning up to the step guard
     alg = ReductionAlgebra(2, gen_order=lambda p: p)
     word = alg.gen(2, 1) * alg.gen(2, 2) * alg.gen(1, 2)
     with pytest.raises(RewriteLimitError,
-                       match=r"exceeded 40 rewrite steps: step 41 would "
-                             r"rewrite L\[\d,\d\]\*L\[\d,\d\]\*L\[\d,\d\] "
-                             r"\(length 3\)"):
+                       match=r"^normal ordering cycles: "
+                             r"L\[2,1\]\*L\[2,2\]\*L\[1,2\] \(length 3\) "
+                             r"rewrites back to itself$") as excinfo:
         alg.normal_form(word)
+    assert excinfo.value.word == ((1, 2, 1), (1, 2, 2), (1, 1, 2))
+
+
+def test_rewrite_step_guard_on_terminating_word(monkeypatch):
+    # the guard counts the words rewritten; this word rewrites 19
+    monkeypatch.setattr(A, "_STEP_LIMIT", 5)
+    alg = ReductionAlgebra(2)
+    word = (alg.gen(2, 2) * alg.gen(1, 2) * alg.gen(2, 1) * alg.gen(1, 1)
+            * alg.gen(1, 2))
+    with pytest.raises(RewriteLimitError,
+                       match=r"^normal ordering exceeded 5 rewrite steps: "
+                             r"step 6 would rewrite L\[1,1\]\*L\[1,1\]\*"
+                             r"L\[2,2\]\*L\[1,1\]\*L\[1,2\] \(length 5\)$"
+                       ) as excinfo:
+        alg.normal_form(word)
+    assert excinfo.value.word == ((1, 1, 1), (1, 1, 1), (1, 2, 2),
+                                  (1, 1, 1), (1, 1, 2))
+    monkeypatch.setattr(A, "_STEP_LIMIT", 19)
+    assert len(alg.normal_form(word).terms) == 11
 
 
 def test_coefficient_term_guard():
@@ -88,15 +107,18 @@ def test_times_coeff_right_shifts():
     assert alg.x(1).times_coeff_right(h) == alg.x(1).times_coeff_left(h - 1)
 
 
-def rightmost_normal_form(alg, el):
-    """Reference reduction that always rewrites the rightmost descent."""
+def lifo_normal_form(alg, el, rightmost=False):
+    """Reference reduction: pop pending words last in, first out and
+    rewrite the leftmost descent (the rightmost when asked), rewriting a
+    word again whenever it comes back from another branch."""
     from hdeform.algebra import Element
     pending = dict(el.terms)
     out = {}
     while pending:
         word, coeff = pending.popitem()
         pos = None
-        for p in range(len(word) - 2, -1, -1):
+        spots = range(len(word) - 1)
+        for p in reversed(spots) if rightmost else spots:
             if alg.needs_rewrite(word[p], word[p + 1]):
                 pos = p
                 break
@@ -139,7 +161,7 @@ def test_normal_form_is_strategy_independent_weyl():
         gens = alg.generators()
         for _ in range(40):
             e = _random_word_element(alg, gens, rng, rng.randint(2, 5))
-            assert alg.normal_form(e) == rightmost_normal_form(alg, e)
+            assert alg.normal_form(e) == lifo_normal_form(alg, e, rightmost=True)
 
 
 def test_normal_form_is_strategy_independent_reduction():
@@ -150,7 +172,7 @@ def test_normal_form_is_strategy_independent_reduction():
         gens = alg.generators(1) + alg.generators(2)
         for _ in range(trials):
             e = _random_word_element(alg, gens, rng, rng.randint(2, maxlen))
-            assert alg.normal_form(e) == rightmost_normal_form(alg, e)
+            assert alg.normal_form(e) == lifo_normal_form(alg, e, rightmost=True)
 
 
 # -- the degree-3 oracle: overlap ambiguities against every triple -----------
@@ -251,7 +273,7 @@ def test_replaced_same_copy_rule_takes_effect_after_use():
 
 
 def test_one_pair_rule_call_per_rewrite_step(monkeypatch):
-    # 19 calls, as before rules were cached: each rewrite step asks
+    # 19 calls for 19 distinct words rewritten: each rewritten word asks
     # pair_rule once, cached or not
     calls = []
     pair_rule = ReductionAlgebra.pair_rule
@@ -268,3 +290,64 @@ def test_one_pair_rule_call_per_rewrite_step(monkeypatch):
     assert (len(calls), len(set(calls))) == (19, 4)
     # the same list object comes back for a pair each time
     assert alg.pair_rule(*calls[0]) is alg.pair_rule(*calls[0])
+
+
+def test_one_pair_rule_call_per_rewritten_word_in_a_suite(monkeypatch):
+    # each normal ordering rewrites a word once, with its whole
+    # coefficient, so pair_rule is asked once per distinct word rewritten
+    # (a word rewritten again whenever a branch reaches it would ask 360)
+    calls = []
+    pair_rule = WeylAlgebra.pair_rule
+
+    def counted(self, g1, g2):
+        calls.append((g1, g2))
+        return pair_rule(self, g1, g2)
+
+    monkeypatch.setattr(WeylAlgebra, "pair_rule", counted)
+    assert verify_reflection(2, 2, False) == []
+    assert len(calls) == 276
+
+
+# -- the engine against the LIFO reference -------------------------------------
+
+def _shifted_special(n, rng):
+    name = rng.choice(("phi", "qplus", "qminus", "alpha", "beta", "mu"))
+    if name == "alpha":
+        idx = rng.sample(range(1, n + 1), 2)
+    elif name == "beta":
+        idx = [rng.randint(1, n), rng.randint(1, n)]
+    else:
+        idx = [rng.randint(1, n)]
+    shift = tuple(rng.choice((-1, 0, 1)) for _ in range(n))
+    return special(name, tuple(idx), n).shift(shift)
+
+
+@pytest.mark.parametrize("make,copies,maxlen,trials", [
+    (lambda: WeylAlgebra(2, 2), None, 5, 12),
+    (lambda: WeylAlgebra(2, 2, fermionic=True), None, 5, 12),
+    (lambda: WeylAlgebra(3, 1), None, 5, 10),
+    (lambda: ReductionAlgebra(2), 1, 4, 8),
+    (lambda: ReductionAlgebra(3), 1, 3, 4),
+    (lambda: ReductionAlgebra(2, copies=2), 2, 3, 6),
+], ids=["weyl_2_2_bosonic", "weyl_2_2_fermionic", "weyl_3_1",
+        "reduction_2", "reduction_3", "reduction_2_two_copies"])
+def test_normal_form_matches_lifo_reference(make, copies, maxlen, trials):
+    import random
+    rng = random.Random(41)
+    alg = make()
+    gens = (alg.generators() if copies is None else
+            [g for t in range(1, copies + 1) for g in alg.generators(t)])
+    for _ in range(trials):
+        words = [tuple(rng.choice(gens) for _ in range(rng.randint(3, maxlen)))
+                 for _ in range(rng.randint(1, 3))]
+        el = alg.element({w: _shifted_special(alg.n, rng) for w in words})
+        got = alg.normal_form(el)
+        assert got == lifo_normal_form(alg, el)
+        assert str(got) == str(lifo_normal_form(alg, el))
+        # sums whose coefficients cancel: an element less its own normal
+        # form, and the commutator of a generator with a shorter word
+        assert alg.normal_form(el - got).is_zero
+        g = alg.gen_element(rng.choice(gens))
+        w = alg.word_element(words[0][:maxlen - 1], el.terms[words[0]])
+        comm = g * w - w * g
+        assert alg.normal_form(comm) == lifo_normal_form(alg, comm)

@@ -121,6 +121,24 @@ def test_division_by_zero():
         one() / RatFun.zero(2)
 
 
+def test_unit_factor_returns_the_other_operand():
+    # a factor +-1 (RatFun or int) returns the other operand or its
+    # negation without arithmetic
+    c = phi(3, 2).shift((1, 0, -1)) / hdiff(3, 1, 3)
+    for unit in (1, RatFun.const(3, 1)):
+        assert c * unit is c
+        assert unit * c is c
+    for unit in (-1, RatFun.const(3, -1)):
+        for prod in (c * unit, unit * c):
+            assert serialize(prod) == serialize(-c)
+            assert_same(prod, -c)
+    assert (RatFun.const(3, -1) * RatFun.const(3, -1)).is_one
+    with pytest.raises(CoefficientError, match="rank mismatch"):
+        RatFun.const(2, 1) * c
+    with pytest.raises(CoefficientError, match="rank mismatch"):
+        c * RatFun.const(2, -1)
+
+
 def test_parse_round_trips():
     for text in ["(h1-h2+1)/(h1-h2)", "h1", "1/(h1-h2)^2",
                  "(h1^2-2*h1*h2+h2^2-1)/(h1-h2)^2", "-3/2", "0"]:
