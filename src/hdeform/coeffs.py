@@ -11,20 +11,22 @@ numerator), the ``li`` distinct linear forms ``h_i - h_j + k`` (i < j)
 or ``h_i + k`` of the family the algebra inverts, ``cof`` one primitive
 cofactor polynomial with positive grlex-leading coefficient (often 1;
 the bracket of a sum stays in it unsplit), ``dint`` a positive integer
-coprime to the content and the ``fi`` distinct primitive non-constant
-polynomial factors with positive leading coefficient.  Numerator and denominator
-factors are kept as sorted multisets of canonical keys.  The numerator
-is expanded only where its terms are needed: ``+``, :func:`serialize`,
+coprime to the content and the ``fi`` distinct primitive linear forms
+with positive leading coefficient.  Numerator and denominator factors
+are kept as sorted multisets of canonical keys.  The numerator is
+expanded only where its terms are needed: ``+``, :func:`serialize`,
 ``==`` on unequal factor lists and the term guard; the expansion is
 not kept.
 
-Denominators are split by :func:`_linear_family_factors`, which finds
-every factor of the family whatever its offset, so a denominator factor
-is either linear or one non-linear cofactor with no factor of the
-family.  When every denominator factor is linear, the form is
-canonical: numerator and denominator are coprime, so equal values have
-equal denominators and equal expanded numerators, and serialize to the
-same text.
+The ring is localized at linear forms only.  Denominators are split by
+:func:`_linear_family_factors`, which finds every factor of the family
+whatever its offset; what is left may be one more linear form outside
+the family (Gauss-Jordan rule extraction inverts pivots such as
+``2*h1-h2-h3-1``), and a left-over factor of degree 2 or more raises
+:class:`CoefficientError`.  So every denominator factor is a primitive
+linear form, numerator and denominator are coprime, and the form is
+canonical: equal values have equal denominators and equal expanded
+numerators, and serialize to the same text.
 
 Arithmetic works on the multisets and trial-divides only what can
 cancel.  The rules rest on two facts: a primitive linear form is prime
@@ -33,7 +35,7 @@ numerator.  A linear factor divides a numerator exactly as often as it
 appears in the numerator's multiset plus as often as it divides the
 cofactor, so only a non-constant cofactor is ever trial-divided:
 
-* ``a * b``: a linear factor of one operand's denominator alone cancels
+* ``a * b``: a factor of one operand's denominator alone cancels
   against the other operand's multiset, then against its cofactor; a
   factor both share divides neither numerator, so it cannot divide
   their product.
@@ -47,14 +49,7 @@ cofactor, so only a non-constant cofactor is ever trial-divided:
   old denominator, a product of linear forms that do not divide the old
   numerator.
 
-A non-linear denominator factor may be composite, so when an operand
-of these three carries one, every factor that can meet it is tried:
-each non-linear factor against the product of the cofactors in ``*``,
-every factor against the bracket in ``+`` and against the new cofactor
-in ``inverse``.  It has no factor of the family, so it is coprime to
-every numerator multiset.  Such a value may also be stored in more than
-one way, and ``==`` then compares the difference with zero.  Trial
-division divides a candidate only when its value at each of the
+Trial division divides a candidate only when its value at each of the
 kernel's probe points divides the polynomial's value there: a true
 factor's value always does, since ``b | a`` in Z[h] implies
 ``b(pt) | a(pt)`` at every integer point.
@@ -63,13 +58,14 @@ Factor keys go through the kernel's factor table: a family form is
 recognized by ``K.fac_family``, expanded into a numerator by
 ``K.p_mul_family`` (the product by ``h_i - h_j + k`` is three shifted
 copies of the multiplicand) and divided out inside ``K.p_cancel`` by
-synthetic division in ``h_i``; any other factor keeps ``K.p_mul`` and the
-heap-order division.
+synthetic division in ``h_i``; a linear form outside the family keeps
+``K.p_mul`` and the heap-order division.
 
 ``shift``, ``permute`` and ``negate_h`` are ring automorphisms that map
-the family onto itself: sigma(f) divides sigma(num) only if f divides
-num, so they try no factor at all; they map each factor key, fold sign
-changes into the content and map the cofactor.
+linear forms to linear forms and the family onto itself: sigma(f)
+divides sigma(num) only if f divides num, so they try no factor at all;
+they map each factor key, fold sign changes into the content and map
+the cofactor.
 
 The ring also carries the three automorphism families used everywhere:
 integer shifts of the variables, the shifted Weyl (permutation) action
@@ -141,16 +137,6 @@ def _one(n):
 def _is_one(poly):
     # a stored cofactor is primitive with positive lead: constant means 1
     return len(poly) == 1 and not any(next(iter(poly)))
-
-
-def _is_linear(key):
-    return sum(key[0][0]) == 1
-
-
-def _all_linear(keys):
-    """True when every factor key is a linear form (the cancellation
-    rules of the module docstring hold)."""
-    return all(map(_is_linear, keys))
 
 
 def _is_family(key):
@@ -330,23 +316,25 @@ def _linear_family_factors(n, poly):
 def _split_denominator(n, den):
     """Split a nonzero denominator polynomial into (dint, factor list):
     its content and sign go to dint, its factors of the family are split
-    off, and a non-constant cofactor is kept as one more factor."""
+    off, and a linear cofactor is kept as one more factor.  A cofactor of
+    higher degree has no inverse in the ring: CoefficientError."""
     c, sign, prim = K.p_primitive_sign(den)
     rem, facs = _linear_family_factors(n, prim)
     if not K.p_is_const(rem):
+        if K.p_degree(rem) > 1:
+            raise CoefficientError(
+                f"denominator factor {poly_str(rem)} is not linear")
         facs = facs + [(_fac_key(rem), 1)]
     return c * sign, facs
 
 
 def _cancel_linear(nfac, cof, dfac, keys):
-    """Cancel the linear factors ``keys`` of the denominator multiset
+    """Cancel the factors ``keys`` of the denominator multiset
     dfac against a numerator nfac * cof, each as often as it divides and
     at most its multiplicity.  nfac is lowered in place; returns the
     cofactor and the lowered dfac."""
     tried = []
     for key in keys:
-        if not _is_linear(key):
-            continue
         m, c = dfac[key], nfac.get(key, 0)
         if c:
             t = min(m, c)
@@ -468,9 +456,10 @@ class RatFun:
 
     def is_unit_in_localization(self):
         """True when both numerator and denominator are (up to a rational
-        constant) products of the inverted linear forms: the numerator's
-        cofactor splits into factors of the family."""
-        if self.is_zero:
+        constant) products of the inverted linear forms: every denominator
+        factor is of the family and the numerator's cofactor splits into
+        factors of the family."""
+        if self.is_zero or not all(_is_family(key) for key, _ in self.dfac):
             return False
         if _is_one(self.cof):
             return True
@@ -516,9 +505,7 @@ class RatFun:
         if not bracket:
             return RatFun.zero(self.n)
         c, sign, cof = K.p_primitive_sign(bracket)
-        trial = list(facs)
-        if _all_linear(facs):
-            trial = [key for key in facs if fa.get(key) == fb.get(key)]
+        trial = [key for key in facs if fa.get(key) == fb.get(key)]
         if trial and not _is_one(cof):
             cof, facs = K.p_cancel(cof, facs, trial)
         return RatFun._new(self.n, c * sign, common, cof, self.dint * ka,
@@ -562,9 +549,6 @@ class RatFun:
         for key, m in lb.items():
             la[key] = la.get(key, 0) + m
         cof = ca if _is_one(cb) else cb if _is_one(ca) else K.p_mul(ca, cb)
-        if not _all_linear(fa) and not _is_one(cof):
-            cof, fa = K.p_cancel(
-                cof, fa, [key for key in fa if not _is_linear(key)])
         return RatFun._new(self.n, self.content * other.content, la, cof,
                            self.dint * other.dint, fa)
 
@@ -581,8 +565,6 @@ class RatFun:
         if not _is_one(self.cof):
             for key, m in _split_denominator(n, self.cof)[1]:
                 dfac[key] = dfac.get(key, 0) + m
-        if not _all_linear(key for key, _ in self.dfac) and not _is_one(cof):
-            cof, dfac = K.p_cancel(cof, dfac, dfac)
         sign = 1 if self.content > 0 else -1
         return RatFun._new(n, sign * self.dint, nfac, cof, abs(self.content),
                            dfac)
@@ -605,16 +587,11 @@ class RatFun:
         return res
 
     def __eq__(self, other):
-        """Value equality.  When every denominator factor is linear the
-        stored form is canonical: equal denominators and equal expanded
-        numerators.  A non-linear denominator factor may be composite,
-        so such a pair compares its difference with zero."""
+        """Value equality.  The stored form is canonical: equal
+        denominators and equal expanded numerators."""
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        if not (_all_linear(key for key, _ in self.dfac)
-                and _all_linear(key for key, _ in other.dfac)):
-            return (self - other).is_zero
         return (self.content == other.content and self.dint == other.dint
                 and self.dfac == other.dfac
                 and ((self.nfac == other.nfac and self.cof == other.cof)
@@ -628,19 +605,15 @@ class RatFun:
 
     def _map(self, linear_key, poly_map):
         """Apply a ring automorphism that maps the family onto itself:
-        linear_key(key) gives (sign, image key) for a linear factor and
-        poly_map maps any other polynomial."""
+        linear_key(key) gives (sign, image key) for a factor and poly_map
+        maps the cofactor."""
         sign = 1
 
         def image(facs):
             nonlocal sign
             out = []
             for key, m in facs:
-                if _is_linear(key):
-                    s, key = linear_key(key)
-                else:
-                    s, poly = _positive(poly_map(dict(key)))
-                    key = _fac_key(poly)
+                s, key = linear_key(key)
                 if s < 0 and m % 2:
                     sign = -sign
                 out.append((key, m))
@@ -875,8 +848,7 @@ def _den_str(dint, dfac):
 
 def serialize(f):
     """Text form: expanded numerator over a factored denominator.  Equal
-    values print the same text when every denominator factor is linear
-    (the stored form is then canonical)."""
+    values print the same text (the stored form is canonical)."""
     if f.is_zero:
         return "0"
     poly = f.num
@@ -938,13 +910,23 @@ class _Parser:
                 self.pos += 1
                 node = node * self.factor()
             elif c == "/":
+                at = self.pos
                 self.pos += 1
                 rhs = self.factor()
                 if rhs.is_zero:
                     self.error("division by zero")
-                node = node / rhs
+                node = self.invert_at(at, operator.truediv, node, rhs)
             else:
                 return node
+
+    def invert_at(self, at, op, *args):
+        """op(*args), whose inverse may not exist in the ring: its
+        CoefficientError becomes a ParseError at position at."""
+        try:
+            return op(*args)
+        except CoefficientError as exc:
+            self.pos = at
+            self.error(str(exc))
 
     def factor(self):
         c = self.peek()
@@ -953,9 +935,10 @@ class _Parser:
             return -self.factor()
         base = self.atom()
         if self.peek() == "^":
+            at = self.pos
             self.pos += 1
             k = self.integer()
-            base = base ** k
+            base = self.invert_at(at, operator.pow, base, k)
         return base
 
     def atom(self):

@@ -392,6 +392,15 @@ def test_normal_form_parse_error(capsys):
     assert "position" in err
 
 
+def test_normal_form_non_linear_denominator_is_a_parse_error(capsys):
+    # 1/(h1^2+h2^2+1) has no inverse in the ring localized at linear forms
+    code, out, err = run_cli(capsys, "normal-form", "--n", "2", "--N", "1",
+                             "--expr", "(1/(h1^2+h2^2+1))*x[1,1]")
+    assert code == 2
+    assert out == ""
+    assert "is not linear" in err and "position" in err
+
+
 def test_normal_form_out_of_range_generator(capsys):
     code, out, err = run_cli(capsys, "normal-form", "--n", "2",
                              "--expr", "x[3,1]")

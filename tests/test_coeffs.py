@@ -185,10 +185,14 @@ def _random_ratfun(rng, n=3):
             g = hdiff(n, i, j) + rng.randint(-2, 2)
         elif pick < 0.6:
             g = hvar(n, i) + rng.randint(-2, 2)
-        elif pick < 0.8:
+        elif pick < 0.7:
             g = qminus(n, i)
-        else:
+        elif pick < 0.85:
             g = phi(n, i)
+        else:
+            # the shape of a pivot inverted by rule extraction
+            i, j, k = rng.sample(range(1, n + 1), 3)
+            g = 2 * hvar(n, i) - hvar(n, j) - hvar(n, k) - 1
         op = rng.random()
         if op < 0.45:
             f = f + g
@@ -272,8 +276,8 @@ far_offsets = st.integers(30, 40) | st.integers(-40, -30)
 @given(st.sampled_from([(2, 1, 2), (3, 1, 3), (3, 2, 3)]), far_offsets,
        far_offsets, far_offsets)
 def test_equal_values_compare_equal_whatever_the_route(idx, a, b, c):
-    # offsets this far are outside the factor search window, so the
-    # expanded product stays one unsplit denominator factor
+    # the factor search splits the expanded product however far the
+    # offsets are, so both routes store the same factors
     from hdeform.weyl import WeylAlgebra
     n, i, j = idx
     d = hdiff(n, i, j)
@@ -315,12 +319,50 @@ def test_from_poly_constructor():
         RatFun.from_poly(2, num, K.p_zero())
 
 
+def test_denominators_are_linear_forms():
+    import hdeform.kernel as K
+    h1, h2 = K.p_var(2, 0), K.p_var(2, 1)
+    quad = K.p_add(K.p_mul(h1, h1), K.p_add(h1, K.p_const(2, 1)))
+    with pytest.raises(CoefficientError,
+                       match=r"denominator factor h1\^2\+h1\+1 is not linear"):
+        RatFun.from_poly(2, h2, quad)
+    # family forms split off first; the non-linear rest still raises
+    with pytest.raises(CoefficientError, match="not linear"):
+        RatFun.from_poly(2, h2, K.p_mul(quad, K.p_sub(h1, h2)))
+    # one linear form outside the family is a denominator factor
+    f = RatFun.from_poly(2, h2, K.p_add(h1, h2))
+    assert serialize(f) == "h2/(h1+h2)"
+    assert f * parse(2, "h1+h2") == hvar(2, 2)
+    # a product of such forms is written factor by factor
+    g = parse(2, "1/(h1+h2)/(2*h1-h2-1)")
+    assert [len(key) for key, _ in g.dfac] == [2, 3]
+    assert g * parse(2, "(h1+h2)*(2*h1-h2-1)") == one()
+    with pytest.raises(CoefficientError, match="not linear"):
+        parse(2, "h1^2+h2^2+1").inverse()
+
+
+@pytest.mark.parametrize("text, at", [("1/(h1^2+h2^2+1)", 1),
+                                      ("(h1^2+h1+1)^-1", 11),
+                                      ("h2+3*h1/((h1+h2)*(2*h1-h2-1))", 7)])
+def test_parse_rejects_non_linear_denominators(text, at):
+    with pytest.raises(ParseError, match="is not linear") as info:
+        parse(2, text)
+    assert info.value.pos == at
+    assert text[at] in "/^"
+
+
 def test_unit_detection_in_localization():
     import hdeform.kernel as K
     assert qminus(3, 2).is_unit_in_localization()
     h1, h2 = hvar(3, 1), hvar(3, 2)
     assert not (h1 * h1 + h2 * h2 + 1).is_unit_in_localization()
     assert not RatFun.zero(3).is_unit_in_localization()
+    # a denominator factor outside the family is not inverted
+    assert not parse(2, "1/(h1+h2)").is_unit_in_localization()
+    assert not parse(2, "1/(2*h1-h2-1)").is_unit_in_localization()
+    assert parse(2, "(h1-h2+3)/(h2-7)").is_unit_in_localization()
+    # 1/(h1^2+h2^2+1) is not in the ring at all: parse raises (see
+    # test_parse_rejects_non_linear_denominators)
     # an expanded numerator is split whatever the offsets of its factors
     far = RatFun.from_poly(3, K.p_mul(
         K.p_sub(K.p_add(K.p_var(3, 0), K.p_const(3, 400)), K.p_var(3, 2)),
@@ -464,7 +506,7 @@ _atoms = (st.builds(_linear, st.integers(1, 3), st.integers(0, 3),
 @st.composite
 def _coefficients(draw):
     """Products, quotients and sums of linear forms and special elements;
-    a quotient by a product of far forms leaves an unsplit cofactor."""
+    a sum leaves its bracket in the numerator's cofactor unsplit."""
     f = draw(_atoms)
     for _ in range(draw(st.integers(0, 4))):
         g = draw(_atoms)
@@ -480,37 +522,25 @@ def _coefficients(draw):
        st.permutations([1, 2, 3]))
 def test_arithmetic_matches_trial_of_every_factor(a, b, alpha, perm):
     import hdeform.kernel as K
+    from hdeform.coeffs import _linear_family_factors
     assert _rep(a * b) == _reference_mul(a, b)
     assert _rep(a + b) == _reference_add(a, b)
     assert _rep(a - b) == _reference_add(a, -b)
     if not a.is_zero:
-        assert _rep(a.inverse()) == _reference_inverse(a)
+        rem, _ = _linear_family_factors(3, a.cof)
+        if K.p_degree(rem) > 1:
+            # a non-linear numerator part outside the family has no
+            # inverse in the ring
+            with pytest.raises(CoefficientError, match="not linear"):
+                a.inverse()
+        else:
+            assert _rep(a.inverse()) == _reference_inverse(a)
     assert _rep(a.shift(alpha)) == _reference_map(
         a, lambda p: K.p_shift(p, alpha))
     p0 = tuple(x - 1 for x in perm)
     assert _rep(a.permute(tuple(perm))) == _reference_map(
         a, lambda p: K.p_permute(p, p0))
     assert _rep(a.negate_h()) == _reference_map(a, K.p_negate)
-
-
-def test_nonlinear_cofactor_is_tried_against_the_full_numerator():
-    # C = P*Q with P, Q irreducible quadratics: no linear factor, so C stays
-    # one composite denominator factor; skipping it would leave a wrong dfac
-    import hdeform.kernel as K
-    h1, h2 = K.p_var(2, 0), K.p_var(2, 1)
-    p = K.p_add(K.p_add(K.p_mul(h1, h1), K.p_mul(h2, h2)), K.p_const(2, 1))
-    q = K.p_add(p, K.p_mul(h2, h2))            # h1^2 + 2*h2^2 + 1
-    cof = K.p_mul(p, q)
-    assert [sum(key[0][0]) for key, _ in RatFun.from_poly(2, q, cof).dfac] \
-        == [4]
-    # the cofactor cancels against a product of the operands' numerators
-    assert_same(RatFun.from_poly(2, q, cof) * RatFun.from_poly(2, p), one())
-    # 1/C + 1/P == (Q + 1)/C: P cancels, though only one summand has it
-    assert_same(RatFun.from_poly(2, K.p_const(2, 1), cof)
-                + one() / RatFun.from_poly(2, p),
-                RatFun.from_poly(2, K.p_add(q, K.p_const(2, 1)), cof))
-    # the inverse of P/C keeps only Q
-    assert_same(RatFun.from_poly(2, p, cof).inverse(), RatFun.from_poly(2, q))
 
 
 # -- exact factor search and canonical text ----------------------------------

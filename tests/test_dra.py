@@ -268,6 +268,17 @@ def test_cross_rules_are_homogeneous():
             assert len(lo) == 2 and len(hi) == 2
 
 
+@pytest.mark.parametrize("n", [2, 3])
+def test_rule_denominators_are_family_forms(n):
+    # the paper's localization: only h_i - h_j + k and h_i + k are inverted,
+    # though extraction inverts pivots with other linear forms on the way
+    from hdeform.coeffs import _is_family
+    for cross in (False, True):
+        keys = {key for rule in rule_system(n, cross=cross).values()
+                for c, _ in rule for key, _ in c.dfac}
+        assert keys and all(map(_is_family, keys))
+
+
 def test_cross_copy_convention_report():
     rep = cross_copy_convention_report()
     assert rep["passing_convention"] == "same_copy_only"
