@@ -81,6 +81,7 @@ from math import comb, gcd
 
 from . import kernel as K
 from .errors import CoefficientError, ParseError, ResourceLimitError
+from .store import stored
 
 _MAX_TERMS = int(os.environ.get("HDEFORM_MAX_TERMS", "0") or 0)
 
@@ -437,14 +438,19 @@ class RatFun:
 
     @property
     def is_one(self):
-        return (self.content == 1 and self.dint == 1 and not self.nfac
-                and not self.dfac and _is_one(self.cof))
+        return self.content == 1 and self.dint == 1 and self._is_constant
 
     @property
     def _is_unit(self):
         """True for +1 and -1."""
-        return (self.content in (1, -1) and self.dint == 1 and not self.nfac
-                and not self.dfac and _is_one(self.cof))
+        return (self.content in (1, -1) and self.dint == 1
+                and self._is_constant)
+
+    @property
+    def _is_constant(self):
+        """True for a rational constant, zero included: every automorphism
+        fixes it."""
+        return not self.nfac and not self.dfac and _is_one(self.cof)
 
     @property
     def num(self):
@@ -629,7 +635,7 @@ class RatFun:
 
     def shift(self, alpha):
         """f[alpha]: substitute h_i -> h_i + alpha_i."""
-        if self.is_zero or not any(alpha):
+        if self._is_constant or not any(alpha):
             return self
 
         def linear_key(key):
@@ -648,7 +654,7 @@ class RatFun:
         p0 = tuple(x - 1 for x in perm)
         if sorted(p0) != list(range(self.n)):
             raise CoefficientError("not a permutation of 1..n")
-        if self.is_zero:
+        if self._is_constant:
             return self
 
         def poly_map(p):
@@ -662,7 +668,7 @@ class RatFun:
 
     def negate_h(self):
         """Global sign reversal h_i -> -h_i."""
-        if self.is_zero:
+        if self._is_constant:
             return self
 
         def linear_key(key):
@@ -703,16 +709,19 @@ def hvar(n, i):
     return RatFun.var(n, i)
 
 
+@stored
 def hdiff(n, i, j):
     """h_ij = h_i - h_j."""
     return RatFun.var(n, i) - RatFun.var(n, j)
 
 
+@stored
 def phi(n, j):
     """prod_{k > j} h_jk / (h_jk - 1); empty product is 1."""
     return phi_segment(n, j, n + 1)
 
 
+@stored
 def phi_prime(n, j):
     """prod_{k < j} h_jk / (h_jk - 1); empty product is 1."""
     res = RatFun.const(n, 1)
@@ -722,6 +731,7 @@ def phi_prime(n, j):
     return res
 
 
+@stored
 def phi_segment(n, j, m):
     """prod_{j < k < m} h_jk / (h_jk - 1); requires j < m."""
     if not j < m:
@@ -733,6 +743,7 @@ def phi_segment(n, j, m):
     return res
 
 
+@stored
 def alpha_coeff(n, i, j):
     """(h_ij + 1) / h_ij for i != j."""
     if i == j:
@@ -741,6 +752,7 @@ def alpha_coeff(n, i, j):
     return (d + 1) / d
 
 
+@stored
 def beta_coeff(n, i, j):
     """1/(1 - h_ij) * phi_j[eps_j] / phi_i."""
     one = RatFun.const(n, 1)
@@ -750,6 +762,7 @@ def beta_coeff(n, i, j):
     return (one / (one - hdiff(n, i, j))) * pj / phi(n, i)
 
 
+@stored
 def mu_coeff(n, i):
     """-phi_i^{-1}."""
     return -(phi(n, i).inverse())
@@ -765,11 +778,13 @@ def _q_weight(n, i, step):
     return res
 
 
+@stored
 def qplus(n, i):
     """prod_{k != i} (h_ik + 1) / h_ik."""
     return _q_weight(n, i, operator.add)
 
 
+@stored
 def qminus(n, i):
     """prod_{k != i} (h_ik - 1) / h_ik."""
     return _q_weight(n, i, operator.sub)

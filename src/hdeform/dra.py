@@ -29,6 +29,7 @@ from .coeffs import RatFun, eps, hdiff, phi, phi_segment, serialize
 from .errors import RelationExtractionError, RewriteLimitError
 from .report import failure, select_units
 from .rmatrix import hmat, rhat
+from .store import lookup
 
 
 def normal_order(pat):
@@ -254,23 +255,17 @@ def extract_cross_rules(n, gen_order=None):
 # the working algebra
 # ---------------------------------------------------------------------------
 
-_RULE_CACHE = {}
-
-
 def rule_system(n, gen_order=None, cross=False):
     """The rewrite rules of rank n under gen_order (default: the engine
     order): same-copy rules, or the braided cross-copy rules.
 
-    Each (rank, order, kind) is extracted once per process and shared by
-    every caller, so the returned dict must not be mutated.
+    Each (rank, order, kind) is extracted once per process and kept in
+    :mod:`hdeform.store`, shared by every caller, so the returned dict
+    must not be mutated.
     """
     order = gen_order or normal_order
-    key = (n, order, cross)
-    rules = _RULE_CACHE.get(key)
-    if rules is None:
-        extract = extract_cross_rules if cross else extract_rewrite_rules
-        rules = _RULE_CACHE[key] = extract(n, order)
-    return rules
+    extract = extract_cross_rules if cross else extract_rewrite_rules
+    return lookup(("dra.rule_system", (n, order, cross)), extract, n, order)
 
 
 class ReductionAlgebra(FreeReductionAlgebra):

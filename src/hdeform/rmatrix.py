@@ -15,6 +15,7 @@ from __future__ import annotations
 
 from .coeffs import RatFun, eps, hdiff, qminus, qplus
 from .report import failure, select_units
+from .store import stored
 
 
 class DynTensor2:
@@ -67,6 +68,10 @@ class DynTensor4:
 # builders
 # ---------------------------------------------------------------------------
 
+# each tensor is built once per process and rank (see hdeform.store) and
+# shared by every caller, so its entries must not be mutated
+
+@stored
 def rhat(n):
     """The involutive dynamical exchange operator.
 
@@ -89,6 +94,7 @@ def rhat(n):
     return DynTensor4(n, e)
 
 
+@stored
 def that(n):
     """Companion tensor of the x-against-d exchange.
 
@@ -111,6 +117,7 @@ def that(n):
     return DynTensor4(n, e)
 
 
+@stored
 def shat(n):
     """Exchange tensor for the double-barred derivative family.
 
@@ -133,6 +140,7 @@ def shat(n):
     return DynTensor4(n, e)
 
 
+@stored
 def psihat(n):
     """Skew inverse of ``that``.
 
@@ -158,14 +166,17 @@ def psihat(n):
     return DynTensor4(n, e)
 
 
+@stored
 def qplus_op(n):
     return DynTensor2(n, {i: qplus(n, i) for i in range(1, n + 1)})
 
 
+@stored
 def qminus_op(n):
     return DynTensor2(n, {i: qminus(n, i) for i in range(1, n + 1)})
 
 
+@stored
 def hmat(n):
     """Cartan diagonal matrix with entries h_j + n."""
     return DynTensor2(n, {j: hdiff(n, j, j) + RatFun.var(n, j) + n

@@ -27,7 +27,8 @@ from .coeffs import (RatFun, beta_coeff, eps, hdiff, mu_coeff, phi,
                      phi_prime, qminus, qplus)
 from .errors import CoefficientError
 from .report import failure, select_units
-from .rmatrix import psihat, rhat, shat
+from .rmatrix import psihat, rhat, shat, that
+from .store import lookup
 
 XK, DK = 0, 1
 
@@ -49,11 +50,12 @@ class WeylAlgebra(TermAlgebra):
         self.copies = copies
         self.fermionic = fermionic
         self.inhomogeneous_across_copies = inhomogeneous_across_copies
-        self._rules = {}
+        # the exchange rules of this signature, shared with every algebra
+        # of the same signature and filled lazily by pair_rule
+        self._rules = lookup(("weyl.rules", self.signature), dict)
         self._eps = [None] + [eps(n, i) for i in range(1, n + 1)]
         self._neps = [None] + [tuple(-x for x in eps(n, i))
                                for i in range(1, n + 1)]
-        self._psihat = None
 
     # -- generators ------------------------------------------------------------
 
@@ -122,9 +124,7 @@ class WeylAlgebra(TermAlgebra):
         if k1 == DK and k2 == XK:
             j, beta = i1, a1
             i, alpha = i2, a2
-            if self._psihat is None:
-                self._psihat = psihat(n)
-            psi = self._psihat
+            psi = psihat(n)
             if i != j:
                 return [(psi.get(i, j, j, i) * sgn,
                          ((XK, i, alpha), (DK, j, beta)))]
@@ -186,9 +186,8 @@ def check_forward_exchange(n, copies=1, fermionic=False):
     the global sign flip of the fermionic variant) must reproduce the
     identity.
     """
-    from .rmatrix import that as that_builder
     alg = WeylAlgebra(n, copies, fermionic)
-    t = that_builder(n)
+    t = that(n)
     sgn = -1 if fermionic else 1
     failures = []
     for i in range(1, n + 1):

@@ -223,8 +223,10 @@ def test_overlap_oracle_matches_full_oracle_on_corrupted_rank_two_rules():
     (2, 2, False), (2, 2, True), (3, 1, False)])
 def test_overlap_oracle_matches_full_oracle_on_corrupted_weyl_rule(
         n, copies, fermionic):
-    # double the unit term of D[1,1] x[1,1] -> ... + qplus
+    # double the unit term of D[1,1] x[1,1] -> ... + qplus, on a private
+    # copy of the stored rules of this signature
     alg = WeylAlgebra(n, copies, fermionic)
+    alg._rules = dict(alg._rules)
     pair = (dgen(1), xgen(1))
     rule = alg.pair_rule(*pair)
     assert rule[-1][1] == ()
@@ -239,11 +241,12 @@ def test_replaced_weyl_rule_takes_effect_after_use():
     pair = (dgen(1), xgen(1))
     words = [pair, (xgen(1),) + pair, (xgen(2), xgen(1)) + pair]
     alg = WeylAlgebra(2, 1)
+    alg._rules = dict(alg._rules)
     before = [alg.normal_form(alg.word_element(w)) for w in words]
     rule = alg.pair_rule(*pair)
     alg._rules[pair] = _doubled(rule, len(rule) - 1)
     fresh = WeylAlgebra(2, 1)
-    fresh._rules[pair] = alg._rules[pair]
+    fresh._rules = dict(alg._rules)
     for w, old in zip(words, before):
         got = alg.normal_form(alg.word_element(w))
         assert got == fresh.normal_form(fresh.word_element(w))

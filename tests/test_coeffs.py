@@ -80,6 +80,17 @@ def test_negate_examples():
     assert (h + 1).negate_h() == -h + 1
 
 
+@pytest.mark.parametrize("c", [RatFun.zero(3), RatFun.const(3, -2),
+                               RatFun.const(3, Fraction(3, 7))])
+def test_automorphisms_return_a_constant_as_it_is(c):
+    # Element.__mul__ shifts every right-hand coefficient, often a constant
+    assert c.shift((1, -2, 3)) is c
+    assert c.permute((3, 1, 2)) is c
+    assert c.negate_h() is c
+    with pytest.raises(CoefficientError):
+        c.permute((1, 1, 2))
+
+
 def test_q_reciprocal():
     for n in range(1, 7):
         for j in range(1, n + 1):

@@ -335,7 +335,7 @@ def test_orders_disagree_only_in_presentation():
 
 
 def test_rule_store_extracts_each_system_once(monkeypatch):
-    from hdeform import dra
+    from hdeform import dra, store
     calls = []
     extract = dra.extract_rewrite_rules
 
@@ -343,7 +343,7 @@ def test_rule_store_extracts_each_system_once(monkeypatch):
         calls.append((n, gen_order))
         return extract(n, gen_order)
 
-    monkeypatch.setattr(dra, "_RULE_CACHE", {})
+    monkeypatch.setattr(store, "_STORE", {})
     monkeypatch.setattr(dra, "extract_rewrite_rules", counting)
     first = relation_catalogue(2)
     assert check_appendix_rules() == []

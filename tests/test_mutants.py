@@ -11,7 +11,7 @@ import sys
 
 import pytest
 
-from hdeform import cli, coeffs, dra, rmatrix
+from hdeform import cli, coeffs, dra, rmatrix, store
 from hdeform.rmatrix import DynTensor4
 
 ARGV = ("verify", "all", "--n", "2", "--N", "2")
@@ -45,7 +45,7 @@ def rule_term_times_two(cross, key):
     rules = dict(dra.rule_system(2, cross=cross))
     (c, word), *rest = rules[key]
     rules[key] = [(c * 2, word)] + rest
-    dra._RULE_CACHE[(2, dra.normal_order, cross)] = rules
+    store._STORE["dra.rule_system", (2, dra.normal_order, cross)] = rules
 
 
 def perturb_rhat(monkeypatch):
@@ -184,6 +184,6 @@ def failing_units():
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_perturbation_is_caught_by_exactly_these_units(monkeypatch, case):
-    monkeypatch.setattr(dra, "_RULE_CACHE", {})
+    monkeypatch.setattr(store, "_STORE", {})
     CASES[case](monkeypatch)
     assert failing_units() == EXPECTED[case]

@@ -45,9 +45,11 @@ def snapshot():
 
 def test_tracer_installs_on_the_package_and_uninstalls_cleanly():
     tracer_mod = load_tracer()
-    # the rank-1 cofactor is cached on first use; make it before the
-    # snapshot so the test also passes when run alone
+    # the rank-1 cofactor and the store entries of the run are made on
+    # first use; make them before the snapshot so the test also passes
+    # when run alone
     coeffs.RatFun.const(1, 1)
+    assert weyl.run_suite(1, 1, False, "confluence") == []
     before = snapshot()
     tracer = tracer_mod.Tracer()
     try:
@@ -74,6 +76,7 @@ def test_legacy_probes_install_on_the_package_and_uninstall_cleanly():
     # the untraced baseline passes of a traced run wrap only the
     # functions LEGACY_JOBS names; each must still exist under its name
     tracer_mod = load_tracer()
+    assert weyl.verify_reflection(1, 1, False, False) == []
     before = snapshot()
     tracer = tracer_mod.Tracer()
     try:
