@@ -19,6 +19,11 @@ the word is rewritten.  This is "reduce the largest monomial first" of
 noncommutative Groebner-basis reduction (T. Mora, Theoret. Comput.
 Sci. 134 (1994) 131-173), with the rewrite graph as the order.
 
+Each word's coefficient is summed once: the normal form, the product
+and :func:`add_elements` (of which ``+`` is the two-operand case) keep
+a word's parts until its sum is needed and add them in one
+:func:`hdeform.coeffs.add_many`, over one common denominator.
+
 A rule applied after a prefix of weight w has its coefficients shifted
 by -w.  Each algebra keeps those shifted rules, keyed by the generator
 pair and the prefix weight, together with the rule they came from; an
@@ -32,7 +37,7 @@ import itertools
 import os
 
 from . import coeffs
-from .coeffs import RatFun, qminus, serialize
+from .coeffs import RatFun, add_many, qminus, serialize
 from .errors import ResourceLimitError, RewriteLimitError
 from .report import failure
 
@@ -79,17 +84,7 @@ class Element:
     # -- linear operations ----------------------------------------------------
 
     def __add__(self, other):
-        if other.alg.signature != self.alg.signature:
-            raise ValueError("algebra mismatch")
-        res = dict(self.terms)
-        for w, c in other.terms.items():
-            s = res.get(w)
-            s = c if s is None else s + c
-            if s.is_zero:
-                res.pop(w, None)
-            else:
-                res[w] = s
-        return Element(self.alg, res)
+        return add_elements(self.alg, (self, other))
 
     def __neg__(self):
         return Element(self.alg, {w: -c for w, c in self.terms.items()})
@@ -133,19 +128,12 @@ class Element:
         if other.alg.signature != self.alg.signature:
             raise ValueError("algebra mismatch")
         alg = self.alg
-        res = {}
+        acc, more = {}, {}
         for w1, c1 in self.terms.items():
             cross = tuple(-x for x in alg.word_weight(w1))
             for w2, c2 in other.terms.items():
-                nw = w1 + w2
-                nc = c1 * c2.shift(cross)
-                s = res.get(nw)
-                s = nc if s is None else s + nc
-                if s.is_zero:
-                    res.pop(nw, None)
-                else:
-                    res[nw] = s
-        return Element(alg, res)
+                _add_part(acc, more, w1 + w2, c1 * c2.shift(cross))
+        return Element(alg, _sum_parts(alg.n, acc, more))
 
     def normal_form(self):
         return self.alg.normal_form(self)
@@ -157,6 +145,43 @@ class Element:
 
     def __repr__(self):
         return f"<{type(self.alg).__name__} element {self.alg.element_str(self)}>"
+
+
+def _add_part(acc, more, word, c):
+    """Record c as a part of word's coefficient: the first part goes to
+    acc[word], any further ones to the list more[word]."""
+    if word in acc:
+        rest = more.get(word)
+        if rest is None:
+            more[word] = [c]
+        else:
+            rest.append(c)
+    else:
+        acc[word] = c
+
+
+def _sum_parts(n, acc, more):
+    """Sum the parts of each word of more into acc, one
+    :func:`coeffs.add_many` per word; a word whose sum is zero is
+    dropped.  Returns acc."""
+    for word, rest in more.items():
+        c = add_many(n, [acc[word], *rest])
+        if c.is_zero:
+            del acc[word]
+        else:
+            acc[word] = c
+    return acc
+
+
+def add_elements(alg, elements):
+    """The sum of elements of alg, each word's coefficient summed once."""
+    acc, more = {}, {}
+    for el in elements:
+        if el.alg.signature != alg.signature:
+            raise ValueError("algebra mismatch")
+        for word, c in el.terms.items():
+            _add_part(acc, more, word, c)
+    return Element(alg, _sum_parts(alg.n, acc, more))
 
 
 def coeff_factor_str(c):
@@ -238,21 +263,23 @@ class TermAlgebra:
     def normal_form(self, el):
         """The normal form of el: the rewritten words in topological
         order, each receiving its whole coefficient before its one
-        rewrite."""
-        acc = dict(el.terms)
+        rewrite.  Each word's coefficient is summed once, from all its
+        parts, when its turn comes (an ordered word's at the end); a
+        word with one part needs no sum."""
+        n = self.n
+        acc, more = dict(el.terms), {}
         for word, edges in self.rewrite_order(el.terms, _STEP_LIMIT):
             coeff = acc.pop(word, None)
             if coeff is None:
                 continue
+            rest = more.pop(word, None)
+            if rest is not None:
+                coeff = add_many(n, [coeff, *rest])
+                if coeff.is_zero:
+                    continue
             for rc, nw in edges:
-                nc = coeff * rc
-                s = acc.get(nw)
-                s = nc if s is None else s + nc
-                if s.is_zero:
-                    acc.pop(nw, None)
-                else:
-                    acc[nw] = s
-        return Element(self, acc)
+                _add_part(acc, more, nw, coeff * rc)
+        return Element(self, _sum_parts(n, acc, more))
 
     def rewrite_order(self, words, limit=None):
         """Search the coefficient-free rewrite graph from words.
@@ -369,13 +396,11 @@ def mat_mul(alg, a, b, n):
     by_row = {}
     for (i1, i2, j1, j2), el in b.items():
         by_row.setdefault((i1, i2), []).append(((j1, j2), el))
-    out = {}
+    prods = {}
     for (i1, i2, k1, k2), el in a.items():
         for (j, el2) in by_row.get((k1, k2), ()):
-            key = (i1, i2) + j
-            prod = el * el2
-            acc = out.get(key)
-            out[key] = prod if acc is None else acc + prod
+            prods.setdefault((i1, i2) + j, []).append(el * el2)
+    out = {key: add_elements(alg, els) for key, els in prods.items()}
     return {k: v for k, v in out.items() if not v.is_zero}
 
 
@@ -389,10 +414,8 @@ def mat_power(alg, mat, power):
         nxt = {}
         for i in idx:
             for j in idx:
-                acc = alg.zero()
-                for k in idx:
-                    acc = acc + mat[(i, k)] * out[(k, j)]
-                nxt[(i, j)] = alg.normal_form(acc)
+                nxt[(i, j)] = alg.normal_form(add_elements(
+                    alg, [mat[(i, k)] * out[(k, j)] for k in idx]))
         out = nxt
     return out
 
@@ -400,10 +423,9 @@ def mat_power(alg, mat, power):
 def quantum_trace(alg, mat):
     """Tr(A Q^-): the weighted trace of an n x n matrix of alg's
     elements, normal ordered; central when A is a power of L."""
-    acc = alg.zero()
-    for i in range(1, alg.n + 1):
-        acc = acc + mat[(i, i)].times_coeff_right(qminus(alg.n, i))
-    return alg.normal_form(acc)
+    return alg.normal_form(add_elements(
+        alg, [mat[(i, i)].times_coeff_right(qminus(alg.n, i))
+              for i in range(1, alg.n + 1)]))
 
 
 def mat_add(a, b):
@@ -452,13 +474,13 @@ def substitute(dst, terms, image):
     """Sum of c * image[g1] * ... * image[gk] in dst over the (c, word)
     pairs of terms (the form of a rewrite rule; an element's are
     ``(c, w) for w, c in el.terms.items()``); not normal ordered."""
-    out = dst.zero()
+    out = []
     for c, word in terms:
         acc = dst.scalar(c)
         for g in word:
             acc = acc * image[g]
-        out = out + acc
-    return out
+        out.append(acc)
+    return add_elements(dst, out)
 
 
 def residual_failures(identity, residuals):

@@ -39,11 +39,14 @@ cofactor, so only a non-constant cofactor is ever trial-divided:
   against the other operand's multiset, then against its cofactor; a
   factor both share divides neither numerator, so it cannot divide
   their product.
-* ``a + b``: the numerator factors both summands share stay outside the
-  bracket.  Over the common denominator, a factor whose multiplicities
-  differ in a and b divides exactly one of the two summands, so it
-  cannot divide the sum; only factors of equal multiplicity are tried
-  against the bracket.
+* ``a1 + ... + ak`` (:func:`add_many`; ``a + b`` is its two-term
+  case): the numerator factors every summand shares stay outside the
+  bracket, and each summand is expanded once over the common
+  denominator.  When one summand alone carries a factor f at its top
+  multiplicity, its expanded numerator is prime to f while every other
+  one has f as a factor, so f cannot divide the sum; only factors that
+  two or more summands carry at their top multiplicity are tried
+  against the bracket, once.
 * ``inverse``: numerator and denominator multisets swap places; only
   the old cofactor is split, and none of the new factors can divide the
   old denominator, a product of linear forms that do not divide the old
@@ -485,37 +488,11 @@ class RatFun:
             raise CoefficientError("rank mismatch between coefficients")
         return other
 
-    def _den_poly(self):
-        return _expand(1, K.p_const(self.n, self.dint), self.dfac)
-
     def __add__(self, other):
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero:
-            return other
-        if other.is_zero:
-            return self
-        g = gcd(self.dint, other.dint)
-        ka, kb = other.dint // g, self.dint // g
-        fa, fb = dict(self.dfac), dict(other.dfac)
-        facs = {key: max(fa.get(key, 0), fb.get(key, 0))
-                for key in fa.keys() | fb.keys()}
-        la, lb = dict(self.nfac), dict(other.nfac)
-        common = {key: min(m, lb[key]) for key, m in la.items() if key in lb}
-        bracket = K.p_add(
-            _expand(ka * self.content, self.cof,
-                    [*_minus(la, common), *_minus(facs, fa)]),
-            _expand(kb * other.content, other.cof,
-                    [*_minus(lb, common), *_minus(facs, fb)]))
-        if not bracket:
-            return RatFun.zero(self.n)
-        c, sign, cof = K.p_primitive_sign(bracket)
-        trial = [key for key in facs if fa.get(key) == fb.get(key)]
-        if trial and not _is_one(cof):
-            cof, facs = K.p_cancel(cof, facs, trial)
-        return RatFun._new(self.n, c * sign, common, cof, self.dint * ka,
-                           facs)
+        return add_many(self.n, (self, other))
 
     __radd__ = __add__
 
@@ -698,6 +675,61 @@ class RatFun:
 
     def __repr__(self):
         return f"RatFun({self.n}, {serialize(self)!r})"
+
+
+def add_many(n, terms):
+    """The sum of the coefficients terms, all of rank n, over one common
+    denominator.
+
+    The denominator is the lcm of the dints times each factor at its
+    largest multiplicity; the numerator factors every summand has stay
+    outside the bracket.  Each summand is expanded once over that
+    denominator, the bracket is made primitive once, and only the
+    factors that two or more summands carry at their top multiplicity
+    are tried against it (see the module docstring).  A single nonzero
+    summand comes back as it is.
+    """
+    terms = [t for t in terms if t.content]
+    if len(terms) < 2:
+        return terms[0] if terms else RatFun.zero(n)
+    dint = 1
+    facs, top = {}, {}      # key -> top multiplicity, summands holding it
+    for t in terms:
+        dint = dint * t.dint // gcd(dint, t.dint)
+        for key, m in t.dfac:
+            old = facs.get(key, 0)
+            if m > old:
+                facs[key], top[key] = m, 1
+            elif m == old:
+                top[key] += 1
+    common = dict(terms[0].nfac)
+    for t in terms[1:]:
+        if not common:
+            break
+        nfac = dict(t.nfac)
+        common = {key: min(m, nfac[key]) for key, m in common.items()
+                  if key in nfac}
+    bracket = None
+    for t in terms:
+        fa = dict(t.dfac)
+        poly = _expand(dint // t.dint * t.content, t.cof,
+                       [*_minus(dict(t.nfac), common), *_minus(facs, fa)])
+        if bracket is None:
+            bracket = dict(poly) if poly is t.cof else poly
+            continue
+        for e, v in poly.items():
+            s = bracket.get(e, 0) + v
+            if s:
+                bracket[e] = s
+            else:
+                del bracket[e]
+    if not bracket:
+        return RatFun.zero(n)
+    c, sign, cof = K.p_primitive_sign(bracket)
+    trial = [key for key, k in top.items() if k > 1]
+    if trial and not _is_one(cof):
+        cof, facs = K.p_cancel(cof, facs, trial)
+    return RatFun._new(n, c * sign, common, cof, dint, facs)
 
 
 # ---------------------------------------------------------------------------

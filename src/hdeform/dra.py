@@ -20,11 +20,11 @@ from __future__ import annotations
 
 import itertools
 
-from .algebra import (Element, TermAlgebra, associativity_failures,
-                      braided_cross_residual, mat_add, mat_first_leg,
-                      mat_from_tensor, mat_mul, mat_power, mat_sub,
-                      overlap_triples, quantum_trace, reflection_residual,
-                      residual_failures, substitute)
+from .algebra import (Element, TermAlgebra, add_elements,
+                      associativity_failures, braided_cross_residual,
+                      mat_add, mat_first_leg, mat_from_tensor, mat_mul,
+                      mat_power, mat_sub, overlap_triples, quantum_trace,
+                      reflection_residual, residual_failures, substitute)
 from .coeffs import RatFun, eps, hdiff, phi, phi_segment, serialize
 from .errors import RelationExtractionError, RewriteLimitError
 from .report import failure, select_units
@@ -479,10 +479,8 @@ def check_generator_transforms(n):
     inv = invert_transform(n, alg)
     for (i, j), el in sorted(inv.items()):
         # substitute L expressions back: must reproduce the bare generator
-        acc = alg.zero()
-        for word, c in el.terms.items():
-            (_, a, b) = word[0]
-            acc = acc + trans[(a, b)].times_coeff_left(c)
+        acc = add_elements(alg, [trans[(a, b)].times_coeff_left(c)
+                                 for ((_, a, b),), c in el.terms.items()])
         want = alg.gen(i, j)
         if acc != want:
             failures.append(failure("transition_inverse_roundtrip", (i, j),
@@ -595,10 +593,8 @@ def check_braided_sum(n, copies):
     entries = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            acc = alg.zero()
-            for t in range(1, copies + 1):
-                acc = acc + alg.gen(i, j, t)
-            entries[(i, j)] = acc
+            entries[(i, j)] = add_elements(
+                alg, [alg.gen(i, j, t) for t in range(1, copies + 1)])
     res = reflection_residual(alg, rhat(n), entries, n)
     return residual_failures("braided_sum_reflection",
                              {(copies,) + key: el for key, el in res.items()})

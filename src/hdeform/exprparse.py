@@ -41,6 +41,9 @@ class _WeylParser(_Parser):
         while self.peek() == "*":
             self.pos += 1
             node = node * self.product_factor()
+        if self.peek() == "/":
+            self.error("a coefficient quotient must be parenthesized, "
+                       "as in (h1/2)*x[1,1]")
         return node if sign > 0 else -node
 
     def product_factor(self):

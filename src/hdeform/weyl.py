@@ -20,9 +20,10 @@ consistent (see ``appendix`` checks in :mod:`hdeform.dra`).
 
 from __future__ import annotations
 
-from .algebra import (Element, TermAlgebra, associativity_failures,
-                      braided_cross_residual, overlap_triples,
-                      reflection_residual, residual_failures, substitute)
+from .algebra import (Element, TermAlgebra, add_elements,
+                      associativity_failures, braided_cross_residual,
+                      overlap_triples, reflection_residual, residual_failures,
+                      substitute)
 from .coeffs import (RatFun, beta_coeff, eps, hdiff, mu_coeff, phi,
                      phi_prime, qminus, qplus)
 from .errors import CoefficientError
@@ -194,19 +195,19 @@ def check_forward_exchange(n, copies=1, fermionic=False):
         for j in range(1, n + 1):
             for a in range(1, copies + 1):
                 for b in range(1, copies + 1):
-                    acc = alg.zero()
+                    parts = []
                     for k in range(1, n + 1):
                         for l in range(1, n + 1):
                             c = t.get(i, k, j, l)
                             if c is None:
                                 continue
-                            acc = acc + alg.normal_form(
+                            parts.append(alg.normal_form(
                                 alg.word_element((dgen(k, b), xgen(l, a)))
-                            ).times_coeff_left(c * sgn)
+                            ).times_coeff_left(c * sgn))
                     if a == b and i == j:
-                        acc = acc + alg.one().times_int(-sgn)
+                        parts.append(alg.one().times_int(-sgn))
                     want = alg.word_element((xgen(i, a), dgen(j, b)))
-                    got = alg.normal_form(acc)
+                    got = alg.normal_form(add_elements(alg, parts))
                     if got != want:
                         failures.append(failure("forward_exchange_round_trip",
                                                 (i, j, a, b), got, want))
@@ -256,11 +257,9 @@ def check_variant_generators(n):
                 r = nf(x[i] * d_un[j] - d_un[j] * x[i])
                 if not r.is_zero:
                     failures.append(failure("unbarred_xd_commute", (i, j), r))
-        acc = alg.zero()
-        for j in range(1, n + 1):
-            beta = beta_coeff(n, i, j)
-            acc = acc + (d_un[j] * x[j]).times_coeff_left(beta)
-        acc = acc + alg.scalar(mu_coeff(n, i))
+        acc = add_elements(
+            alg, [(d_un[j] * x[j]).times_coeff_left(beta_coeff(n, i, j))
+                  for j in range(1, n + 1)] + [alg.scalar(mu_coeff(n, i))])
         r = nf(x[i] * d_un[i] - acc)
         if not r.is_zero:
             failures.append(failure("unbarred_diagonal", (i,), r))
@@ -269,15 +268,15 @@ def check_variant_generators(n):
     s = shat(n)
     for i in range(1, n + 1):
         for j in range(1, n + 1):
-            acc = alg.zero()
+            parts = []
             for k in range(1, n + 1):
                 for l in range(1, n + 1):
                     c = s.get(i, k, j, l)
                     if c is not None:
-                        acc = acc + (x[l] * d_bb[k]).times_coeff_left(c)
+                        parts.append((x[l] * d_bb[k]).times_coeff_left(c))
             if i == j:
-                acc = acc + one
-            r = nf(d_bb[j] * x[i] - acc)
+                parts.append(one)
+            r = nf(d_bb[j] * x[i] - add_elements(alg, parts))
             if not r.is_zero:
                 failures.append(failure("double_barred_exchange", (i, j), r))
     # derivative change of basis: D_i == bbar_i (q-)^{-1} == (q+) bbar_i
@@ -360,10 +359,10 @@ def verify_zhelobenko(n, copies=1):
     # mu recursion: x^i d_i - sum_j beta_ij d_j x^j == mu_i == -1/phi_i
     relations = {}
     for i in range(1, n + 1):
-        acc = alg.zero()
-        for j in range(1, n + 1):
-            acc = acc + (_unbarred_d(alg, j, 1) * alg.x(j, 1)
-                         ).times_coeff_left(beta_coeff(n, i, j))
+        acc = add_elements(
+            alg, [(_unbarred_d(alg, j, 1) * alg.x(j, 1)
+                   ).times_coeff_left(beta_coeff(n, i, j))
+                  for j in range(1, n + 1)])
         got = nf(alg.x(i, 1) * _unbarred_d(alg, i, 1) - acc)
         want = alg.scalar(mu_coeff(n, i))
         if got != want:

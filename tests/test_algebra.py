@@ -311,6 +311,33 @@ def test_one_pair_rule_call_per_rewritten_word_in_a_suite(monkeypatch):
     assert len(calls) == 276
 
 
+def test_one_primitive_part_per_summed_word_in_a_suite(monkeypatch):
+    # each word's coefficient is summed once, over one common denominator,
+    # so a bracket is made primitive once per sum of two or more parts that
+    # does not cancel (a pairwise fold made 202 such calls here)
+    import hdeform.kernel as K
+    assert verify_reflection(2, 2, False) == []   # the store is filled
+    calls, sums = [], []
+    primitive_sign, add_many = K.p_primitive_sign, coeffs.add_many
+
+    def counted(poly):
+        calls.append(len(poly))
+        return primitive_sign(poly)
+
+    def summed(n, terms):
+        terms = list(terms)
+        total = add_many(n, terms)
+        if sum(not t.is_zero for t in terms) > 1 and not total.is_zero:
+            sums.append(total)
+        return total
+
+    monkeypatch.setattr(K, "p_primitive_sign", counted)
+    monkeypatch.setattr(coeffs, "add_many", summed)
+    monkeypatch.setattr(A, "add_many", summed)
+    assert verify_reflection(2, 2, False) == []
+    assert len(calls) == len(sums) == 106
+
+
 # -- the engine against the LIFO reference -------------------------------------
 
 def _shifted_special(n, rng):

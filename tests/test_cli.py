@@ -396,6 +396,21 @@ def test_normal_form_parse_error(capsys):
     assert "position" in err
 
 
+def test_normal_form_unparenthesized_quotient_is_a_parse_error(capsys):
+    # h1/2*x[1,1] divides by a coefficient outside parentheses: the error
+    # is at the '/', not trailing input after h1
+    code, out, err = run_cli(capsys, "normal-form", "--n", "2", "--N", "1",
+                             "--expr", "h1/2*x[1,1]")
+    assert code == 2
+    assert out == ""
+    assert ("a coefficient quotient must be parenthesized, as in "
+            "(h1/2)*x[1,1] (at position 2)") in err
+    code, out, _ = run_cli(capsys, "normal-form", "--n", "2", "--N", "1",
+                           "--expr", "(h1/2)*x[1,1]", "--format", "text")
+    assert code == 0
+    assert out.strip() == "(h1/2)*x[1,1]"
+
+
 def test_normal_form_non_linear_denominator_is_a_parse_error(capsys):
     # 1/(h1^2+h2^2+1) has no inverse in the ring localized at linear forms
     code, out, err = run_cli(capsys, "normal-form", "--n", "2", "--N", "1",

@@ -486,8 +486,13 @@ def _reference_add(a, b):
 
 
 def _reference_inverse(a):
+    import hdeform.kernel as K
     from hdeform.coeffs import _split_denominator
-    return _reference_build(a._den_poly(), *_split_denominator(a.n, a.num))
+    den = K.p_const(a.n, a.dint)
+    for key, m in a.dfac:
+        for _ in range(m):
+            den = K.p_mul(den, dict(key))
+    return _reference_build(den, *_split_denominator(a.n, a.num))
 
 
 def _reference_map(a, poly_map):
@@ -552,6 +557,85 @@ def test_arithmetic_matches_trial_of_every_factor(a, b, alpha, perm):
     assert _rep(a.permute(tuple(perm))) == _reference_map(
         a, lambda p: K.p_permute(p, p0))
     assert _rep(a.negate_h()) == _reference_map(a, K.p_negate)
+
+
+def _fold_reference_add(n, terms):
+    """The left fold of _reference_add, each partial sum kept as its
+    reference representation."""
+    from types import SimpleNamespace
+    acc = SimpleNamespace(n=n, num={}, dint=1, dfac=(), is_zero=True)
+    for t in terms:
+        num, dint, dfac = _reference_add(acc, t)
+        acc = SimpleNamespace(n=n, num=num, dint=dint, dfac=dfac,
+                              is_zero=not num)
+    return acc
+
+
+@st.composite
+def _summands(draw):
+    """0-6 coefficients, sometimes with a forced case appended: a value
+    and its negative, a repeated summand, or two summands sharing a
+    denominator factor at the same top power."""
+    terms = draw(st.lists(_coefficients(), max_size=6))
+    case = draw(st.sampled_from(["none", "cancel", "repeat", "shared"]))
+    if case == "cancel":
+        a = draw(_coefficients())
+        terms += [a, -a]
+    elif case == "repeat" and terms:
+        terms.append(draw(st.sampled_from(terms)))
+    elif case == "shared":
+        f = draw(_atoms) ** draw(st.integers(1, 2))
+        terms += [draw(_coefficients()) / f, draw(_coefficients()) / f]
+    return draw(st.permutations(terms))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_summands())
+def test_n_ary_sum_matches_the_pairwise_reference(terms):
+    import hdeform.kernel as K
+    from hdeform.coeffs import add_many
+    top = {}        # key -> (top multiplicity, summands holding it)
+    for t in terms:
+        for key, m in t.dfac:
+            old, k = top.get(key, (0, 0))
+            top[key] = (m, 1) if m > old else (old, k + (m == old))
+    tried = []
+    p_cancel = K.p_cancel
+
+    def recording(num, facs, keys):
+        tried.extend(keys)
+        return p_cancel(num, facs, keys)
+
+    K.p_cancel = recording
+    try:
+        got = add_many(3, terms)
+    finally:
+        K.p_cancel = p_cancel
+    want = _fold_reference_add(3, terms)
+    assert _rep(got) == (want.num, want.dint, want.dfac)
+    assert serialize(got) == serialize(want)
+    # only factors two or more summands carry at their top multiplicity
+    assert all(top[key][1] > 1 for key in tried)
+
+
+def test_n_ary_sum_tries_only_factors_shared_at_the_top(monkeypatch):
+    import hdeform.kernel as K
+    from hdeform.coeffs import add_many
+    tried = []
+    p_cancel = K.p_cancel
+
+    def recording(num, facs, keys):
+        tried.append(sorted(keys))
+        return p_cancel(num, facs, keys)
+
+    monkeypatch.setattr(K, "p_cancel", recording)
+    # h1-h2 is at its top power 2 in the first two summands; h1+3 is in
+    # the third alone, so it cannot divide the sum and is not tried
+    terms = [parse(2, t) for t in ("h1/(h1-h2)^2", "h2/(h1-h2)^2",
+                                   "1/((h1-h2)*(h1+3))")]
+    total = add_many(2, terms)
+    assert tried == [[hdiff(2, 1, 2).nfac[0][0]]]
+    assert serialize(total) == "(h1^2+h1*h2+4*h1+2*h2)/((h1+3)*(h1-h2)^2)"
 
 
 # -- exact factor search and canonical text ----------------------------------
