@@ -12,11 +12,12 @@ or ``h_i + k`` of the family the algebra inverts, ``cof`` one primitive
 cofactor polynomial with positive grlex-leading coefficient (often 1;
 the bracket of a sum stays in it unsplit), ``dint`` a positive integer
 coprime to the content and the ``fi`` distinct primitive linear forms
-with positive leading coefficient.  Numerator and denominator factors
-are kept as sorted multisets of canonical keys.  The numerator is
-expanded only where its terms are needed: ``+``, :func:`serialize`,
-``==`` on unequal factor lists and the term guard; the expansion is
-not kept.
+with positive leading coefficient.  Numerator and denominator are
+coprime, so no form is on both sides, and the factors are kept in one
+map ``fac`` from canonical key to signed multiplicity: ``fac[li] = ai``
+and ``fac[fi] = -mi``.  The numerator is expanded only where its terms
+are needed: ``+``, :func:`serialize`, ``==`` on unequal maps and the
+term guard; the expansion is not kept.
 
 The ring is localized at linear forms only.  Denominators are split by
 :func:`_linear_family_factors`, which finds every factor of the family
@@ -28,17 +29,19 @@ linear form, numerator and denominator are coprime, and the form is
 canonical: equal values have equal denominators and equal expanded
 numerators, and serialize to the same text.
 
-Arithmetic works on the multisets and trial-divides only what can
-cancel.  The rules rest on two facts: a primitive linear form is prime
-in Z[h], and no denominator factor of a stored value divides its
-numerator.  A linear factor divides a numerator exactly as often as it
-appears in the numerator's multiset plus as often as it divides the
-cofactor, so only a non-constant cofactor is ever trial-divided:
+Arithmetic works on the maps and trial-divides only what can cancel.
+The rules rest on two facts: a primitive linear form is prime in Z[h],
+and no denominator factor of a stored value divides its numerator.  A
+linear factor divides a numerator exactly as often as its multiplicity
+in the map plus as often as it divides the cofactor, so only a
+non-constant cofactor is ever trial-divided:
 
-* ``a * b``: a factor of one operand's denominator alone cancels
-  against the other operand's multiset, then against its cofactor; a
-  factor both share divides neither numerator, so it cannot divide
-  their product.
+* ``a * b``: one map is copied and the other's multiplicities are added
+  into it, so a denominator factor cancels against the other operand's
+  numerator factor in the sum of exponents.  A factor of one operand's
+  denominator alone that is still negative after the sum is then tried
+  against the other operand's cofactor; a factor both denominators
+  share divides neither numerator, so it cannot divide their product.
 * ``a1 + ... + ak`` (:func:`add_many`; ``a + b`` is its two-term
   case): the numerator factors every summand shares stay outside the
   bracket, and each summand is expanded once over the common
@@ -47,9 +50,11 @@ cofactor, so only a non-constant cofactor is ever trial-divided:
   one has f as a factor, so f cannot divide the sum; only factors that
   two or more summands carry at their top multiplicity are tried
   against the bracket, once.
-* ``inverse``: numerator and denominator multisets swap places; only
-  the old cofactor is split, and none of the new factors can divide the
-  old denominator, a product of linear forms that do not divide the old
+* ``inverse``: every multiplicity changes sign, except that a
+  denominator form outside the family moves into the new cofactor (the
+  map's numerator holds forms of the family only); only the old
+  cofactor is split, and none of the new factors can divide the old
+  denominator, a product of linear forms that do not divide the old
   numerator.
 
 Trial division divides a candidate only when its value at each of the
@@ -163,14 +168,6 @@ def _positive(poly):
     if K.p_lead(poly)[1] > 0:
         return 1, poly
     return -1, K.p_neg(poly)
-
-
-def _minus(facs, other):
-    """The multiset facs - other, as (key, multiplicity) pairs."""
-    for key, m in facs.items():
-        m -= other.get(key, 0)
-        if m > 0:
-            yield key, m
 
 
 def _expand(c, cof, facs):
@@ -326,86 +323,85 @@ def _split_denominator(n, den):
     rem, facs = _linear_family_factors(n, prim)
     if not K.p_is_const(rem):
         if K.p_degree(rem) > 1:
+            # a product of forms outside the family is not split
             raise CoefficientError(
-                f"denominator factor {poly_str(rem)} is not linear")
+                f"denominator factor {poly_str(rem)} is not linear; write "
+                "linear forms outside the family one by one, as in "
+                "1/(h1+h2)/(2*h1-h2-1)")
         facs = facs + [(_fac_key(rem), 1)]
     return c * sign, facs
 
 
-def _cancel_linear(nfac, cof, dfac, keys):
-    """Cancel the factors ``keys`` of the denominator multiset
-    dfac against a numerator nfac * cof, each as often as it divides and
-    at most its multiplicity.  nfac is lowered in place; returns the
-    cofactor and the lowered dfac."""
-    tried = []
+def _cancel(cof, fac, keys):
+    """Trial-divide cof by the denominator factors keys of the map fac,
+    each as often as it divides and at most its multiplicity; fac is
+    raised in place.  Returns the quotient."""
+    if not keys or _is_one(cof):
+        return cof
+    cof, left = K.p_cancel(cof, {key: -fac[key] for key in keys}, keys)
     for key in keys:
-        m, c = dfac[key], nfac.get(key, 0)
-        if c:
-            t = min(m, c)
-            if c > t:
-                nfac[key] = c - t
-            else:
-                del nfac[key]
-            m -= t
-            if m:
-                dfac[key] = m
-            else:
-                del dfac[key]
+        m = left.get(key)
         if m:
-            tried.append(key)
-    if tried and not _is_one(cof):
-        cof, dfac = K.p_cancel(cof, dfac, tried)
-    return cof, dfac
+            fac[key] = -m
+        else:
+            del fac[key]
+    return cof
 
 
 class RatFun:
-    """Immutable exact rational function over the h-variables."""
+    """Immutable exact rational function over the h-variables.
 
-    __slots__ = ("n", "content", "nfac", "cof", "dint", "dfac")
+    ``fac`` maps each factor key to its signed multiplicity: positive
+    for a numerator form of the family, negative for a denominator form
+    (see the module docstring).  The map is shared between values and
+    never changed once stored; ``nfac`` and ``dfac`` are its sorted
+    numerator and denominator views.
+    """
 
-    def __init__(self, n, content, nfac, cof, dint, dfac):
+    __slots__ = ("n", "content", "fac", "cof", "dint")
+
+    def __init__(self, n, content, fac, cof, dint):
         self.n = n
         self.content = content
-        self.nfac = nfac
+        self.fac = fac
         self.cof = cof
         self.dint = dint
-        self.dfac = dfac
 
     # -- construction -------------------------------------------------------
 
     @classmethod
-    def _new(cls, n, content, nfac, cof, dint, dfac):
-        """The stored form of content * nfac * cof / (dint * dfac), given
-        the multisets as dicts and cof primitive with positive lead: a
-        cofactor of the family moves into the multiset and the content's
-        common divisor with dint cancels."""
+    def _new(cls, n, content, fac, cof, dint):
+        """The stored form of content * fac * cof / dint, given a map of
+        the caller's own and cof primitive with positive lead: a cofactor
+        of the family moves into the map and the content's common divisor
+        with dint cancels."""
         if not content:
             return cls.zero(n)
-        if len(cof) <= 3 and max(sum(e) for e in cof) == 1:
+        if (len(cof) <= 3 and not _is_one(cof)
+                and max(sum(e) for e in cof) == 1):
             key = _fac_key(cof)
             if _is_family(key):
-                nfac[key] = nfac.get(key, 0) + 1
+                fac[key] = fac.get(key, 0) + 1
                 cof = _one(n)
         g = gcd(content, dint)
         if g > 1:
             content //= g
             dint //= g
-        return _guard(cls(n, content, tuple(sorted(nfac.items())), cof, dint,
-                          tuple(sorted(dfac.items()))))
+        return _guard(cls(n, content, fac, cof, dint))
 
     @classmethod
     def zero(cls, n):
-        return cls(n, 0, (), _one(n), 1, ())
+        return cls(n, 0, {}, _one(n), 1)
 
     @classmethod
     def const(cls, n, value):
         if isinstance(value, Fraction):
             return cls._new(n, value.numerator, {}, _one(n),
-                            value.denominator, {})
+                            value.denominator)
         value = int(value)
         if not value:
             return cls.zero(n)
-        return cls(n, value, (), _one(n), 1, ())
+        return cls(n, value, {}, _one(n), 1)
 
     @classmethod
     def var(cls, n, i):
@@ -413,7 +409,7 @@ class RatFun:
         if not 1 <= i <= n:
             raise CoefficientError(f"variable index {i} out of range 1..{n}")
         key = _fac_key(_family_form(n, i - 1, None, 0))
-        return cls(n, 1, ((key, 1),), _one(n), 1, ())
+        return cls(n, 1, {key: 1}, _one(n), 1)
 
     @classmethod
     def from_poly(cls, n, num, den=None):
@@ -424,14 +420,27 @@ class RatFun:
         if not num:
             return cls.zero(n)
         c, sign, cof = K.p_primitive_sign(num)
-        content, dint, facs = c * sign, 1, {}
+        content, dint, fac = c * sign, 1, {}
         if den is not None and den != K.p_const(n, 1):
             dint, items = _split_denominator(n, den)
             facs = dict(items)
             if dint < 0:
                 content, dint = -content, -dint
             cof, facs = K.p_cancel(cof, facs, facs)
-        return cls._new(n, content, {}, cof, dint, facs)
+            fac = {key: -m for key, m in facs.items()}
+        return cls._new(n, content, fac, cof, dint)
+
+    # -- views --------------------------------------------------------------
+
+    @property
+    def nfac(self):
+        """The numerator factors, sorted (key, multiplicity) pairs."""
+        return tuple(sorted(item for item in self.fac.items() if item[1] > 0))
+
+    @property
+    def dfac(self):
+        """The denominator factors, sorted (key, multiplicity) pairs."""
+        return tuple(sorted((key, -m) for key, m in self.fac.items() if m < 0))
 
     # -- predicates ---------------------------------------------------------
 
@@ -446,21 +455,22 @@ class RatFun:
     @property
     def _is_unit(self):
         """True for +1 and -1."""
-        return (self.content in (1, -1) and self.dint == 1
-                and self._is_constant)
+        return (not self.fac and self.dint == 1 and self.content in (1, -1)
+                and _is_one(self.cof))
 
     @property
     def _is_constant(self):
         """True for a rational constant, zero included: every automorphism
         fixes it."""
-        return not self.nfac and not self.dfac and _is_one(self.cof)
+        return not self.fac and _is_one(self.cof)
 
     @property
     def num(self):
         """The expanded numerator polynomial, built on each access."""
         if not self.content:
             return {}
-        poly = _expand(self.content, self.cof, self.nfac)
+        poly = _expand(self.content, self.cof,
+                       [item for item in self.fac.items() if item[1] > 0])
         return dict(poly) if poly is self.cof else poly
 
     def is_unit_in_localization(self):
@@ -468,7 +478,8 @@ class RatFun:
         constant) products of the inverted linear forms: every denominator
         factor is of the family and the numerator's cofactor splits into
         factors of the family."""
-        if self.is_zero or not all(_is_family(key) for key, _ in self.dfac):
+        if self.is_zero or not all(_is_family(key) for key, m
+                                   in self.fac.items() if m < 0):
             return False
         if _is_one(self.cof):
             return True
@@ -478,15 +489,13 @@ class RatFun:
     # -- arithmetic ---------------------------------------------------------
 
     def _check(self, other):
-        if isinstance(other, int):
+        if isinstance(other, RatFun):
+            if other.n != self.n:
+                raise CoefficientError("rank mismatch between coefficients")
+            return other
+        if isinstance(other, (int, Fraction)):
             return RatFun.const(self.n, other)
-        if isinstance(other, Fraction):
-            return RatFun.const(self.n, other)
-        if not isinstance(other, RatFun):
-            return NotImplemented
-        if other.n != self.n:
-            raise CoefficientError("rank mismatch between coefficients")
-        return other
+        return NotImplemented
 
     def __add__(self, other):
         other = self._check(other)
@@ -499,8 +508,7 @@ class RatFun:
     def __neg__(self):
         if self.is_zero:
             return self
-        return RatFun(self.n, -self.content, self.nfac, self.cof, self.dint,
-                      self.dfac)
+        return RatFun(self.n, -self.content, self.fac, self.cof, self.dint)
 
     def __sub__(self, other):
         other = self._check(other)
@@ -515,25 +523,35 @@ class RatFun:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        if self.is_zero or other.is_zero:
+        if not (self.content and other.content):
             return RatFun.zero(self.n)
         # rule coefficients are mostly +-1: no arithmetic for a unit
         if other._is_unit:
             return self if other.content == 1 else -self
         if self._is_unit:
             return other if self.content == 1 else -other
-        fa, fb = dict(self.dfac), dict(other.dfac)
-        la, lb = dict(self.nfac), dict(other.nfac)
-        only_a, only_b = fa.keys() - fb.keys(), fb.keys() - fa.keys()
-        ca, fb = _cancel_linear(la, self.cof, fb, only_b)
-        cb, fa = _cancel_linear(lb, other.cof, fa, only_a)
+        fa, fb = self.fac, other.fac
+        fac = dict(fa)
+        try_a, try_b = [], []   # keys to try against self.cof, other.cof
         for key, m in fb.items():
-            fa[key] = fa.get(key, 0) + m
-        for key, m in lb.items():
-            la[key] = la.get(key, 0) + m
+            old = fac.get(key, 0)
+            s = old + m
+            if s:
+                fac[key] = s
+            else:
+                del fac[key]
+            if s < 0:
+                if old >= 0:
+                    try_a.append(key)
+                elif m > 0:
+                    try_b.append(key)
+        if not _is_one(other.cof):
+            try_b += [key for key, m in fa.items() if m < 0 and key not in fb]
+        ca = _cancel(self.cof, fac, try_a)
+        cb = _cancel(other.cof, fac, try_b)
         cof = ca if _is_one(cb) else cb if _is_one(ca) else K.p_mul(ca, cb)
-        return RatFun._new(self.n, self.content * other.content, la, cof,
-                           self.dint * other.dint, fa)
+        return RatFun._new(self.n, self.content * other.content, fac, cof,
+                           self.dint * other.dint)
 
     __rmul__ = __mul__
 
@@ -541,16 +559,18 @@ class RatFun:
         if self.is_zero:
             raise CoefficientError("division by zero coefficient")
         n = self.n
-        nfac = {key: m for key, m in self.dfac if _is_family(key)}
-        cof = _expand(1, _one(n), [(key, m) for key, m in self.dfac
-                                   if key not in nfac])
-        dfac = dict(self.nfac)
+        fac, rest = {}, []      # rest: denominator forms outside the family
+        for key, m in self.fac.items():
+            if m > 0 or _is_family(key):
+                fac[key] = -m
+            else:
+                rest.append((key, -m))
+        cof = _expand(1, _one(n), sorted(rest))
         if not _is_one(self.cof):
             for key, m in _split_denominator(n, self.cof)[1]:
-                dfac[key] = dfac.get(key, 0) + m
+                fac[key] = fac.get(key, 0) - m
         sign = 1 if self.content > 0 else -1
-        return RatFun._new(n, sign * self.dint, nfac, cof, abs(self.content),
-                           dfac)
+        return RatFun._new(n, sign * self.dint, fac, cof, abs(self.content))
 
     def __truediv__(self, other):
         other = self._check(other)
@@ -575,10 +595,11 @@ class RatFun:
         other = self._check(other)
         if other is NotImplemented:
             return NotImplemented
-        return (self.content == other.content and self.dint == other.dint
-                and self.dfac == other.dfac
-                and ((self.nfac == other.nfac and self.cof == other.cof)
-                     or self.num == other.num))
+        if self.content != other.content or self.dint != other.dint:
+            return False
+        if self.fac == other.fac and self.cof == other.cof:
+            return True
+        return self.dfac == other.dfac and self.num == other.num
 
     def __ne__(self, other):
         r = self.__eq__(other)
@@ -590,25 +611,18 @@ class RatFun:
         """Apply a ring automorphism that maps the family onto itself:
         linear_key(key) gives (sign, image key) for a factor and poly_map
         maps the cofactor."""
-        sign = 1
-
-        def image(facs):
-            nonlocal sign
-            out = []
-            for key, m in facs:
-                s, key = linear_key(key)
-                if s < 0 and m % 2:
-                    sign = -sign
-                out.append((key, m))
-            return tuple(sorted(out))
-
-        nfac, dfac = image(self.nfac), image(self.dfac)
+        sign, fac = 1, {}
+        for key, m in self.fac.items():
+            s, key = linear_key(key)
+            if s < 0 and m % 2:
+                sign = -sign
+            fac[key] = m
         cof = self.cof
         if not _is_one(cof):
             s, cof = _positive(poly_map(cof))
             sign *= s
-        return _guard(RatFun(self.n, sign * self.content, nfac, cof,
-                             self.dint, dfac))
+        return _guard(RatFun(self.n, sign * self.content, fac, cof,
+                             self.dint))
 
     def shift(self, alpha):
         """f[alpha]: substitute h_i -> h_i + alpha_i."""
@@ -658,14 +672,14 @@ class RatFun:
 
     def eval(self, point):
         """Exact evaluation at an integer point; Fraction result."""
-        den = self.dint
-        for key, m in self.dfac:
-            den *= K.p_eval(dict(key), point) ** m
+        num, den = self.content * K.p_eval(self.cof, point), self.dint
+        for key, m in self.fac.items():
+            if m > 0:
+                num *= K.p_eval(dict(key), point) ** m
+            else:
+                den *= K.p_eval(dict(key), point) ** -m
         if den == 0:
             raise CoefficientError("evaluation at a denominator zero")
-        num = self.content * K.p_eval(self.cof, point)
-        for key, m in self.nfac:
-            num *= K.p_eval(dict(key), point) ** m
         return Fraction(num, den)
 
     # -- printing -----------------------------------------------------------
@@ -696,24 +710,31 @@ def add_many(n, terms):
     facs, top = {}, {}      # key -> top multiplicity, summands holding it
     for t in terms:
         dint = dint * t.dint // gcd(dint, t.dint)
-        for key, m in t.dfac:
-            old = facs.get(key, 0)
-            if m > old:
-                facs[key], top[key] = m, 1
-            elif m == old:
-                top[key] += 1
-    common = dict(terms[0].nfac)
+        for key, m in t.fac.items():
+            if m < 0:
+                old = facs.get(key, 0)
+                if -m > old:
+                    facs[key], top[key] = -m, 1
+                elif -m == old:
+                    top[key] += 1
+    common = {key: m for key, m in terms[0].fac.items() if m > 0}
     for t in terms[1:]:
         if not common:
             break
-        nfac = dict(t.nfac)
-        common = {key: min(m, nfac[key]) for key, m in common.items()
-                  if key in nfac}
+        fac = t.fac
+        common = {key: min(m, fac[key]) for key, m in common.items()
+                  if fac.get(key, 0) > 0}
     bracket = None
     for t in terms:
-        fa = dict(t.dfac)
-        poly = _expand(dint // t.dint * t.content, t.cof,
-                       [*_minus(dict(t.nfac), common), *_minus(facs, fa)])
+        fac = t.fac
+        # the numerator over common, then the denominator up to facs
+        over = [(key, m - common.get(key, 0)) for key, m in fac.items()
+                if m > common.get(key, 0)]
+        for key, m in facs.items():
+            m += min(fac.get(key, 0), 0)
+            if m:
+                over.append((key, m))
+        poly = _expand(dint // t.dint * t.content, t.cof, over)
         if bracket is None:
             bracket = dict(poly) if poly is t.cof else poly
             continue
@@ -729,7 +750,9 @@ def add_many(n, terms):
     trial = [key for key, k in top.items() if k > 1]
     if trial and not _is_one(cof):
         cof, facs = K.p_cancel(cof, facs, trial)
-    return RatFun._new(n, c * sign, common, cof, dint, facs)
+    for key, m in facs.items():
+        common[key] = -m
+    return RatFun._new(n, c * sign, common, cof, dint)
 
 
 # ---------------------------------------------------------------------------
@@ -898,13 +921,13 @@ def serialize(f):
     values print the same text (the stored form is canonical)."""
     if f.is_zero:
         return "0"
-    poly = f.num
+    poly, dfac = f.num, f.dfac
     num = poly_str(poly)
-    if f.dint == 1 and not f.dfac:
+    if f.dint == 1 and not dfac:
         return num
     if len(poly) > 1:
         num = f"({num})"
-    return f"{num}/{_den_str(f.dint, f.dfac)}"
+    return f"{num}/{_den_str(f.dint, dfac)}"
 
 
 # ---------------------------------------------------------------------------

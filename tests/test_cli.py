@@ -462,6 +462,7 @@ FIXTURES = pathlib.Path(__file__).parent / "fixtures"
 @pytest.mark.parametrize("argv,fixture", [
     (("relations", "--n", "2", "--format", "json"), "relations_n2.json"),
     (("relations", "--n", "2", "--format", "text"), "relations_n2.txt"),
+    (("relations", "--n", "3", "--format", "text"), "relations_n3.txt"),
     (("central", "--n", "2", "--power", "1", "--format", "text"),
      "central_n2_p1.txt"),
     (("central", "--n", "2", "--power", "2", "--format", "text"),

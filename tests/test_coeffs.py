@@ -360,6 +360,9 @@ def test_parse_rejects_non_linear_denominators(text, at):
         parse(2, text)
     assert info.value.pos == at
     assert text[at] in "/^"
+    # a product of forms outside the family must come factor by factor
+    assert ("write linear forms outside the family one by one, as in "
+            "1/(h1+h2)/(2*h1-h2-1)") in str(info.value)
 
 
 def test_unit_detection_in_localization():
@@ -741,3 +744,79 @@ def test_equality_of_linear_denominators_needs_no_subtraction(monkeypatch):
     assert a == b
     assert a != c
 
+
+# -- one signed factor map per value -----------------------------------------
+
+def _record_kernel(monkeypatch):
+    """Wrap every function of the kernel; returns the list of (name,
+    args) it records."""
+    import hdeform.kernel as K
+    calls = []
+    for name in K.__all__:
+        fn = getattr(K, name)
+        if callable(fn):
+            def recording(*args, _fn=fn, _name=name):
+                calls.append((_name, args))
+                return _fn(*args)
+            monkeypatch.setattr(K, name, recording)
+    return calls
+
+
+def test_product_cancels_by_multiplicity_without_the_kernel(monkeypatch):
+    import hdeform.kernel as K
+    a = parse(3, "(h1-h2+1)/(h1-h2)")
+    b = parse(3, "h1*(h2-h3-1)/((h2-h3)*(h1-h3))")
+    c = parse(3, "(h1^2+h2*h3+3)/(h1-h2)")
+    d = parse(3, "(h1-h2)/(h2-h3+2)")
+    key = K.fac_key(parse(3, "h2-h3+2").num)
+    calls = _record_kernel(monkeypatch)
+    ab = a * b
+    assert calls == []
+    # h1-h2 cancels in the map; only h2-h3+2 meets a non-unit cofactor
+    cd = c * d
+    assert [(name, sorted(args[2])) for name, args in calls] \
+        == [("p_cancel", [key])]
+    monkeypatch.undo()
+    assert ab == parse(3, "h1*(h1-h2+1)*(h2-h3-1)/(h1-h2)/(h2-h3)/(h1-h3)")
+    assert cd == parse(3, "(h1^2+h2*h3+3)/(h2-h3+2)")
+
+
+def _assert_stored_form(f):
+    """The invariants of the map: no zero multiplicity, numerator forms
+    of the family only, and nfac / dfac its sorted views."""
+    from hdeform.coeffs import _is_family
+    assert all(f.fac.values())
+    assert all(_is_family(key) for key, m in f.fac.items() if m > 0)
+    for view in (f.nfac, f.dfac):
+        assert list(view) == sorted(view)
+        assert all(m > 0 for _, m in view)
+    assert {**dict(f.nfac), **{key: -m for key, m in f.dfac}} == f.fac
+
+
+@settings(max_examples=80, deadline=None)
+@given(_coefficients(), _coefficients(), weights,
+       st.permutations([1, 2, 3]))
+def test_stored_form_invariants(a, b, alpha, perm):
+    import hdeform.kernel as K
+    from hdeform.coeffs import _linear_family_factors
+    ab, ba = a * b, b * a
+    assert (ab.fac, ab.cof) == (ba.fac, ba.cof)
+    results = [ab, a + b, a - b, a.shift(alpha), a.permute(tuple(perm)),
+               a.negate_h()]
+    if not a.is_zero and K.p_degree(_linear_family_factors(3, a.cof)[0]) < 2:
+        results.append(a.inverse())
+    for f in results:
+        _assert_stored_form(f)
+
+
+def test_inverse_moves_a_form_outside_the_family_into_the_cofactor():
+    import hdeform.kernel as K
+    x = parse(3, "h1/(2*h1-h2-h3-1)")
+    form = parse(3, "2*h1-h2-h3-1")
+    key = K.fac_key(form.cof)
+    assert x.fac == {K.fac_key(hvar(3, 1).num): 1, key: -1}
+    y = x.inverse()
+    assert key not in y.fac and y.cof == form.cof
+    assert serialize(y) == "(2*h1-h2-h3-1)/h1"
+    assert (x * y).is_one
+    _assert_stored_form(y)
