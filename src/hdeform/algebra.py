@@ -34,14 +34,13 @@ so replacing a rule takes effect at the next step.
 from __future__ import annotations
 
 import itertools
-import os
 
 from . import coeffs
 from .coeffs import RatFun, add_many, qminus, serialize
 from .errors import ResourceLimitError, RewriteLimitError
 from .report import failure
 
-_STEP_LIMIT = int(os.environ.get("HDEFORM_MAX_REWRITES", "0") or 0) or 20_000_000
+_STEP_LIMIT = coeffs.env_limit("HDEFORM_MAX_REWRITES") or 20_000_000
 
 
 class Element:

@@ -9,7 +9,8 @@ Subcommands:
 Exit codes: 0 all checks pass, 1 an identity failed, 2 usage or parse error.
 The HDEFORM_MAX_TERMS environment variable caps the number of monomials
 any single coefficient or element may hold (0 = unlimited), and
-HDEFORM_MAX_REWRITES caps the steps of the rewrite engine.
+HDEFORM_MAX_REWRITES caps the steps of the rewrite engine; a value of
+either that is not a nonnegative integer is a usage error.
 """
 
 from __future__ import annotations
@@ -21,16 +22,12 @@ import re
 import sys
 import time
 
-from .errors import HdeformError, ParseError
+from .errors import HdeformError, ParseError, UsageError
 from .report import SuiteReport, failure, render_reports
 
 GUARD_N = 6
 GUARD_COPIES = 4
 GUARD_POWER = 6
-
-
-class UsageError(Exception):
-    pass
 
 
 def _guard(args):

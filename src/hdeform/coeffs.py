@@ -62,12 +62,10 @@ kernel's probe points divides the polynomial's value there: a true
 factor's value always does, since ``b | a`` in Z[h] implies
 ``b(pt) | a(pt)`` at every integer point.
 
-Factor keys go through the kernel's factor table: a family form is
-recognized by ``K.fac_family``, expanded into a numerator by
-``K.p_mul_family`` (the product by ``h_i - h_j + k`` is three shifted
-copies of the multiplicand) and divided out inside ``K.p_cancel`` by
-synthetic division in ``h_i``; a linear form outside the family keeps
-``K.p_mul`` and the heap-order division.
+The kernel owns the layout of a monomial and of a factor key; this
+module works on keys and multiplicities only.  It decides which keys to
+multiply out (``K.p_mul_family`` for a family form, ``K.p_mul`` for any
+other) and which to try (``K.p_cancel``).
 
 ``shift``, ``permute`` and ``negate_h`` are ring automorphisms that map
 linear forms to linear forms and the family onto itself: sigma(f)
@@ -85,13 +83,24 @@ from __future__ import annotations
 import operator
 import os
 from fractions import Fraction
-from math import comb, gcd
+from math import gcd
 
 from . import kernel as K
-from .errors import CoefficientError, ParseError, ResourceLimitError
+from .errors import (CoefficientError, ParseError, ResourceLimitError,
+                     UsageError)
 from .store import stored
 
-_MAX_TERMS = int(os.environ.get("HDEFORM_MAX_TERMS", "0") or 0)
+
+def env_limit(name):
+    """The size limit in the environment variable name: a nonnegative
+    integer, 0 (unlimited) when unset or empty."""
+    text = os.environ.get(name, "").strip() or "0"
+    if not text.isdecimal():
+        raise UsageError(f"{name} must be a nonnegative integer, not {text!r}")
+    return int(text)
+
+
+_MAX_TERMS = env_limit("HDEFORM_MAX_TERMS")
 
 
 def set_term_limit(limit):
@@ -127,47 +136,21 @@ def eps(n, i):
 # factors
 # ---------------------------------------------------------------------------
 
-# key helpers are bound once; the arithmetic goes through ``K.`` so that a
-# wrapper on the kernel module sees every product and division
-_fac_key = K.fac_key
-_fac_family = K.fac_family
-_ONES = {}
-
-
-def _one(n):
-    """The cofactor 1 of rank n: one dict per rank, shared by every value
-    (no polynomial is ever changed in place)."""
-    one = _ONES.get(n)
-    if one is None:
-        one = _ONES[n] = {(0,) * n: 1}
-    return one
-
-
-def _is_one(poly):
-    # a stored cofactor is primitive with positive lead: constant means 1
-    return len(poly) == 1 and not any(next(iter(poly)))
+# the helpers that do no arithmetic are bound once; the arithmetic goes
+# through ``K.`` so that a wrapper on the kernel module sees every product,
+# sum, substitution and division.  A stored cofactor is primitive with
+# positive lead, so a constant one is 1 (_p_is_const).
+_p_one, _p_is_const, _p_degree, _p_vars, _p_slices, _p_str = (
+    K.p_one, K.p_is_const, K.p_degree, K.p_vars, K.p_slices, K.p_str)
+_fac_key, _fac_family, _fac_poly, _fac_form = (
+    K.fac_key, K.fac_family, K.fac_poly, K.fac_form)
+_fac_shift, _fac_permute, _fac_negate = (
+    K.fac_shift, K.fac_permute, K.fac_negate)
 
 
 def _is_family(key):
     """True for the key of h_i + k or h_i - h_j + k (i < j)."""
     return _fac_family(key) is not None
-
-
-def _family_form(n, i, j, k):
-    """h_i - h_j + k, or h_i + k when j is None (0-based indices)."""
-    fac = {tuple(1 if t == i else 0 for t in range(n)): 1}
-    if j is not None:
-        fac[tuple(1 if t == j else 0 for t in range(n))] = -1
-    if k:
-        fac[(0,) * n] = k
-    return fac
-
-
-def _positive(poly):
-    """(sign, poly with positive grlex-leading coefficient)."""
-    if K.p_lead(poly)[1] > 0:
-        return 1, poly
-    return -1, K.p_neg(poly)
 
 
 def _expand(c, cof, facs):
@@ -178,7 +161,7 @@ def _expand(c, cof, facs):
             for _ in range(m):
                 poly = K.p_mul_family(poly, key)
         else:
-            form = dict(key)
+            form = _fac_poly(key)
             for _ in range(m):
                 poly = K.p_mul(poly, form)
     return poly
@@ -187,25 +170,6 @@ def _expand(c, cof, facs):
 # ---------------------------------------------------------------------------
 # the factor search
 # ---------------------------------------------------------------------------
-
-def _add_variable(poly, i, j):
-    """Substitute h_i -> h_i + h_j (0-based), which maps the factor
-    h_i - h_j + k to h_i + k."""
-    res = {}
-    for exp, c in poly.items():
-        e = exp[i]
-        for t in range(e + 1):
-            ne = list(exp)
-            ne[i] = t
-            ne[j] += e - t
-            ne = tuple(ne)
-            s = res.get(ne, 0) + c * comb(e, t)
-            if s:
-                res[ne] = s
-            else:
-                del res[ne]
-    return res
-
 
 def _horner(a, x):
     v = 0
@@ -260,12 +224,8 @@ def _integer_roots(poly, i):
     within Cauchy's bound 1 + max |a_k / a_d|, at which it vanishes.
     The bisection makes the cost logarithmic in the offsets.
     """
-    slices = {}
-    for exp, c in poly.items():
-        rest = exp[:i] + exp[i + 1:]
-        slices.setdefault(rest, {})[exp[i]] = c
     best = None
-    for sl in slices.values():
+    for sl in _p_slices(poly, i):
         lo, hi = min(sl), max(sl)
         if hi == 0:
             return []                       # a slice free of h_i
@@ -286,28 +246,29 @@ def _linear_family_factors(n, poly):
 
     Returns (remaining cofactor, sorted list of (factor_key, multiplicity)).
     For each variable h_i, and for each pair i < j after substituting
-    h_i -> h_i + h_j, the candidates are the integer roots found by
-    :func:`_integer_roots`; each is confirmed by exact division, repeated
-    for its multiplicity.  No candidate is missed, so the remaining
-    cofactor has no factor of the family.
+    h_i -> h_i + h_j (which maps h_i - h_j + k to h_i + k), the
+    candidates are the integer roots found by :func:`_integer_roots`;
+    each is confirmed by exact division, repeated for its multiplicity.
+    No candidate is missed, so the remaining cofactor has no factor of
+    the family.
     """
     found = {}
     rem = poly
     for i in range(n):
         for j in [None] + list(range(i + 1, n)):
-            if K.p_is_const(rem):
+            if _p_is_const(rem):
                 return rem, sorted(found.items())
             if j is None:
                 probe = rem
-            elif any(e[i] for e in rem) and any(e[j] for e in rem):
-                probe = _add_variable(rem, i, j)
+            elif {i, j} <= _p_vars(rem):
+                probe = K.p_add_var(rem, i, j)
             else:
                 continue
             for r in _integer_roots(probe, i):
-                fac = _family_form(n, i, j, -r)
+                key = _fac_form(n, i, j, -r)
+                fac = _fac_poly(key)
                 q = K.p_divexact(rem, fac)
                 while q is not None:
-                    key = _fac_key(fac)
                     found[key] = found.get(key, 0) + 1
                     rem = q
                     q = K.p_divexact(rem, fac)
@@ -321,11 +282,11 @@ def _split_denominator(n, den):
     higher degree has no inverse in the ring: CoefficientError."""
     c, sign, prim = K.p_primitive_sign(den)
     rem, facs = _linear_family_factors(n, prim)
-    if not K.p_is_const(rem):
-        if K.p_degree(rem) > 1:
+    if not _p_is_const(rem):
+        if _p_degree(rem) > 1:
             # a product of forms outside the family is not split
             raise CoefficientError(
-                f"denominator factor {poly_str(rem)} is not linear; write "
+                f"denominator factor {_p_str(rem)} is not linear; write "
                 "linear forms outside the family one by one, as in "
                 "1/(h1+h2)/(2*h1-h2-1)")
         facs = facs + [(_fac_key(rem), 1)]
@@ -336,7 +297,7 @@ def _cancel(cof, fac, keys):
     """Trial-divide cof by the denominator factors keys of the map fac,
     each as often as it divides and at most its multiplicity; fac is
     raised in place.  Returns the quotient."""
-    if not keys or _is_one(cof):
+    if not keys or _p_is_const(cof):
         return cof
     cof, left = K.p_cancel(cof, {key: -fac[key] for key in keys}, keys)
     for key in keys:
@@ -377,12 +338,11 @@ class RatFun:
         with dint cancels."""
         if not content:
             return cls.zero(n)
-        if (len(cof) <= 3 and not _is_one(cof)
-                and max(sum(e) for e in cof) == 1):
+        if len(cof) <= 3 and not _p_is_const(cof) and _p_degree(cof) == 1:
             key = _fac_key(cof)
             if _is_family(key):
                 fac[key] = fac.get(key, 0) + 1
-                cof = _one(n)
+                cof = _p_one(n)
         g = gcd(content, dint)
         if g > 1:
             content //= g
@@ -391,25 +351,25 @@ class RatFun:
 
     @classmethod
     def zero(cls, n):
-        return cls(n, 0, {}, _one(n), 1)
+        return cls(n, 0, {}, _p_one(n), 1)
 
     @classmethod
     def const(cls, n, value):
         if isinstance(value, Fraction):
-            return cls._new(n, value.numerator, {}, _one(n),
+            return cls._new(n, value.numerator, {}, _p_one(n),
                             value.denominator)
         value = int(value)
         if not value:
             return cls.zero(n)
-        return cls(n, value, {}, _one(n), 1)
+        return cls(n, value, {}, _p_one(n), 1)
 
     @classmethod
     def var(cls, n, i):
         """h_i (1-based)."""
         if not 1 <= i <= n:
             raise CoefficientError(f"variable index {i} out of range 1..{n}")
-        key = _fac_key(_family_form(n, i - 1, None, 0))
-        return cls(n, 1, {key: 1}, _one(n), 1)
+        key = _fac_form(n, i - 1, None, 0)
+        return cls(n, 1, {key: 1}, _p_one(n), 1)
 
     @classmethod
     def from_poly(cls, n, num, den=None):
@@ -421,7 +381,7 @@ class RatFun:
             return cls.zero(n)
         c, sign, cof = K.p_primitive_sign(num)
         content, dint, fac = c * sign, 1, {}
-        if den is not None and den != K.p_const(n, 1):
+        if den is not None and den != _p_one(n):
             dint, items = _split_denominator(n, den)
             facs = dict(items)
             if dint < 0:
@@ -456,13 +416,13 @@ class RatFun:
     def _is_unit(self):
         """True for +1 and -1."""
         return (not self.fac and self.dint == 1 and self.content in (1, -1)
-                and _is_one(self.cof))
+                and _p_is_const(self.cof))
 
     @property
     def _is_constant(self):
         """True for a rational constant, zero included: every automorphism
         fixes it."""
-        return not self.fac and _is_one(self.cof)
+        return not self.fac and _p_is_const(self.cof)
 
     @property
     def num(self):
@@ -481,10 +441,10 @@ class RatFun:
         if self.is_zero or not all(_is_family(key) for key, m
                                    in self.fac.items() if m < 0):
             return False
-        if _is_one(self.cof):
+        if _p_is_const(self.cof):
             return True
         rem, _ = _linear_family_factors(self.n, self.cof)
-        return K.p_is_const(rem)
+        return _p_is_const(rem)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -545,11 +505,12 @@ class RatFun:
                     try_a.append(key)
                 elif m > 0:
                     try_b.append(key)
-        if not _is_one(other.cof):
+        if not _p_is_const(other.cof):
             try_b += [key for key, m in fa.items() if m < 0 and key not in fb]
         ca = _cancel(self.cof, fac, try_a)
         cb = _cancel(other.cof, fac, try_b)
-        cof = ca if _is_one(cb) else cb if _is_one(ca) else K.p_mul(ca, cb)
+        cof = (ca if _p_is_const(cb) else cb if _p_is_const(ca)
+               else K.p_mul(ca, cb))
         return RatFun._new(self.n, self.content * other.content, fac, cof,
                            self.dint * other.dint)
 
@@ -565,8 +526,8 @@ class RatFun:
                 fac[key] = -m
             else:
                 rest.append((key, -m))
-        cof = _expand(1, _one(n), sorted(rest))
-        if not _is_one(self.cof):
+        cof = _expand(1, _p_one(n), sorted(rest))
+        if not _p_is_const(self.cof):
             for key, m in _split_denominator(n, self.cof)[1]:
                 fac[key] = fac.get(key, 0) - m
         sign = 1 if self.content > 0 else -1
@@ -607,20 +568,22 @@ class RatFun:
 
     # -- automorphisms ------------------------------------------------------
 
-    def _map(self, linear_key, poly_map):
+    def _map(self, key_map, poly_map):
         """Apply a ring automorphism that maps the family onto itself:
-        linear_key(key) gives (sign, image key) for a factor and poly_map
-        maps the cofactor."""
+        key_map(key) gives (sign, image key) for a factor (the kernel's
+        fac_shift, fac_permute and fac_negate) and poly_map maps the
+        cofactor."""
         sign, fac = 1, {}
         for key, m in self.fac.items():
-            s, key = linear_key(key)
+            s, key = key_map(key)
             if s < 0 and m % 2:
                 sign = -sign
             fac[key] = m
         cof = self.cof
-        if not _is_one(cof):
-            s, cof = _positive(poly_map(cof))
-            sign *= s
+        if not _p_is_const(cof):
+            cof = poly_map(cof)
+            if K.p_lead(cof)[1] < 0:
+                sign, cof = -sign, K.p_neg(cof)
         return _guard(RatFun(self.n, sign * self.content, fac, cof,
                              self.dint))
 
@@ -628,17 +591,8 @@ class RatFun:
         """f[alpha]: substitute h_i -> h_i + alpha_i."""
         if self._is_constant or not any(alpha):
             return self
-
-        def linear_key(key):
-            # l(h) + k -> l(h) + k + l(alpha)
-            terms = [(e, c) for e, c in key if any(e)]
-            k = sum(c for e, c in key if not any(e))
-            k += sum(c * alpha[e.index(1)] for e, c in terms)
-            if k:
-                terms.append(((0,) * len(alpha), k))
-            return 1, tuple(terms)
-
-        return self._map(linear_key, lambda p: K.p_shift(p, alpha))
+        return self._map(lambda key: _fac_shift(key, alpha),
+                         lambda p: K.p_shift(p, alpha))
 
     def permute(self, perm):
         """Shifted Weyl action: h_k -> h_{perm(k)}; perm is 1-based."""
@@ -647,26 +601,14 @@ class RatFun:
             raise CoefficientError("not a permutation of 1..n")
         if self._is_constant:
             return self
-
-        def poly_map(p):
-            return K.p_permute(p, p0)
-
-        def linear_key(key):
-            s, poly = _positive(poly_map(dict(key)))
-            return s, _fac_key(poly)
-
-        return self._map(linear_key, poly_map)
+        return self._map(lambda key: _fac_permute(key, p0),
+                         lambda p: K.p_permute(p, p0))
 
     def negate_h(self):
         """Global sign reversal h_i -> -h_i."""
         if self._is_constant:
             return self
-
-        def linear_key(key):
-            # l(h) + k -> -l(h) + k = -(l(h) - k)
-            return -1, tuple((e, c if any(e) else -c) for e, c in key)
-
-        return self._map(linear_key, K.p_negate)
+        return self._map(_fac_negate, K.p_negate)
 
     # -- evaluation ---------------------------------------------------------
 
@@ -675,9 +617,9 @@ class RatFun:
         num, den = self.content * K.p_eval(self.cof, point), self.dint
         for key, m in self.fac.items():
             if m > 0:
-                num *= K.p_eval(dict(key), point) ** m
+                num *= K.p_eval(_fac_poly(key), point) ** m
             else:
-                den *= K.p_eval(dict(key), point) ** -m
+                den *= K.p_eval(_fac_poly(key), point) ** -m
         if den == 0:
             raise CoefficientError("evaluation at a denominator zero")
         return Fraction(num, den)
@@ -724,31 +666,25 @@ def add_many(n, terms):
         fac = t.fac
         common = {key: min(m, fac[key]) for key, m in common.items()
                   if fac.get(key, 0) > 0}
-    bracket = None
-    for t in terms:
-        fac = t.fac
-        # the numerator over common, then the denominator up to facs
-        over = [(key, m - common.get(key, 0)) for key, m in fac.items()
-                if m > common.get(key, 0)]
-        for key, m in facs.items():
-            m += min(fac.get(key, 0), 0)
-            if m:
-                over.append((key, m))
-        poly = _expand(dint // t.dint * t.content, t.cof, over)
-        if bracket is None:
-            bracket = dict(poly) if poly is t.cof else poly
-            continue
-        for e, v in poly.items():
-            s = bracket.get(e, 0) + v
-            if s:
-                bracket[e] = s
-            else:
-                del bracket[e]
+
+    def expanded():
+        for t in terms:
+            fac = t.fac
+            # the numerator over common, then the denominator up to facs
+            over = [(key, m - common.get(key, 0)) for key, m in fac.items()
+                    if m > common.get(key, 0)]
+            for key, m in facs.items():
+                m += min(fac.get(key, 0), 0)
+                if m:
+                    over.append((key, m))
+            yield _expand(dint // t.dint * t.content, t.cof, over)
+
+    bracket = K.p_sum(expanded())
     if not bracket:
         return RatFun.zero(n)
     c, sign, cof = K.p_primitive_sign(bracket)
     trial = [key for key, k in top.items() if k > 1]
-    if trial and not _is_one(cof):
+    if trial and not _p_is_const(cof):
         cof, facs = K.p_cancel(cof, facs, trial)
     for key, m in facs.items():
         common[key] = -m
@@ -873,42 +809,16 @@ def special(name, indices, n):
 # serialization
 # ---------------------------------------------------------------------------
 
-def _mono_str(exp, coeff, lead=False):
-    vars_part = "*".join(
-        f"h{i + 1}" + (f"^{e}" if e > 1 else "")
-        for i, e in enumerate(exp) if e)
-    c = abs(coeff)
-    if not vars_part:
-        body = str(c)
-    elif c == 1:
-        body = vars_part
-    else:
-        body = f"{c}*{vars_part}"
-    if lead:
-        return ("-" if coeff < 0 else "") + body
-    return ("-" if coeff < 0 else "+") + body
-
-
-def poly_str(poly):
-    if not poly:
-        return "0"
-    items = sorted(poly.items(), key=lambda t: K.grlex_key(t[0]), reverse=True)
-    out = [_mono_str(items[0][0], items[0][1], lead=True)]
-    for exp, c in items[1:]:
-        out.append(_mono_str(exp, c))
-    return "".join(out)
-
-
 def _den_str(dint, dfac):
     parts = []
     if dint != 1:
         parts.append(str(dint))
     for key, m in dfac:
-        poly = dict(key)
+        poly = _fac_poly(key)
         if len(poly) == 1:
-            base = poly_str(poly)
+            base = _p_str(poly)
         else:
-            base = f"({poly_str(poly)})"
+            base = f"({_p_str(poly)})"
         parts.append(base + (f"^{m}" if m > 1 else ""))
     if len(parts) > 1:
         # keep the whole denominator one parse unit
@@ -922,7 +832,7 @@ def serialize(f):
     if f.is_zero:
         return "0"
     poly, dfac = f.num, f.dfac
-    num = poly_str(poly)
+    num = _p_str(poly)
     if f.dint == 1 and not dfac:
         return num
     if len(poly) > 1:

@@ -21,6 +21,11 @@ class RelationExtractionError(HdeformError):
     """The relation system could not be solved for an ordered form."""
 
 
+class UsageError(Exception):
+    """Invalid command-line arguments or HDEFORM_* environment settings;
+    the CLI reports it in one line and exits 2."""
+
+
 class ResourceLimitError(HdeformError):
     """A configured memory/size guard was exceeded."""
 

@@ -1,18 +1,22 @@
 """Sparse integer-polynomial kernel (pure Python, see ``_poly_py``).
 
-``BACKEND`` names the kernel (``"python"``).  ``PROBE_POINTS`` are the
-integer points at which exact division rejects non-divisors by
-evaluation.
+The kernel is the one module that knows how a monomial (an exponent
+tuple) and a factor key (``fac_key``) are laid out; the rest of the
+package builds, reads, substitutes, sums and prints them through the
+functions listed here.  ``BACKEND`` names the kernel (``"python"``).
+``PROBE_POINTS`` are the integer points at which exact division rejects
+non-divisors by evaluation.
 """
 
 from ._poly_py import *  # noqa: F401,F403
 
 __all__ = [
     "BACKEND", "PROBE_POINTS",
-    "p_zero", "p_const", "p_var", "p_is_const",
-    "p_add", "p_sub", "p_neg", "p_mul",
-    "p_shift", "p_permute", "p_negate", "p_eval",
+    "p_zero", "p_const", "p_one", "p_var", "p_is_const", "p_vars",
+    "p_sum", "p_add", "p_sub", "p_neg", "p_mul",
+    "p_shift", "p_add_var", "p_permute", "p_negate", "p_eval", "p_slices",
     "grlex_key", "p_lead", "p_degree", "p_content",
-    "p_primitive_sign", "p_divexact", "fac_key", "p_cancel",
-    "fac_family", "p_mul_family", "p_div_family",
+    "p_primitive_sign", "p_str", "p_divexact", "fac_key", "p_cancel",
+    "fac_family", "fac_poly", "fac_form", "fac_shift", "fac_negate",
+    "fac_permute", "p_mul_family", "p_div_family",
 ]

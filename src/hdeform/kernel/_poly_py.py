@@ -2,7 +2,10 @@
 
 A polynomial in ``nvars`` variables is a dict mapping exponent tuples
 (length ``nvars``, nonnegative ints) to nonzero Python ints.  All
-functions are side-effect free and never mutate their arguments.
+functions are side-effect free and never mutate their arguments.  This
+module is the only one that knows that layout, and the layout of a
+factor key (``fac_key``): callers build, read, substitute, sum and print
+polynomials and keys through the functions here.
 
 Exact division (``p_divexact``) first rejects by evaluation: if ``b``
 divides ``a`` in Z[x] then ``b(pt)`` divides ``a(pt)`` at every integer
@@ -56,6 +59,13 @@ def p_const(nvars, c):
     return {(0,) * nvars: c}
 
 
+@lru_cache(maxsize=None)
+def p_one(nvars):
+    """The constant 1: one dict per nvars, shared by every caller, so it
+    must never be changed."""
+    return p_const(nvars, 1)
+
+
 def p_var(nvars, i, c=1):
     # x_i with 0-based index i
     if c == 0:
@@ -74,32 +84,34 @@ def p_is_const(a):
     return not any(exp)
 
 
+def p_vars(a):
+    """The set of the (0-based) indices of the variables that occur in a."""
+    return {i for exp in a for i, e in enumerate(exp) if e}
+
+
+def p_sum(polys):
+    """The sum of the polynomials polys, an iterable read once: no list
+    of summands is held."""
+    res = None
+    for a in polys:
+        if res is None:
+            res = dict(a)
+            continue
+        for e, c in a.items():
+            s = res.get(e, 0) + c
+            if s:
+                res[e] = s
+            else:
+                res.pop(e, None)
+    return {} if res is None else res
+
+
 def p_add(a, b):
-    if not a:
-        return dict(b)
-    if not b:
-        return dict(a)
-    res = dict(a)
-    for e, c in b.items():
-        s = res.get(e, 0) + c
-        if s:
-            res[e] = s
-        else:
-            res.pop(e, None)
-    return res
+    return p_sum((a, b))
 
 
 def p_sub(a, b):
-    if not b:
-        return dict(a)
-    res = dict(a)
-    for e, c in b.items():
-        s = res.get(e, 0) - c
-        if s:
-            res[e] = s
-        else:
-            res.pop(e, None)
-    return res
+    return p_sum((a, p_neg(b)))
 
 
 def p_neg(a):
@@ -125,23 +137,23 @@ def p_mul(a, b):
 
 
 
-def _shift_one(a, i, d):
-    # substitute x_i -> x_i + d
+def _binomial(a, i, j, d):
+    # substitute x_i -> x_i + d, or x_i -> x_i + d x_j when j is not None:
+    # x_i^e becomes sum_t comb(e, t) x_i^t (d x_j)^(e - t), t ascending (the
+    # factor search in coeffs picks its slice by term order, first of ties)
     res = {}
     for exp, c in a.items():
         e = exp[i]
-        if e == 0:
-            s = res.get(exp, 0) + c
-            if s:
-                res[exp] = s
+        for t in range(e + 1):
+            if t == e:
+                ne = exp
             else:
-                res.pop(exp, None)
-            continue
-        pre = exp[:i]
-        post = exp[i + 1:]
-        for k in range(e + 1):
-            ne = pre + (k,) + post
-            s = res.get(ne, 0) + c * comb(e, k) * d ** (e - k)
+                ne = list(exp)
+                ne[i] = t
+                if j is not None:
+                    ne[j] += e - t
+                ne = tuple(ne)
+            s = res.get(ne, 0) + c * comb(e, t) * d ** (e - t)
             if s:
                 res[ne] = s
             else:
@@ -154,8 +166,13 @@ def p_shift(a, deltas):
     res = a
     for i, d in enumerate(deltas):
         if d:
-            res = _shift_one(res, i, d)
+            res = _binomial(res, i, None, d)
     return dict(res) if res is a else res
+
+
+def p_add_var(a, i, j):
+    """Substitute x_i -> x_i + x_j (0-based, i != j)."""
+    return _binomial(a, i, j, 1)
 
 
 def p_permute(a, perm):
@@ -191,6 +208,16 @@ def p_eval(a, point):
                 v *= x ** e
         total += v
     return total
+
+
+def p_slices(a, i):
+    """a as a polynomial in x_i over the other variables: one dict per
+    monomial in the others, in order of first appearance, from the power
+    of x_i to the coefficient."""
+    slices = {}
+    for exp, c in a.items():
+        slices.setdefault(exp[:i] + exp[i + 1:], {})[exp[i]] = c
+    return list(slices.values())
 
 
 def grlex_key(exp):
@@ -234,6 +261,25 @@ def p_primitive_sign(a):
     return g, sign, {e: c // d for e, c in a.items()}
 
 
+def _mono_str(exp, c):
+    body = "*".join(f"h{i + 1}" + (f"^{e}" if e > 1 else "")
+                    for i, e in enumerate(exp) if e)
+    if not body:
+        body = str(abs(c))
+    elif abs(c) != 1:
+        body = f"{abs(c)}*{body}"
+    return ("-" if c < 0 else "+") + body
+
+
+def p_str(a):
+    """Text of a in the variables h1, h2, ..., terms in descending grlex
+    order."""
+    if not a:
+        return "0"
+    items = sorted(a.items(), key=lambda t: grlex_key(t[0]), reverse=True)
+    return "".join(_mono_str(e, c) for e, c in items).removeprefix("+")
+
+
 def fac_key(poly):
     """Canonical hashable form of a factor polynomial."""
     return tuple(sorted(poly.items(), key=lambda t: grlex_key(t[0]),
@@ -270,6 +316,44 @@ def fac_family(key):
     """(i, j, k) when key names h_i - h_j + k (i < j, 0-based) or h_i + k
     (j None), else None."""
     return _factor(key)[2]
+
+
+def fac_poly(key):
+    """The polynomial of key, shared by every caller: never change it."""
+    return _factor(key)[0]
+
+
+def fac_form(nvars, i, j, k):
+    """The key of x_i - x_j + k (i < j, 0-based), or of x_i + k when j is
+    None."""
+    return fac_key(p_sum((p_var(nvars, i), p_const(nvars, k),
+                          {} if j is None else p_var(nvars, j, -1))))
+
+
+# The key maps below take the key of a primitive linear form f and return
+# (s, key2): the automorphism maps f to s times the form named by key2.
+
+def fac_shift(key, deltas):
+    """x_i -> x_i + deltas[i]: l(x) + k maps to l(x) + k + l(deltas)."""
+    terms = [(e, c) for e, c in key if any(e)]
+    k = sum(c for e, c in key if not any(e))
+    k += sum(c * deltas[e.index(1)] for e, c in terms)
+    if k:
+        terms.append(((0,) * len(deltas), k))
+    return 1, tuple(terms)
+
+
+def fac_negate(key):
+    """x_i -> -x_i: l(x) + k maps to -l(x) + k = -(l(x) - k)."""
+    return -1, tuple((e, c if any(e) else -c) for e, c in key)
+
+
+def fac_permute(key, perm):
+    """x_i -> x_{perm[i]} (see p_permute)."""
+    poly = p_permute(_factor(key)[0], perm)
+    if p_lead(poly)[1] > 0:
+        return 1, fac_key(poly)
+    return -1, fac_key(p_neg(poly))
 
 
 def p_mul_family(a, key):

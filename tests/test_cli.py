@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import os
 import pathlib
 import re
 import shlex
@@ -483,3 +484,21 @@ def test_console_entry_point_subprocess():
         capture_output=True, text=True)
     assert proc.returncode == 0
     assert "L[1,1]" in proc.stdout
+
+
+@pytest.mark.parametrize("name", ["HDEFORM_MAX_TERMS", "HDEFORM_MAX_REWRITES"])
+@pytest.mark.parametrize("value", ["abc", "-5", "0"])
+def test_size_limit_environment_is_checked(name, value):
+    # a value that is not a nonnegative integer is a usage error naming
+    # the variable; 0 means unlimited
+    proc = subprocess.run(
+        [sys.executable, "-m", "hdeform.cli", "central", "--n", "2",
+         "--power", "1", "--format", "text"],
+        capture_output=True, text=True, env=dict(os.environ, **{name: value}))
+    if value == "0":
+        assert proc.returncode == 0
+        assert "L[1,1]" in proc.stdout
+    else:
+        assert proc.returncode == 2
+        assert proc.stderr == (f"error: {name} must be a nonnegative "
+                               f"integer, not {value!r}\n")

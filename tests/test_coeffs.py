@@ -442,7 +442,7 @@ def _reference_build(num, dint, fac_items):
         dint, num = -dint, K.p_neg(num)
     facs = {}
     for key, m in fac_items:
-        c, sign, prim = K.p_primitive_sign(dict(key))
+        c, sign, prim = K.p_primitive_sign(K.fac_poly(key))
         dint *= c ** m
         if sign < 0 and m % 2:
             num = K.p_neg(num)
@@ -450,7 +450,7 @@ def _reference_build(num, dint, fac_items):
             facs[K.fac_key(prim)] = facs.get(K.fac_key(prim), 0) + m
     for key in sorted(facs):
         while facs[key]:
-            q = K.p_divexact(num, dict(key))
+            q = K.p_divexact(num, K.fac_poly(key))
             if q is None:
                 break
             num, facs[key] = q, facs[key] - 1
@@ -481,9 +481,9 @@ def _reference_add(a, b):
     lcm = {key: max(fa.get(key, 0), fb.get(key, 0)) for key in {**fa, **fb}}
     for key, m in lcm.items():
         for _ in range(m - fa.get(key, 0)):
-            ka = K.p_mul(ka, dict(key))
+            ka = K.p_mul(ka, K.fac_poly(key))
         for _ in range(m - fb.get(key, 0)):
-            kb = K.p_mul(kb, dict(key))
+            kb = K.p_mul(kb, K.fac_poly(key))
     num = K.p_add(K.p_mul(a.num, ka), K.p_mul(b.num, kb))
     return _reference_build(num, a.dint * (b.dint // g), lcm.items())
 
@@ -494,7 +494,7 @@ def _reference_inverse(a):
     den = K.p_const(a.n, a.dint)
     for key, m in a.dfac:
         for _ in range(m):
-            den = K.p_mul(den, dict(key))
+            den = K.p_mul(den, K.fac_poly(key))
     return _reference_build(den, *_split_denominator(a.n, a.num))
 
 
@@ -505,7 +505,7 @@ def _reference_map(a, poly_map):
         return _rep(a)
     return _reference_build(
         poly_map(a.num), a.dint,
-        [(K.fac_key(poly_map(dict(key))), m) for key, m in a.dfac])
+        [(K.fac_key(poly_map(K.fac_poly(key))), m) for key, m in a.dfac])
 
 
 def _linear(i, j, k, n=3):
@@ -712,7 +712,7 @@ def _far_fractions(draw):
 @given(_far_fractions(), st.sampled_from([(1, 2, 7), (2, 0, -300)]))
 def test_equal_values_serialize_identically(case, extra):
     from functools import reduce
-    from hdeform.coeffs import poly_str
+    import hdeform.kernel as K
     n, num, den = case
     num = [_linear(i, j, k, n) for i, j, k in num]
     den = [_linear(i, j, k, n) for i, j, k in den]
@@ -724,7 +724,7 @@ def test_equal_values_serialize_identically(case, extra):
               top / bottom,
               (top * e) / (bottom * e),
               RatFun.from_poly(n, top.num, bottom.num),
-              parse(n, f"({poly_str(top.num)})/({poly_str(bottom.num)})"),
+              parse(n, f"({K.p_str(top.num)})/({K.p_str(bottom.num)})"),
               parse(n, "(" + "*".join(f"({g})" for g in [unit] + num)
                     + ")/(" + "*".join(f"({g})" for g in den) + ")")]
     assert len({serialize(f) for f in routes}) == 1

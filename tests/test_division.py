@@ -244,6 +244,44 @@ def test_family_product_matches_p_mul(case):
     assert K.p_mul_family(poly, key) == K.p_mul(poly, form)
 
 
+@st.composite
+def substitution_case(draw):
+    """A family triple (i, j, k) with k in -3..3 in 1-5 variables, a
+    polynomial, a shift vector and an integer point."""
+    nvars = draw(st.integers(min_value=1, max_value=5))
+    i = draw(st.integers(min_value=0, max_value=nvars - 1))
+    j = None
+    if i + 1 < nvars and draw(st.booleans()):
+        j = draw(st.integers(min_value=i + 1, max_value=nvars - 1))
+    k = draw(st.integers(-3, 3))
+    ints = st.lists(st.integers(-50, 50), min_size=nvars, max_size=nvars)
+    terms = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 3)] * nvars),
+                  st.integers(-20, 20)), max_size=6))
+    poly = {e: c for e, c in terms if c}
+    return (i, j, k), poly, draw(ints), draw(ints)
+
+
+@settings(max_examples=300, deadline=None)
+@given(substitution_case())
+def test_substitutions_agree_with_evaluation(case):
+    # x -> x + d and x_i -> x_i + x_j, checked against p_eval alone
+    (i, j, k), poly, deltas, pt = case
+    nvars = len(pt)
+    assert K.fac_family(K.fac_form(nvars, i, j, k)) == (i, j, k)
+    shifted = K.p_shift(poly, deltas)
+    assert all(shifted.values())
+    assert K.p_eval(shifted, pt) == K.p_eval(
+        poly, [x + d for x, d in zip(pt, deltas)])
+    if j is not None:
+        for s, t in ((i, j), (j, i)):
+            moved = list(pt)
+            moved[s] += pt[t]
+            sub = K.p_add_var(poly, s, t)
+            assert all(sub.values())
+            assert K.p_eval(sub, pt) == K.p_eval(poly, moved)
+
+
 @settings(max_examples=300, deadline=None)
 @given(family_and_poly(), st.sampled_from(["multiple", "perturbed", "plain"]),
        st.integers(min_value=1, max_value=9))

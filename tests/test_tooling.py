@@ -118,3 +118,14 @@ def assert_restored(before):
     assert after.keys() == before.keys()
     moved = [key for key in before if after[key] is not before[key]]
     assert moved == []
+
+
+def test_kernel_exports_every_public_function():
+    # the tracer wraps only the names in K.__all__, so a public kernel
+    # function left out of it would be invisible to traced kernel counts
+    from hdeform.kernel import _poly_py
+    public = {name for name, val in vars(_poly_py).items()
+              if not name.startswith("_") and callable(val)
+              and getattr(val, "__module__", None) == _poly_py.__name__}
+    assert set(kernel.__all__) == public | {"BACKEND", "PROBE_POINTS"}
+    assert len(kernel.__all__) == len(set(kernel.__all__))
