@@ -21,8 +21,10 @@ Sci. 134 (1994) 131-173), with the rewrite graph as the order.
 
 Each word's coefficient is summed once: the normal form, the product
 and :func:`add_elements` (of which ``+`` is the two-operand case) keep
-a word's parts until its sum is needed and add them in one
-:func:`hdeform.coeffs.add_many`, over one common denominator.
+a word's parts until its sum is needed (:func:`hdeform.coeffs.add_part`)
+and add them in one :func:`hdeform.coeffs.add_many`, over one common
+denominator.  Matrices are summed the same way: :func:`mat_mul` and
+:func:`mat_sum` make one :func:`add_elements` per entry.
 
 A rule applied after a prefix of weight w has its coefficients shifted
 by -w.  Each algebra keeps those shifted rules, keyed by the generator
@@ -36,7 +38,8 @@ from __future__ import annotations
 import itertools
 
 from . import coeffs
-from .coeffs import RatFun, add_many, qminus, serialize
+from .coeffs import (RatFun, add_many, add_part, qminus, serialize,
+                     sum_parts)
 from .errors import ResourceLimitError, RewriteLimitError
 from .report import failure
 
@@ -131,8 +134,8 @@ class Element:
         for w1, c1 in self.terms.items():
             cross = tuple(-x for x in alg.word_weight(w1))
             for w2, c2 in other.terms.items():
-                _add_part(acc, more, w1 + w2, c1 * c2.shift(cross))
-        return Element(alg, _sum_parts(alg.n, acc, more))
+                add_part(acc, more, w1 + w2, c1 * c2.shift(cross))
+        return Element(alg, sum_parts(alg.n, acc, more))
 
     def normal_form(self):
         return self.alg.normal_form(self)
@@ -146,32 +149,6 @@ class Element:
         return f"<{type(self.alg).__name__} element {self.alg.element_str(self)}>"
 
 
-def _add_part(acc, more, word, c):
-    """Record c as a part of word's coefficient: the first part goes to
-    acc[word], any further ones to the list more[word]."""
-    if word in acc:
-        rest = more.get(word)
-        if rest is None:
-            more[word] = [c]
-        else:
-            rest.append(c)
-    else:
-        acc[word] = c
-
-
-def _sum_parts(n, acc, more):
-    """Sum the parts of each word of more into acc, one
-    :func:`coeffs.add_many` per word; a word whose sum is zero is
-    dropped.  Returns acc."""
-    for word, rest in more.items():
-        c = add_many(n, [acc[word], *rest])
-        if c.is_zero:
-            del acc[word]
-        else:
-            acc[word] = c
-    return acc
-
-
 def add_elements(alg, elements):
     """The sum of elements of alg, each word's coefficient summed once."""
     acc, more = {}, {}
@@ -179,8 +156,8 @@ def add_elements(alg, elements):
         if el.alg.signature != alg.signature:
             raise ValueError("algebra mismatch")
         for word, c in el.terms.items():
-            _add_part(acc, more, word, c)
-    return Element(alg, _sum_parts(alg.n, acc, more))
+            add_part(acc, more, word, c)
+    return Element(alg, sum_parts(alg.n, acc, more))
 
 
 def coeff_factor_str(c):
@@ -277,8 +254,8 @@ class TermAlgebra:
                 if coeff.is_zero:
                     continue
             for rc, nw in edges:
-                _add_part(acc, more, nw, coeff * rc)
-        return Element(self, _sum_parts(n, acc, more))
+                add_part(acc, more, nw, coeff * rc)
+        return Element(self, sum_parts(n, acc, more))
 
     def rewrite_order(self, words, limit=None):
         """Search the coefficient-free rewrite graph from words.
@@ -399,8 +376,26 @@ def mat_mul(alg, a, b, n):
     for (i1, i2, k1, k2), el in a.items():
         for (j, el2) in by_row.get((k1, k2), ()):
             prods.setdefault((i1, i2) + j, []).append(el * el2)
-    out = {key: add_elements(alg, els) for key, els in prods.items()}
-    return {k: v for k, v in out.items() if not v.is_zero}
+    return _sum_entries(alg, prods)
+
+
+def mat_sum(alg, signed):
+    """The sum of sign * mat over the (sign, mat) pairs of signed (sign
+    +1 or -1), each entry summed once.  The keys come in order of first
+    appearance: a left-to-right pairwise fold's order, unless a key
+    cancels part-way and comes back (the fold moves it to the end)."""
+    parts = {}
+    for sign, mat in signed:
+        for key, el in mat.items():
+            parts.setdefault(key, []).append(el if sign > 0 else -el)
+    return _sum_entries(alg, parts)
+
+
+def _sum_entries(alg, parts):
+    """One :func:`add_elements` per key of parts (key -> its Elements);
+    an entry that sums to zero is left out."""
+    return {key: el for key, els in parts.items()
+            if not (el := add_elements(alg, els)).is_zero}
 
 
 def mat_power(alg, mat, power):
@@ -427,22 +422,6 @@ def quantum_trace(alg, mat):
               for i in range(1, alg.n + 1)]))
 
 
-def mat_add(a, b):
-    out = dict(a)
-    for key, el in b.items():
-        acc = out.get(key)
-        out[key] = el if acc is None else acc + el
-    return {k: v for k, v in out.items() if not v.is_zero}
-
-
-def mat_sub(a, b):
-    out = dict(a)
-    for key, el in b.items():
-        acc = out.get(key)
-        out[key] = -el if acc is None else acc - el
-    return {k: v for k, v in out.items() if not v.is_zero}
-
-
 def reflection_residual(alg, rmat, lmat_entries, n):
     """Componentwise reflection-equation residual for a first-leg matrix.
 
@@ -453,9 +432,8 @@ def reflection_residual(alg, rmat, lmat_entries, n):
     l1 = mat_first_leg(alg, lmat_entries, n)
     rl = mat_mul(alg, r12, l1, n)
     lr = mat_mul(alg, l1, r12, n)
-    lhs = mat_sub(mat_mul(alg, rl, rl, n), mat_mul(alg, lr, lr, n))
-    rhs = mat_sub(rl, lr)
-    return mat_sub(lhs, rhs)
+    return mat_sum(alg, [(1, mat_mul(alg, rl, rl, n)),
+                         (-1, mat_mul(alg, lr, lr, n)), (-1, rl), (1, lr)])
 
 
 def braided_cross_residual(alg, rmat, m1_entries, m2_entries, n):
@@ -466,7 +444,7 @@ def braided_cross_residual(alg, rmat, m1_entries, m2_entries, n):
     m2 = mat_first_leg(alg, m2_entries, n)
     lhs = mat_mul(alg, mat_mul(alg, mat_mul(alg, r12, m1, n), r12, n), m2, n)
     rhs = mat_mul(alg, mat_mul(alg, mat_mul(alg, m2, r12, n), m1, n), r12, n)
-    return mat_sub(lhs, rhs)
+    return mat_sum(alg, [(1, lhs), (-1, rhs)])
 
 
 def substitute(dst, terms, image):

@@ -134,11 +134,14 @@ def _verify_units(args):
 
 def cmd_verify(args):
     _guard(args)
+    if args.jobs < 1:
+        raise UsageError("--jobs must be at least 1")
     units = _verify_units(args)
     t_all = time.time()
-    if args.jobs > 1:
+    processes = min(args.jobs, len(units))
+    if processes > 1:
         import multiprocessing
-        with multiprocessing.Pool(args.jobs) as pool:
+        with multiprocessing.Pool(processes) as pool:
             results = pool.map(run_unit, [task for _, task in units])
     else:
         results = [run_unit(task) for _, task in units]
@@ -271,7 +274,8 @@ def build_parser():
                          help="braided copies for coproduct checks"),
         "--format": dict(choices=["json", "text"], default="json"),
         "--jobs": dict(type=int, default=1,
-                       help="parallel processes for independent checks"),
+                       help="parallel processes for independent checks "
+                            "(at least 1; at most one per check)"),
     }
 
     def common(sp, *names):

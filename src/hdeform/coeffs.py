@@ -43,13 +43,15 @@ non-constant cofactor is ever trial-divided:
   against the other operand's cofactor; a factor both denominators
   share divides neither numerator, so it cannot divide their product.
 * ``a1 + ... + ak`` (:func:`add_many`; ``a + b`` is its two-term
-  case): the numerator factors every summand shares stay outside the
-  bracket, and each summand is expanded once over the common
-  denominator.  When one summand alone carries a factor f at its top
-  multiplicity, its expanded numerator is prime to f while every other
-  one has f as a factor, so f cannot divide the sum; only factors that
-  two or more summands carry at their top multiplicity are tried
-  against the bracket, once.
+  case, and :func:`add_part` / :func:`sum_parts` keep the parts of many
+  keyed sums, such as a tensor contraction, until each is summed): the
+  numerator factors every summand shares stay outside the bracket, and
+  each summand is expanded once over the common denominator.  When one
+  summand alone carries a factor f at its top multiplicity, its
+  expanded numerator is prime to f while every other one has f as a
+  factor, so f cannot divide the sum; only factors that two or more
+  summands carry at their top multiplicity are tried against the
+  bracket, once.
 * ``inverse``: every multiplicity changes sign, except that a
   denominator form outside the family moves into the new cofactor (the
   map's numerator holds forms of the family only); only the old
@@ -158,8 +160,7 @@ def _expand(c, cof, facs):
     poly = cof if c == 1 else {e: c * v for e, v in cof.items()}
     for key, m in facs:
         if _is_family(key):
-            for _ in range(m):
-                poly = K.p_mul_family(poly, key)
+            poly = K.p_mul_family(poly, key, m)
         else:
             form = _fac_poly(key)
             for _ in range(m):
@@ -543,11 +544,17 @@ class RatFun:
         return self.inverse() * other
 
     def __pow__(self, k):
+        """self ** k by repeated squaring: about 2 log2|k| products."""
         if k < 0:
             return self.inverse() ** (-k)
         res = RatFun.const(self.n, 1)
-        for _ in range(k):
-            res = res * self
+        base = self
+        while k:
+            if k & 1:
+                res = res * base
+            k >>= 1
+            if k:
+                base = base * base
         return res
 
     def __eq__(self, other):
@@ -689,6 +696,28 @@ def add_many(n, terms):
     for key, m in facs.items():
         common[key] = -m
     return RatFun._new(n, c * sign, common, cof, dint)
+
+
+def add_part(acc, more, key, c):
+    """Record c as a part of the sum kept under key: the first part goes
+    to acc[key], any further ones to the list more[key].  With
+    :func:`sum_parts` this is the package's one keyed accumulator."""
+    if key in acc:
+        more.setdefault(key, []).append(c)
+    else:
+        acc[key] = c
+
+
+def sum_parts(n, acc, more):
+    """Sum the parts of each key of more into acc, one :func:`add_many`
+    per key; a key whose sum is zero is dropped.  Returns acc."""
+    for key, rest in more.items():
+        c = add_many(n, [acc[key], *rest])
+        if c.is_zero:
+            del acc[key]
+        else:
+            acc[key] = c
+    return acc
 
 
 # ---------------------------------------------------------------------------

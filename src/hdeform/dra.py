@@ -22,10 +22,11 @@ import itertools
 
 from .algebra import (Element, TermAlgebra, add_elements,
                       associativity_failures, braided_cross_residual,
-                      mat_add, mat_first_leg, mat_from_tensor, mat_mul,
-                      mat_power, mat_sub, overlap_triples, quantum_trace,
+                      mat_first_leg, mat_from_tensor, mat_mul, mat_power,
+                      mat_sum, overlap_triples, quantum_trace,
                       reflection_residual, residual_failures, substitute)
-from .coeffs import RatFun, eps, hdiff, phi, phi_segment, serialize
+from .coeffs import (RatFun, add_many, eps, hdiff, phi, phi_segment,
+                     serialize)
 from .errors import RelationExtractionError, RewriteLimitError
 from .report import failure, select_units
 from .rmatrix import hmat, rhat
@@ -135,13 +136,12 @@ def reflection_components(n, matrix="L"):
         rh = mat_mul(alg, r12, h1, n)
         lr = mat_mul(alg, l1, r12, n)
         hr = mat_mul(alg, h1, r12, n)
-        lhs = mat_sub(mat_add(mat_mul(alg, rl, rh, n),
-                              mat_mul(alg, rh, rl, n)),
-                      mat_add(mat_mul(alg, lr, hr, n),
-                              mat_mul(alg, hr, lr, n)))
-        rhs = mat_sub(rl, lr)
-        rhs = {k: v.times_int(2) for k, v in rhs.items()}
-        return mat_sub(lhs, rhs)
+        # R L R H + R H R L - L R H R - H R L R - 2 (R L - L R)
+        return mat_sum(alg, [(1, mat_mul(alg, rl, rh, n)),
+                             (1, mat_mul(alg, rh, rl, n)),
+                             (-1, mat_mul(alg, lr, hr, n)),
+                             (-1, mat_mul(alg, hr, lr, n)),
+                             (-1, rl), (-1, rl), (1, lr), (1, lr)])
     raise ValueError(f"unknown matrix kind {matrix!r}")
 
 
@@ -437,21 +437,18 @@ def check_weight_zero_diagonal(n, power):
 # -- generator transforms -----------------------------------------------------
 
 
-def _transform_matrix(n, alg=None):
+def _transform_matrix(n, alg):
     """Coefficient of s[k,l] in L[i,j], as left-normalized coefficients."""
-    if alg is None:
-        alg = FreeReductionAlgebra(n)
     out = {}
     for i in range(1, n + 1):
         for j in range(1, n + 1):
             if i != j:
                 el = alg.gen(i, j).times_coeff_right(phi(n, j))
             else:
-                el = alg.gen(i, i)
-                for m in range(i + 1, n + 1):
-                    seg = phi_segment(n, i, m)
-                    c = (hdiff(n, i, m) * seg).inverse()
-                    el = el - alg.gen(m, m).times_coeff_right(c)
+                el = add_elements(alg, [alg.gen(i, i)] + [
+                    -alg.gen(m, m).times_coeff_right(
+                        (hdiff(n, i, m) * phi_segment(n, i, m)).inverse())
+                    for m in range(i + 1, n + 1)])
                 el = el.times_coeff_right(phi(n, i))
             out[(i, j)] = el
     return out
@@ -476,7 +473,7 @@ def check_generator_transforms(n):
                 failures.append(failure("transition_triangular", (i, j, a, b),
                                         el, "triangular"))
     # explicit inverse: solve for s in terms of L and round trip
-    inv = invert_transform(n, alg)
+    inv = invert_transform(alg, trans)
     for (i, j), el in sorted(inv.items()):
         # substitute L expressions back: must reproduce the bare generator
         acc = add_elements(alg, [trans[(a, b)].times_coeff_left(c)
@@ -488,26 +485,19 @@ def check_generator_transforms(n):
     return failures
 
 
-def invert_transform(n, alg=None):
-    """Express each s[i,j] as a coefficient combination of L[k,l]."""
-    if alg is None:
-        alg = FreeReductionAlgebra(n)
-    trans = _transform_matrix(n, alg)
-    inv = {}
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            if i != j:
-                c = trans[(i, j)].terms[((1, i, j),)]
-                inv[(i, j)] = alg.gen(i, j).times_coeff_left(c.inverse())
+def invert_transform(alg, trans):
+    """Express each s[i,j] as a coefficient combination of L[k,l], given
+    trans, the :func:`_transform_matrix` of alg."""
+    inv = {(i, j): alg.gen(i, j).times_coeff_left(
+               el.terms[((1, i, j),)].inverse())
+           for (i, j), el in trans.items() if i != j}
     # diagonal block is upper triangular in m; solve upward from m = n
-    for i in range(n, 0, -1):
+    for i in range(alg.n, 0, -1):
         expr = trans[(i, i)]
         diag = expr.terms[((1, i, i),)]
-        rest = alg.zero()
-        for word, c in expr.terms.items():
-            (_, a, b) = word[0]
-            if (a, b) != (i, i):
-                rest = rest + inv[(a, b)].times_coeff_left(c)
+        rest = add_elements(alg, [inv[(a, b)].times_coeff_left(c)
+                                  for ((_, a, b),), c in expr.terms.items()
+                                  if (a, b) != (i, i)])
         # the generator symbol here stands for the transformed family
         inv[(i, i)] = (alg.gen(i, i) - rest).times_coeff_left(diag.inverse())
     return inv
@@ -521,22 +511,17 @@ def check_cartan_sum(n):
     adding must reproduce the diagonal matrix h_j + n exactly; this is a
     pure coefficient identity."""
     failures = []
-    trans = _transform_matrix(n)
+    trans = _transform_matrix(n, FreeReductionAlgebra(n))
     h = hmat(n)
+    # off-diagonal: L^i_j + L'^i_j = (s+s')^i_j phi_j = 0 weightwise
     for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            el = trans[(i, j)]
-            if i != j:
-                # off-diagonal: L^i_j + L'^i_j = (s+s')^i_j phi_j = 0 weightwise
-                continue
-            tot = RatFun.zero(n)
-            for word, c in el.terms.items():
-                (_, a, b) = word[0]
-                assert a == b
-                hval = RatFun.var(n, a) + a
-                tot = tot + c * hval
-            if tot != h[i]:
-                failures.append(failure("cartan_sum", (i,), tot, h[i]))
+        parts = []
+        for ((_, a, b),), c in trans[(i, i)].terms.items():
+            assert a == b
+            parts.append(c * (RatFun.var(n, a) + a))
+        tot = add_many(n, parts)
+        if tot != h[i]:
+            failures.append(failure("cartan_sum", (i,), tot, h[i]))
     return failures
 
 
@@ -610,13 +595,10 @@ def check_coproduct(n):
     def copy_sums(copy_images):
         """Generator images of a map sending copy t to the sum of the
         copies copy_images[t]."""
-        img = {}
-        for t, targets in copy_images.items():
-            for g in a2.generators(t):
-                img[g] = a3.zero()
-                for t2 in targets:
-                    img[g] = img[g] + a3.gen(g[1], g[2], t2)
-        return img
+        return {g: add_elements(a3, [a3.gen(g[1], g[2], t2)
+                                     for t2 in targets])
+                for t, targets in copy_images.items()
+                for g in a2.generators(t)}
 
     # the coproduct applied to the first and to the second tensor factor
     left = copy_sums({1: (1, 2), 2: (3,)})

@@ -2,8 +2,10 @@
 
 Grammar: sums of products, where a product factor is either a generator
 ``x[i,a]`` / ``D[j,a]`` (copy label ``a`` optional, defaulting to 1) or
-a coefficient expression in the h-variables (the coefficient grammar of
-:mod:`hdeform.coeffs`, atoms only; parenthesize anything composite).
+a coefficient factor in the h-variables (a factor of the coefficient
+grammar of :mod:`hdeform.coeffs`: an atom, optionally negated or raised
+to an integer power; parenthesize anything composite).  A coefficient
+power is one :class:`~hdeform.coeffs.RatFun` power.
 ``*`` is concatenation and the result is NOT normal ordered.
 """
 
@@ -65,8 +67,9 @@ class _WeylParser(_Parser):
             except Exception as exc:
                 self.error(str(exc))
         else:
-            base = self.alg.scalar(self.atom())
+            return self.alg.scalar(self.factor())
         if self.peek() == "^":
+            # a generator power is a word k letters long
             self.pos += 1
             k = self.unsigned()
             out = self.alg.one()

@@ -21,7 +21,8 @@ first use, maps a key to its polynomial, its values at ``PROBE_POINTS``
 and, when the key is a family form ``h_i - h_j + k`` (i < j) or
 ``h_i + k``, the triple ``(i, j, k)`` (j None for ``h_i + k``).  The
 family forms get two fast paths: ``p_mul_family`` adds the two or three
-shifted copies of the multiplicand instead of forming a general product,
+shifted copies of the multiplicand instead of forming a general product
+(and multiplies by a power of a bare ``h_i`` in one exponent shift),
 and ``p_div_family`` divides by synthetic division in ``h_i``.  A family
 form is monic in ``h_i``, so grouped by powers of ``h_i`` the dividend's
 coefficients are polynomials in the other variables and each quotient
@@ -356,25 +357,30 @@ def fac_permute(key, perm):
     return -1, fac_key(p_neg(poly))
 
 
-def p_mul_family(a, key):
-    """a times the family form named by key (see fac_family)."""
+def p_mul_family(a, key, m):
+    """a times the m-th power (m >= 1) of the family form named by key
+    (see fac_family); a power of a bare h_i is one exponent shift."""
     i, j, k = _factor(key)[2]
-    res = {e: k * c for e, c in a.items()} if k else {}
-    for e, c in a.items():
-        ne = e[:i] + (e[i] + 1,) + e[i + 1:]
-        s = res.get(ne, 0) + c
-        if s:
-            res[ne] = s
-        else:
-            del res[ne]
-        if j is not None:
-            ne = e[:j] + (e[j] + 1,) + e[j + 1:]
-            s = res.get(ne, 0) - c
+    if j is None and not k:
+        return {e[:i] + (e[i] + m,) + e[i + 1:]: c for e, c in a.items()}
+    for _ in range(m):
+        res = {e: k * c for e, c in a.items()} if k else {}
+        for e, c in a.items():
+            ne = e[:i] + (e[i] + 1,) + e[i + 1:]
+            s = res.get(ne, 0) + c
             if s:
                 res[ne] = s
             else:
                 del res[ne]
-    return res
+            if j is not None:
+                ne = e[:j] + (e[j] + 1,) + e[j + 1:]
+                s = res.get(ne, 0) - c
+                if s:
+                    res[ne] = s
+                else:
+                    del res[ne]
+        a = res
+    return a
 
 
 def p_div_family(a, key):

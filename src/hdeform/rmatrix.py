@@ -9,11 +9,16 @@ entry has {i, k} == {j, l} as multisets, and rank-2 operators (``qplus``
 
 Checkers enumerate index tuples exhaustively and return a list of
 failure records; an empty list means the identity holds exactly.
+Contractions and traces sum each entry once: a contraction keeps the
+parts of every entry (:func:`hdeform.coeffs.add_part`) and sums each in
+one :func:`hdeform.coeffs.add_many`; a trace or a weighted row sum is
+one ``add_many``.
 """
 
 from __future__ import annotations
 
-from .coeffs import RatFun, eps, hdiff, qminus, qplus
+from .coeffs import (RatFun, add_many, add_part, eps, hdiff, qminus, qplus,
+                     sum_parts)
 from .report import failure, select_units
 from .store import stored
 
@@ -31,10 +36,7 @@ class DynTensor2:
         return self.entries.get(i) or RatFun.zero(self.n)
 
     def trace(self):
-        tot = RatFun.zero(self.n)
-        for v in self.entries.values():
-            tot = tot + v
-        return tot
+        return add_many(self.n, self.entries.values())
 
 
 class DynTensor4:
@@ -187,15 +189,13 @@ def hmat(n):
 # sparse comparison
 # ---------------------------------------------------------------------------
 
-def _compare_sparse(identity, got, expected, failures):
-    for key in sorted(set(got) | set(expected)):
-        g = got.get(key)
-        e = expected.get(key)
-        n = (g or e).n
-        g = g if g is not None else RatFun.zero(n)
-        e = e if e is not None else RatFun.zero(n)
-        if g != e:
-            failures.append(failure(identity, key, g, e))
+def _compare_sparse(identity, n, got, expected):
+    """One failure per key, in key order, where the sparse maps got and
+    expected differ (an absent key is zero)."""
+    zero = RatFun.zero(n)
+    return [failure(identity, key, g, e)
+            for key in sorted(set(got) | set(expected))
+            if (g := got.get(key, zero)) != (e := expected.get(key, zero))]
 
 
 # ---------------------------------------------------------------------------
@@ -206,27 +206,22 @@ def check_involutive(n):
     """rhat squared is the identity operator."""
     r = rhat(n)
     one = RatFun.const(n, 1)
-    got = {}
+    got, more = {}, {}
     by_up = r.by_upper()
     for (i, k, j, l), v in r.entries.items():
         for (m, p), w in by_up.get((j, l), ()):
-            key = (i, k, m, p)
-            acc = got.get(key)
-            got[key] = v * w if acc is None else acc + v * w
-    got = {k: v for k, v in got.items() if not v.is_zero}
+            add_part(got, more, (i, k, m, p), v * w)
+    sum_parts(n, got, more)
     expected = {(i, k, i, k): one
                 for i in range(1, n + 1) for k in range(1, n + 1)}
-    failures = []
-    _compare_sparse("rhat_squared_identity", got, expected, failures)
-    return failures
+    return _compare_sparse("rhat_squared_identity", n, got, expected)
 
 
 def check_dybe(n):
     """Dynamical Yang-Baxter equation, exhaustively over free indices."""
     r = rhat(n)
     by_up = r.by_upper()
-    lhs = {}
-    rhs = {}
+    lhs, more = {}, {}
     for (i, j, a, b), v1 in r.entries.items():
         for k in range(1, n + 1):
             # v1 * r[b,k,u,rr][-eps_a] * r[a,u,m,nn]
@@ -234,10 +229,9 @@ def check_dybe(n):
                 v2s = v2.shift(tuple(-x for x in eps(n, a)))
                 v12 = v1 * v2s
                 for (m, nn), v3 in by_up.get((a, u), ()):
-                    key = (i, j, k, m, nn, rr)
-                    term = v12 * v3
-                    acc = lhs.get(key)
-                    lhs[key] = term if acc is None else acc + term
+                    add_part(lhs, more, (i, j, k, m, nn, rr), v12 * v3)
+    sum_parts(n, lhs, more)
+    rhs, more = {}, {}
     for (j, k, a, b), v1 in r.entries.items():
         for i in range(1, n + 1):
             v1s = v1.shift(tuple(-x for x in eps(n, i)))
@@ -245,15 +239,10 @@ def check_dybe(n):
             for (m, u), v2 in by_up.get((i, a), ()):
                 v12 = v1s * v2
                 for (nn, rr), v3 in by_up.get((u, b), ()):
-                    key = (i, j, k, m, nn, rr)
-                    term = v12 * v3.shift(tuple(-x for x in eps(n, m)))
-                    acc = rhs.get(key)
-                    rhs[key] = term if acc is None else acc + term
-    lhs = {k: v for k, v in lhs.items() if not v.is_zero}
-    rhs = {k: v for k, v in rhs.items() if not v.is_zero}
-    failures = []
-    _compare_sparse("dynamical_yang_baxter", lhs, rhs, failures)
-    return failures
+                    add_part(rhs, more, (i, j, k, m, nn, rr),
+                             v12 * v3.shift(tuple(-x for x in eps(n, m))))
+    sum_parts(n, rhs, more)
+    return _compare_sparse("dynamical_yang_baxter", n, lhs, rhs)
 
 
 def check_skew_inverse(n):
@@ -261,42 +250,30 @@ def check_skew_inverse(n):
     t = that(n)
     psi = psihat(n)
     one = RatFun.const(n, 1)
-    failures = []
+    rng = range(1, n + 1)
 
     # sum_{k,l} psi[i,k | j,l] t[l,m | k,nn] == delta(i,nn) delta(m,j)
-    got = {}
+    got, more = {}, {}
     for (i, k, j, l), v in psi.entries.items():
-        for m in range(1, n + 1):
-            for nn in range(1, n + 1):
+        for m in rng:
+            for nn in rng:
                 w = t.get(l, m, k, nn)
-                if w is None:
-                    continue
-                key = (i, j, m, nn)
-                term = v * w
-                acc = got.get(key)
-                got[key] = term if acc is None else acc + term
-    got = {k: v for k, v in got.items() if not v.is_zero}
-    expected = {(i, j, j, i): one
-                for i in range(1, n + 1) for j in range(1, n + 1)}
-    _compare_sparse("skew_inverse_contraction", got, expected, failures)
+                if w is not None:
+                    add_part(got, more, (i, j, m, nn), v * w)
+    sum_parts(n, got, more)
+    expected = {(i, j, j, i): one for i in rng for j in rng}
+    failures = _compare_sparse("skew_inverse_contraction", n, got,
+                               expected)
 
-    for i in range(1, n + 1):
-        for j in range(1, n + 1):
-            tot = RatFun.zero(n)
-            for k in range(1, n + 1):
-                v = psi.get(i, k, j, k)
-                if v is not None:
-                    tot = tot + v
+    for i in rng:
+        for j in rng:
+            tot = add_many(n, [psi[i, k, j, k] for k in rng])
             want = qplus(n, i) if i == j else RatFun.zero(n)
             if tot != want:
                 failures.append(failure("psihat_trace2", (i, j), tot, want))
-    for m in range(1, n + 1):
-        for nn in range(1, n + 1):
-            tot = RatFun.zero(n)
-            for a in range(1, n + 1):
-                v = psi.get(a, m, a, nn)
-                if v is not None:
-                    tot = tot + v
+    for m in rng:
+        for nn in rng:
+            tot = add_many(n, [psi[a, m, a, nn] for a in rng])
             want = qminus(n, nn) if m == nn else RatFun.zero(n)
             if tot != want:
                 failures.append(failure("psihat_trace1", (m, nn), tot, want))
@@ -355,15 +332,11 @@ def check_aux_identities(n):
     # weighted row/column sums of rhat collapse to the identity
     for m in rng:
         for nn in rng:
-            tot1 = zero
-            tot2 = zero
-            for a in rng:
-                v = r.get(m, a, nn, a)
-                if v is not None:
-                    tot1 = tot1 + qm[a].shift(tuple(-x for x in eps(n, m))) * v
-                w = r.get(a, m, a, nn)
-                if w is not None:
-                    tot2 = tot2 + qp[a].shift(eps(n, m)) * w
+            tot1 = add_many(n, [
+                qm[a].shift(tuple(-x for x in eps(n, m))) * v for a in rng
+                if (v := r.get(m, a, nn, a)) is not None])
+            tot2 = add_many(n, [qp[a].shift(eps(n, m)) * w for a in rng
+                                if (w := r.get(a, m, a, nn)) is not None])
             want = one if m == nn else zero
             if tot1 != want:
                 failures.append(failure("qminus_weighted_row_sum",
@@ -413,9 +386,7 @@ def check_traces(n):
             failures.append(failure("q_sign_reversal", (j,),
                                     reversed_qm, qp[j]))
     for i in range(1, n + 1):
-        tot = RatFun.zero(n)
-        for j in range(1, n + 1):
-            tot = tot + qm[j] / (hdiff(n, i, j) + 1)
+        tot = add_many(n, [q / (hdiff(n, i, j) + 1) for j, q in qm.items()])
         if tot != one:
             failures.append(failure("qminus_partial_fraction_row", (i,),
                                     tot, one))

@@ -175,6 +175,74 @@ def test_normal_form_is_strategy_independent_reduction():
             assert alg.normal_form(e) == lifo_normal_form(alg, e, rightmost=True)
 
 
+# -- matrices over an algebra ---------------------------------------------------
+
+def _random_matrix(alg, rng):
+    """A sparse rank-2 tensor-leg matrix of short words with special
+    coefficients; some entries share words, so sums cancel and combine."""
+    gens = alg.generators()
+    out = {}
+    for key in itertools.product((1, 2), repeat=4):
+        if rng.random() < 0.6:
+            word = _random_word_element(alg, gens, rng, rng.randint(0, 2))
+            out[key] = word.times_coeff_left(_shifted_special(2, rng))
+    return out
+
+
+def test_mat_sum_of_a_matrix_minus_itself_is_empty():
+    import random
+    from hdeform.dra import FreeReductionAlgebra
+    alg = FreeReductionAlgebra(2)
+    mat = _random_matrix(alg, random.Random(7))
+    assert mat
+    assert A.mat_sum(alg, [(1, mat), (-1, mat)]) == {}
+    assert A.mat_sum(alg, [(1, mat), (1, mat), (-1, mat)]) == mat
+
+
+def test_mat_sum_matches_entrywise_addition():
+    import random
+    from hdeform.dra import FreeReductionAlgebra
+    alg = FreeReductionAlgebra(2)
+    rng = random.Random(8)
+    for _ in range(6):
+        a, b, c = (_random_matrix(alg, rng) for _ in range(3))
+        want = {}
+        for key in itertools.product((1, 2), repeat=4):
+            el = (a.get(key, alg.zero()) + b.get(key, alg.zero())
+                  - c.get(key, alg.zero()))
+            if not el.is_zero:
+                want[key] = el
+        got = A.mat_sum(alg, [(1, a), (1, b), (-1, c)])
+        assert got == want
+        assert all(not el.is_zero for el in got.values())
+
+
+def _fold_sub(a, b):
+    """a - b by a pairwise fold: a's keys, then b's new ones, then the
+    zero entries dropped."""
+    out = dict(a)
+    for key, el in b.items():
+        out[key] = out[key] - el if key in out else -el
+    return {k: v for k, v in out.items() if not v.is_zero}
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_residuals_keep_the_pairwise_fold_key_order(n):
+    # rule extraction picks pivot rows in the residual's key order
+    from hdeform.dra import FreeReductionAlgebra
+    from hdeform.rmatrix import rhat
+    alg = FreeReductionAlgebra(n)
+    r12 = A.mat_from_tensor(alg, rhat(n))
+    l1 = A.mat_first_leg(alg, alg.lmatrix(), n)
+    rl = A.mat_mul(alg, r12, l1, n)
+    lr = A.mat_mul(alg, l1, r12, n)
+    want = _fold_sub(_fold_sub(A.mat_mul(alg, rl, rl, n),
+                               A.mat_mul(alg, lr, lr, n)),
+                     _fold_sub(rl, lr))
+    got = A.reflection_residual(alg, rhat(n), alg.lmatrix(), n)
+    assert list(got.items()) == list(want.items())
+
+
 # -- the degree-3 oracle: overlap ambiguities against every triple -----------
 
 def _oracles_agree(alg):

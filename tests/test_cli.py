@@ -371,6 +371,19 @@ def test_normal_form_output(capsys):
                            " + ((h1-h2+1)/(h1-h2)^2)*x[2,1]*D[2,1]")
 
 
+@pytest.mark.parametrize("expr,want", [
+    ("h1^100000000*x[1]", "h1^100000000*x[1,1]"),
+    ("h1^-2*x[1]", "(1/h1^2)*x[1,1]"),
+])
+def test_normal_form_of_a_coefficient_power(capsys, expr, want):
+    # a coefficient factor's power is one RatFun power, not k products,
+    # with the coefficient grammar's signed exponent
+    code, out, _ = run_cli(capsys, "normal-form", "--n", "2",
+                           "--expr", expr, "--format", "text")
+    assert code == 0
+    assert out.strip() == want
+
+
 def test_normal_form_with_coefficient_factor(capsys):
     code, out, _ = run_cli(capsys, "normal-form", "--n", "2", "--N", "1",
                            "--expr", "D[1]*(h1-h2)*x[1]", "--format", "text")
@@ -455,6 +468,48 @@ def test_jobs_parallel_matches_serial(capsys):
                           "--jobs", "2")
     assert c1 == c2 == 0
     assert strip_timing(out1) == strip_timing(out2)
+
+
+@pytest.mark.parametrize("jobs", ["0", "-1"])
+def test_jobs_below_one_is_a_usage_error(capsys, jobs):
+    code, out, err = run_cli(capsys, "verify", "rmatrix", "--n", "2",
+                             "--jobs", jobs)
+    assert code == 2
+    assert out == ""
+    assert "--jobs must be at least 1" in err
+
+
+def test_jobs_start_at_most_one_process_per_unit(capsys, monkeypatch):
+    import multiprocessing
+    requested = []
+
+    class SerialPool:
+        """Records the processes asked for; maps in this process."""
+
+        def __init__(self, processes):
+            requested.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return [fn(item) for item in items]
+
+    monkeypatch.setattr(multiprocessing, "Pool", SerialPool)
+    code, out, _ = run_cli(capsys, "verify", "rmatrix", "--n", "2",
+                           "--jobs", "64")
+    assert code == 0
+    assert len(json.loads(out)["suites"]) == 5
+    assert requested == [5]
+    # a single unit runs serially, with no pool at all
+    code, out, _ = run_cli(capsys, "verify", "rmatrix", "--n", "2",
+                           "--suite", "traces", "--jobs", "64")
+    assert code == 0
+    assert len(json.loads(out)["suites"]) == 1
+    assert requested == [5]
 
 
 FIXTURES = pathlib.Path(__file__).parent / "fixtures"

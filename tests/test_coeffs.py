@@ -641,6 +641,62 @@ def test_n_ary_sum_tries_only_factors_shared_at_the_top(monkeypatch):
     assert serialize(total) == "(h1^2+h1*h2+4*h1+2*h2)/((h1+3)*(h1-h2)^2)"
 
 
+@st.composite
+def _keyed_parts(draw):
+    """(key, nonzero coefficient) pairs on a few keys; the parts of some
+    keys are followed by their negatives, so those keys sum to zero."""
+    nonzero = _coefficients().filter(lambda c: not c.is_zero)
+    pairs = draw(st.lists(st.tuples(st.sampled_from("abc"), nonzero),
+                          max_size=8))
+    for key in draw(st.lists(st.sampled_from("abcd"), max_size=2,
+                             unique=True)):
+        if not any(k == key for k, _ in pairs):
+            pairs.append((key, draw(nonzero)))
+        pairs += [(key, -c) for k, c in pairs if k == key]
+    return draw(st.permutations(pairs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(_keyed_parts())
+def test_keyed_accumulator_matches_the_pairwise_fold(pairs):
+    from hdeform.coeffs import add_part, sum_parts
+    acc, more = {}, {}
+    for key, c in pairs:
+        add_part(acc, more, key, c)
+    got = sum_parts(3, acc, more)
+    fold = {}
+    for key, c in pairs:
+        fold[key] = fold[key] + c if key in fold else c
+    assert set(got) == {key for key, c in fold.items() if not c.is_zero}
+    for key, c in got.items():
+        assert_same(c, fold[key])
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coefficients(), st.integers(-4, 6))
+def test_power_matches_the_repeated_product(f, k):
+    base = f
+    if k < 0:
+        try:
+            base = f.inverse()
+        except CoefficientError:
+            with pytest.raises(CoefficientError):
+                f ** k
+            return
+    want = RatFun.const(3, 1)
+    for _ in range(abs(k)):
+        want = want * base
+    assert_same(f ** k, want)
+
+
+def test_huge_powers_parse_and_print_at_once():
+    # repeated squaring and a one-shift expansion of a power of h_i: the
+    # exponent's size costs nothing
+    assert serialize(parse(2, "h1^100000000")) == "h1^100000000"
+    assert serialize(parse(2, "h2^-100000000")) == "1/h2^100000000"
+    assert serialize(parse(2, "(h1^50000000)^2*h1")) == "h1^100000001"
+
+
 # -- exact factor search and canonical text ----------------------------------
 
 def test_far_factors_print_the_same_whatever_the_route():

@@ -236,12 +236,16 @@ def family_and_poly(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(family_and_poly())
-def test_family_product_matches_p_mul(case):
+@given(family_and_poly(), st.integers(1, 3))
+def test_family_product_matches_p_mul(case, m):
     fam, form, poly = case
     key = K.fac_key(form)
     assert K.fac_family(key) == fam
-    assert K.p_mul_family(poly, key) == K.p_mul(poly, form)
+    assert K.p_mul_family(poly, key, 1) == K.p_mul(poly, form)
+    power = poly
+    for _ in range(m):
+        power = K.p_mul(power, form)
+    assert K.p_mul_family(poly, key, m) == power
 
 
 @st.composite

@@ -233,8 +233,9 @@ def test_transform_rank_two_values():
 
 
 def test_invert_transform_roundtrip():
+    from hdeform.dra import _transform_matrix
     alg = FreeReductionAlgebra(3)
-    inv = invert_transform(3, alg)
+    inv = invert_transform(alg, _transform_matrix(3, alg))
     assert set(inv) == {(i, j) for i in (1, 2, 3) for j in (1, 2, 3)}
 
 
