@@ -491,10 +491,12 @@ def associativity_failures(alg, triples):
 
     Run over :func:`overlap_triples`, a pass covers every triple, since
     the others agree by construction: it is the degree-3 confluence test
-    of Bergman's diamond lemma, given termination, which
-    :func:`hdeform.dra.rewrite_graph_cycle` certifies separately.
-    Bergman states the lemma over a central base ring; here coefficients
-    cross generators by shift automorphisms instead.
+    of Bergman's diamond lemma, given termination.  Termination is not
+    proved here: :func:`hdeform.dra.rewrite_graph_cycle` finds no cycle
+    on the words it searches, which the tests take to degree 3, and to
+    degree 4 at n = 2 only.  Bergman states the lemma over a central
+    base ring; here coefficients cross generators by shift automorphisms
+    instead.
     """
     nf = alg.normal_form
     failures = []

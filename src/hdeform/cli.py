@@ -160,34 +160,27 @@ def cmd_verify(args):
 def cmd_relations(args):
     _guard(args)
     from . import dra
-    from .algebra import coeff_factor_str
     from .coeffs import serialize
     cat = dra.relation_catalogue(args.n, args.generators)
 
-    def wstr(word):
-        return "*".join(f"L[{i},{j}]" for (i, j) in word)
-
     if args.generators == "L":
+        alg = dra.FreeReductionAlgebra(args.n)
+
+        def word(pairs):
+            return tuple((1, i, j) for i, j in pairs)
+
         if args.format == "json":
-            payload = [{"lhs_word": wstr(lhs),
-                        "rhs_terms": [{"word": wstr(w), "coeff": serialize(c)}
+            payload = [{"lhs_word": alg.word_str(word(lhs)),
+                        "rhs_terms": [{"word": alg.word_str(word(w)),
+                                       "coeff": serialize(c)}
                                       for c, w in rhs]}
                        for lhs, rhs in cat]
             text = json.dumps(payload, indent=2)
         else:
-            lines = []
-            for lhs, rhs in cat:
-                parts = []
-                for c, w in rhs:
-                    cs = coeff_factor_str(c)
-                    if not w:
-                        parts.append(cs)
-                    elif cs == "1":
-                        parts.append(wstr(w))
-                    else:
-                        parts.append(f"{cs}*{wstr(w)}")
-                lines.append(f"{wstr(lhs)} = " + " + ".join(parts))
-            text = "\n".join(lines)
+            text = "\n".join(
+                f"{alg.word_element(word(lhs))} = "
+                f"{alg.element({word(w): c for c, w in rhs})}"
+                for lhs, rhs in cat)
     else:
         rows = []
         for ((lhs_pats, lhs_el), rhs_el) in cat:

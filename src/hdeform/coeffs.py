@@ -267,12 +267,11 @@ def _linear_family_factors(n, poly):
                 continue
             for r in _integer_roots(probe, i):
                 key = _fac_form(n, i, j, -r)
-                fac = _fac_poly(key)
-                q = K.p_divexact(rem, fac)
+                q = K.p_divexact(rem, key)
                 while q is not None:
                     found[key] = found.get(key, 0) + 1
                     rem = q
-                    q = K.p_divexact(rem, fac)
+                    q = K.p_divexact(rem, key)
     return rem, sorted(found.items())
 
 

@@ -12,6 +12,7 @@ power is one :class:`~hdeform.coeffs.RatFun` power.
 from __future__ import annotations
 
 from .coeffs import _Parser
+from .errors import CoefficientError
 
 
 class _WeylParser(_Parser):
@@ -51,7 +52,7 @@ class _WeylParser(_Parser):
     def product_factor(self):
         c = self.peek()
         if c in ("x", "D") and self.text[self.pos:self.pos + 2][-1] == "[":
-            kind = self.text[self.pos]
+            start = self.pos
             self.pos += 2
             i = self.unsigned()
             a = 1
@@ -61,21 +62,19 @@ class _WeylParser(_Parser):
             if self.peek() != "]":
                 self.error("expected ']'")
             self.pos += 1
-            gen = self.alg.x if kind == "x" else self.alg.d
+            gen = self.alg.x if c == "x" else self.alg.d
             try:
                 base = gen(i, a)
-            except Exception as exc:
+            except CoefficientError as exc:
+                self.pos = start
                 self.error(str(exc))
         else:
             return self.alg.scalar(self.factor())
         if self.peek() == "^":
             # a generator power is a word k letters long
             self.pos += 1
-            k = self.unsigned()
-            out = self.alg.one()
-            for _ in range(k):
-                out = out * base
-            return out
+            (word,) = base.terms
+            return self.alg.word_element(word * self.unsigned())
         return base
 
 

@@ -4,8 +4,9 @@ The kernel is the one module that knows how a monomial (an exponent
 tuple) and a factor key (``fac_key``) are laid out; the rest of the
 package builds, reads, substitutes, sums and prints them through the
 functions listed here.  ``BACKEND`` names the kernel (``"python"``).
-``PROBE_POINTS`` are the integer points at which exact division rejects
-non-divisors by evaluation.
+Every divisor is a primitive linear form named by its key, and
+``p_divexact`` and ``p_cancel`` divide through one synthetic division by
+it, after rejecting non-divisors by evaluation at ``PROBE_POINTS``.
 """
 
 from ._poly_py import *  # noqa: F401,F403
@@ -18,5 +19,5 @@ __all__ = [
     "grlex_key", "p_lead", "p_degree", "p_content",
     "p_primitive_sign", "p_str", "p_divexact", "fac_key", "p_cancel",
     "fac_family", "fac_poly", "fac_form", "fac_shift", "fac_negate",
-    "fac_permute", "p_mul_family", "p_div_family",
+    "fac_permute", "p_mul_family",
 ]

@@ -7,42 +7,39 @@ module is the only one that knows that layout, and the layout of a
 factor key (``fac_key``): callers build, read, substitute, sum and print
 polynomials and keys through the functions here.
 
-Exact division (``p_divexact``) first rejects by evaluation: if ``b``
-divides ``a`` in Z[x] then ``b(pt)`` divides ``a(pt)`` at every integer
-point, so a point of ``PROBE_POINTS`` where ``b(pt)`` is nonzero and
-does not divide ``a(pt)`` proves that ``b`` does not divide ``a``.  A
-division that passes runs in heap order: the remainder's monomials sit
-in a heap keyed by grlex, and the leading term is popped instead of
-searched for.  ``p_cancel`` probes a numerator once for a whole run
-of trial divisions and carries its values through the quotients.
-
 Factors are named by canonical keys (``fac_key``).  One table, filled on
 first use, maps a key to its polynomial, its values at ``PROBE_POINTS``
-and, when the key is a family form ``h_i - h_j + k`` (i < j) or
-``h_i + k``, the triple ``(i, j, k)`` (j None for ``h_i + k``).  The
-family forms get two fast paths: ``p_mul_family`` adds the two or three
-shifted copies of the multiplicand instead of forming a general product
-(and multiplies by a power of a bare ``h_i`` in one exponent shift),
-and ``p_div_family`` divides by synthetic division in ``h_i``.  A family
-form is monic in ``h_i``, so grouped by powers of ``h_i`` the dividend's
-coefficients are polynomials in the other variables and each quotient
-coefficient is the next dividend coefficient minus ``(k - h_j)`` times
-the previous one; the division is exact when the last remainder is
-zero.  ``p_cancel`` reads each factor's probe values from the table and
-divides family forms this way; any other factor keeps the heap-order
-division.
+and, for a primitive linear form ``a*h_i + r`` (``h_i`` its grlex-leading
+variable, ``a > 0``, ``r`` linear in the other variables plus a
+constant), the form's ``(i, a, r)``; for a family form ``h_i - h_j + k``
+(i < j) or ``h_i + k`` it also holds the triple ``(i, j, k)`` (j None
+for ``h_i + k``).  ``p_mul_family`` multiplies by a family form as the
+two or three shifted copies of the multiplicand instead of forming a
+general product (and by a power of a bare ``h_i`` in one exponent shift).
+
+Every divisor is a primitive linear form, named by its key, and one
+routine divides by it.  ``p_divexact`` first rejects by evaluation: if
+the form ``b`` divides ``a`` in Z[h] then ``b(pt)`` divides ``a(pt)`` at
+every integer point, so a point of ``PROBE_POINTS`` where ``b(pt)`` is
+nonzero and does not divide ``a(pt)`` proves that ``b`` does not divide
+``a``.  A division that passes is synthetic division in ``h_i``: grouped
+by powers of ``h_i``, the dividend's coefficients are polynomials in the
+other variables, each quotient coefficient is the next dividend
+coefficient minus ``r`` times the previous one, divided by ``a``, and
+the division is exact when each of these divisions by ``a`` is exact
+and the last remainder is zero.  ``p_cancel`` probes a numerator once for a whole run
+of trial divisions and carries its values through the quotients.
 """
 
 from functools import lru_cache
-from heapq import heapify, heappop, heappush
 from math import comb, gcd
 
 BACKEND = "python"
 
-# Integer points at which p_divexact evaluates dividend and divisor before
-# dividing.  Coordinates lie hundreds apart, so a linear form
-# h_i - h_j + k or h_i + k with a small offset k takes a large nonzero
-# value at each point.  Polynomials in more variables than a point has
+# Integer points at which the factor table evaluates each factor, and
+# p_divexact and p_cancel the dividend, before dividing.  Coordinates lie
+# hundreds apart, so a linear form h_i - h_j + k or h_i + k with a small
+# offset k takes a large nonzero value at each point.  Polynomials in more variables than a point has
 # coordinates are not probed.
 PROBE_POINTS = (
     tuple(1000 + 211 * i + 37 * i * i for i in range(16)),
@@ -289,34 +286,43 @@ def fac_key(poly):
 
 @lru_cache(maxsize=None)
 def _factor(key):
-    # the factor table: (polynomial, values at PROBE_POINTS, family triple);
-    # the polynomial is shared by every caller and never changed
+    # the factor table: (polynomial, values at PROBE_POINTS, linear form,
+    # family triple); the polynomial is shared by every caller and never
+    # changed
     poly = dict(key)
     nvars = len(key[0][0])
     points = PROBE_POINTS if nvars <= len(PROBE_POINTS[0]) else ()
-    return poly, tuple(p_eval(poly, pt) for pt in points), _family(key)
+    form = _linear(key)
+    return (poly, tuple(p_eval(poly, pt) for pt in points), form,
+            _family(form))
 
 
-def _family(key):
-    # (i, j, k) when key is h_i - h_j + k (i < j) or h_i + k (j None)
-    if sum(key[0][0]) != 1 or key[0][1] != 1:
+def _linear(key):
+    # (i, a, tail, k) when key is a*x_i + r, x_i its grlex-leading
+    # variable and r the sum of c*x_j over (j, c) in tail, plus k;
+    # None when key is not of degree 1
+    (lead, a), *rest = key
+    if sum(lead) != 1:
         return None
-    i = key[0][0].index(1)
-    j = k = None
-    for e, c in key[1:]:
-        if any(e):
-            if j is not None or c != -1:
-                return None
-            j = e.index(1)
-        else:
-            k = c
-    return i, j, k or 0
+    tail = tuple((e.index(1), c) for e, c in rest if any(e))
+    k = sum(c for e, c in rest if not any(e))
+    return lead.index(1), a, tail, k
+
+
+def _family(form):
+    # (i, j, k) when form is x_i - x_j + k (i < j) or x_i + k (j None)
+    if form is None:
+        return None
+    i, a, tail, k = form
+    if a != 1 or len(tail) > 1 or any(c != -1 for _, c in tail):
+        return None
+    return i, tail[0][0] if tail else None, k
 
 
 def fac_family(key):
     """(i, j, k) when key names h_i - h_j + k (i < j, 0-based) or h_i + k
     (j None), else None."""
-    return _factor(key)[2]
+    return _factor(key)[3]
 
 
 def fac_poly(key):
@@ -360,7 +366,7 @@ def fac_permute(key, perm):
 def p_mul_family(a, key, m):
     """a times the m-th power (m >= 1) of the family form named by key
     (see fac_family); a power of a bare h_i is one exponent shift."""
-    i, j, k = _factor(key)[2]
+    i, j, k = _factor(key)[3]
     if j is None and not k:
         return {e[:i] + (e[i] + m,) + e[i + 1:]: c for e, c in a.items()}
     for _ in range(m):
@@ -383,20 +389,14 @@ def p_mul_family(a, key, m):
     return a
 
 
-def p_div_family(a, key):
-    """Exact division of a by the family form named by key, or None when
-    it does not divide a (synthetic division in h_i, see the module
-    docstring)."""
-    return _div_family(a, _factor(key)[2])
-
-
-def _div_family(a, fam):
-    # a = (h_i + r) * sum_t Q_t h_i^t with r = k - h_j, so from the top
-    # Q_{t-1} = A_t - r Q_t, and A_0 - r Q_0 must vanish.  Coefficients
-    # in h_i are kept as dicts over exponents whose i-th entry is 0.
+def _div_linear(a, form):
+    # a = (lc h_i + r) * sum_t Q_t h_i^t with form (i, lc, tail, k) (see
+    # _linear), so from the top Q_{t-1} = (A_t - r Q_t) / lc, and
+    # A_0 - r Q_0 must vanish.  Coefficients in h_i are kept as dicts over
+    # exponents whose i-th entry is 0.
     if not a:
         return {}
-    i, j, k = fam
+    i, lc, tail, k = form
     slices = {}
     for e, c in a.items():
         slices.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
@@ -405,22 +405,26 @@ def _div_family(a, fam):
     for t in range(max(slices), -1, -1):
         nxt = slices.get(t, {})
         for e, c in cur.items():
-            # nxt -= (k - h_j) * c * e
+            # nxt -= r * c * e
             if k:
                 s = nxt.get(e, 0) - k * c
                 if s:
                     nxt[e] = s
                 else:
                     del nxt[e]
-            if j is not None:
+            for j, cj in tail:
                 ne = e[:j] + (e[j] + 1,) + e[j + 1:]
-                s = nxt.get(ne, 0) + c
+                s = nxt.get(ne, 0) - cj * c
                 if s:
                     nxt[ne] = s
                 else:
                     del nxt[ne]
         if not t:
             return None if nxt else q
+        if lc != 1:
+            if any(c % lc for c in nxt.values()):
+                return None
+            nxt = {e: c // lc for e, c in nxt.items()}
         for e, c in nxt.items():
             q[e[:i] + (t - 1,) + e[i + 1:]] = c
         cur = nxt
@@ -428,8 +432,8 @@ def _div_family(a, fam):
 
 def p_cancel(num, facs, keys):
     """Divide num by the factors named in keys, each as often as it
-    divides and at most its multiplicity in facs (a dict from primitive
-    factor key to multiplicity).
+    divides and at most its multiplicity in facs (a dict from the key of
+    a primitive linear form to multiplicity).
 
     Returns the quotient and a copy of facs with those multiplicities
     lowered; a factor that cancelled fully is dropped.
@@ -450,10 +454,10 @@ def _cancel(num, facs, keys):
     points = PROBE_POINTS if nvars <= len(PROBE_POINTS[0]) else ()
     values = [p_eval(num, pt) for pt in points]
     for key in keys:
-        poly, fvals, fam = _factor(key)
+        _, fvals, form, _ = _factor(key)
         m = facs[key]
         while m and not any(f and v % f for v, f in zip(values, fvals)):
-            q = _divide(num, poly) if fam is None else _div_family(num, fam)
+            q = _div_linear(num, form)
             if q is None:
                 break
             num = q
@@ -467,80 +471,11 @@ def _cancel(num, facs, keys):
     return num
 
 
-def _probe_rejects(a, b):
-    # sound: b | a in Z[x] implies b(pt) | a(pt) at every integer point
-    nvars = len(next(iter(b)))
-    for pt in PROBE_POINTS:
-        if nvars > len(pt):
-            return False
-        v = p_eval(b, pt)
-        if v and p_eval(a, pt) % v:
-            return True
-    return False
-
-
-def p_divexact(a, b):
-    """Exact division a / b, or None when b does not divide a.
-
-    b must be nonzero; correctness over Z requires b primitive (Gauss).
-    A division that the probe points do not reject (see the module
-    docstring) runs in heap order.  Each new remainder monomial
-    ``qe + e2`` lies strictly below the current leading term, so the
-    popped leads, the quotient and every ``None`` are those of the
-    schoolbook division that rescans the remainder for its lead.
-    """
-    if _probe_rejects(a, b):
+def p_divexact(a, key):
+    """Exact division of a by the primitive linear form named by key, or
+    None when it does not divide a: first the probe, then synthetic
+    division (see the module docstring)."""
+    _, fvals, form, _ = _factor(key)
+    if any(f and p_eval(a, pt) % f for f, pt in zip(fvals, PROBE_POINTS)):
         return None
-    return _divide(a, b)
-
-
-def _divide(a, b):
-    # the heap-order division of p_divexact, without the probe
-    if not a:
-        return {}
-    be, bc = p_lead(b)
-    bs = sum(be)
-    # Every remainder monomial has degree <= deg(a), so every exponent is
-    # below `base`; on such exponents this linear key orders as grlex and
-    # key(qe + e2) == key(qe) + key(e2).
-    base = p_degree(a) + 1
-    nvars = len(be)
-    weights = [base ** nvars + base ** (nvars - 1 - i) for i in range(nvars)]
-
-    def key(e):
-        return sum(x * w for x, w in zip(e, weights))
-
-    kbe = key(be)
-    tail = [(key(e2), e2, c2) for e2, c2 in b.items() if e2 != be]
-    r = dict(a)
-    heap = [(-key(e), e) for e in r]
-    heapify(heap)
-    q = {}
-    while heap:
-        nk, re = heappop(heap)
-        rc = r.pop(re, 0)
-        if not rc:
-            continue        # cancelled, or a duplicate heap entry
-        if sum(re) < bs:
-            return None
-        qe = tuple(x - y for x, y in zip(re, be))
-        if any(v < 0 for v in qe):
-            return None
-        if rc % bc:
-            return None
-        qc = rc // bc
-        q[qe] = qc
-        qk = -nk - kbe
-        for k2, e2, c2 in tail:
-            ne = tuple(x + y for x, y in zip(qe, e2))
-            s = r.get(ne)
-            if s is None:
-                r[ne] = -qc * c2
-                heappush(heap, (-(qk + k2), ne))
-            else:
-                s -= qc * c2
-                if s:
-                    r[ne] = s
-                else:
-                    del r[ne]
-    return q
+    return _div_linear(a, form)

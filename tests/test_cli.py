@@ -435,9 +435,35 @@ def test_normal_form_non_linear_denominator_is_a_parse_error(capsys):
 
 
 def test_normal_form_out_of_range_generator(capsys):
-    code, out, err = run_cli(capsys, "normal-form", "--n", "2",
-                             "--expr", "x[3,1]")
-    assert code == 2
+    # the error points at the generator's first character, as the
+    # coefficient grammar points at the h of an out-of-range variable
+    for expr, want in (("x[3,1]", "index 3 out of range 1..2 (at position 0)"),
+                       ("D[1,1]*x[1,3]",
+                        "copy 3 out of range 1..1 (at position 7)")):
+        code, out, err = run_cli(capsys, "normal-form", "--n", "2",
+                                 "--expr", expr)
+        assert code == 2
+        assert out == ""
+        assert want in err
+
+
+def test_generator_power_is_one_word(monkeypatch):
+    # x[1]^k is the k-letter word, built at once: no Element products
+    from hdeform.algebra import Element
+    from hdeform.exprparse import parse_weyl_expression
+    alg = weyl.WeylAlgebra(2, 1)
+    x1 = alg.x(1)
+    power = alg.one()
+    for k in range(5):
+        assert parse_weyl_expression(alg, f"x[1]^{k}") == power
+        power = power * x1
+    calls = []
+    mul = Element.__mul__
+    monkeypatch.setattr(Element, "__mul__",
+                        lambda a, b: calls.append(b) or mul(a, b))
+    (word,) = x1.terms
+    assert parse_weyl_expression(alg, "x[1]^50") == alg.word_element(word * 50)
+    assert calls == []
 
 
 def test_central_text_and_check(capsys):

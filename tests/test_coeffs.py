@@ -397,11 +397,12 @@ def _trial_factors(n, poly):
                 fac = K.p_add(K.p_var(n, i), K.p_const(n, k))
                 if j >= 0:
                     fac = K.p_sub(fac, K.p_var(n, j))
+                key = K.fac_key(fac)
                 while not K.p_is_const(rem):
-                    q = K.p_divexact(rem, fac)
+                    q = K.p_divexact(rem, key)
                     if q is None:
                         break
-                    found[K.fac_key(fac)] = found.get(K.fac_key(fac), 0) + 1
+                    found[key] = found.get(key, 0) + 1
                     rem = q
     return rem, sorted(found.items())
 
@@ -450,7 +451,7 @@ def _reference_build(num, dint, fac_items):
             facs[K.fac_key(prim)] = facs.get(K.fac_key(prim), 0) + m
     for key in sorted(facs):
         while facs[key]:
-            q = K.p_divexact(num, K.fac_poly(key))
+            q = K.p_divexact(num, key)
             if q is None:
                 break
             num, facs[key] = q, facs[key] - 1

@@ -1,4 +1,6 @@
-"""Exact division in the pure-Python kernel: probe rejection and heap order."""
+"""Exact division in the pure-Python kernel: every divisor is a primitive
+linear form, rejected by evaluation at the probe points or divided by
+synthetic division, and checked against the schoolbook division."""
 
 import random
 
@@ -25,12 +27,46 @@ def schoolbook_divexact(a, b):
     return q
 
 
+def divexact(a, b):
+    """p_divexact by the primitive linear form b, passed as its key."""
+    return K.p_divexact(a, K.fac_key(b))
+
+
 def linear_form(nvars, i, j, k):
     """h_i - h_j + k, or h_i + k when j is None (0-based indices)."""
     form = K.p_var(nvars, i)
     if j is not None:
         form = K.p_sub(form, K.p_var(nvars, j))
     return K.p_add(form, K.p_const(nvars, k))
+
+
+def form_of(nvars, coeffs, k):
+    """The primitive part (positive lead) of sum coeffs[v] h_{v+1} + k;
+    coeffs may be shorter than nvars and must not be all zero."""
+    form = K.p_sum([K.p_var(nvars, v, c) for v, c in enumerate(coeffs)]
+                   + [K.p_const(nvars, k)])
+    return K.p_primitive_sign(form)[2]
+
+
+def named_forms(nvars):
+    """Non-monic forms in several variables: 2*h1-h2-1, 3*h1-2*h2+h3+5
+    (3*h1-2*h2+5 in two variables) and 3*h1+5*h2-7."""
+    return [form_of(nvars, [2, -1], -1),
+            form_of(nvars, [3, -2, 1][:nvars], 5),
+            form_of(nvars, [3, 5], -7)]
+
+
+def vanishing_form(nvars, i, j):
+    """The primitive linear form in h_i and h_j (i < j) that vanishes at
+    both PROBE_POINTS, so that the probe rejects no dividend: the
+    division alone decides.  Its lead coefficient is far from 1."""
+    p, q = K.PROBE_POINTS
+    a, b = q[j] - p[j], p[i] - q[i]
+    coeffs = [0] * nvars
+    coeffs[i], coeffs[j] = a, b
+    form = form_of(nvars, coeffs, -(a * p[i] + b * p[j]))
+    assert all(K.p_eval(form, pt) == 0 for pt in K.PROBE_POINTS)
+    return form
 
 
 def random_poly(rng, nvars, terms, deg, span):
@@ -44,14 +80,19 @@ def random_poly(rng, nvars, terms, deg, span):
 
 
 def random_divisor(rng, nvars):
-    if rng.random() < 0.5:
+    """A family form, a named non-monic form, or a random primitive linear
+    form in one to nvars variables with coefficients in -5..5."""
+    kind = rng.random()
+    if kind < 0.4:
         i, j = rng.sample(range(nvars), 2)
         return linear_form(nvars, i, j if rng.random() < 0.7 else None,
                            rng.randint(-40, 40))
-    while True:
-        b = random_poly(rng, nvars, terms=4, deg=2, span=5)
-        if not K.p_is_const(b):
-            return K.p_primitive_sign(b)[2]
+    if kind < 0.6:
+        return rng.choice(named_forms(nvars))
+    coeffs = [0] * nvars
+    for v in rng.sample(range(nvars), rng.randint(1, nvars)):
+        coeffs[v] = rng.choice([-5, -3, -2, -1, 1, 2, 3, 4, 5])
+    return form_of(nvars, coeffs, rng.randint(-40, 40))
 
 
 def test_products_divide_back():
@@ -61,18 +102,19 @@ def test_products_divide_back():
         b = random_divisor(rng, nvars)
         q = random_poly(rng, nvars, terms=8, deg=4, span=50)
         a = K.p_mul(q, b)
-        assert K.p_divexact(a, b) == q
-        assert K.p_divexact(a, b) == schoolbook_divexact(a, b)
+        assert divexact(a, b) == q
+        assert divexact(a, b) == schoolbook_divexact(a, b)
 
 
 def test_far_offsets_divide_back():
     # offsets past any trial-division window, with repeated factors
     rng = random.Random(22)
-    for k in (-40, -33, 29, 40):
-        b = linear_form(3, 0, 2, k)
-        q = K.p_mul(K.p_mul(b, linear_form(3, 1, None, -k)),
-                    random_poly(rng, 3, terms=5, deg=3, span=9))
-        assert K.p_divexact(K.p_mul(q, b), b) == q
+    for k in (-40, -33, 29, 40, 10**12):
+        for b in (linear_form(3, 0, 2, k), form_of(3, [2, 0, -1], k),
+                  form_of(3, [3, -2, 1], 5 + k)):
+            q = K.p_mul(K.p_mul(b, linear_form(3, 1, None, -k)),
+                        random_poly(rng, 3, terms=5, deg=3, span=9))
+            assert divexact(K.p_mul(q, b), b) == q
 
 
 def test_non_multiples_are_rejected():
@@ -83,11 +125,11 @@ def test_non_multiples_are_rejected():
         q = random_poly(rng, nvars, terms=8, deg=4, span=50)
         # b is not constant, so it divides no nonzero constant
         a = K.p_add(K.p_mul(q, b), K.p_const(nvars, rng.choice([-3, 1, 7])))
-        assert K.p_divexact(a, b) is None
+        assert divexact(a, b) is None
         assert schoolbook_divexact(a, b) is None
 
 
-def test_quotient_matches_schoolbook_order():
+def test_quotient_matches_schoolbook():
     rng = random.Random(24)
     for _ in range(300):
         nvars = rng.randint(1, 4)
@@ -95,11 +137,33 @@ def test_quotient_matches_schoolbook_order():
         a = random_poly(rng, nvars, terms=10, deg=5, span=30)
         if rng.random() < 0.5:
             a = K.p_mul(a, b)
-        got = K.p_divexact(a, b)
-        want = schoolbook_divexact(a, b)
-        assert got == want
-        if got is not None:
-            assert list(got) == list(want)
+        assert divexact(a, b) == schoolbook_divexact(a, b)
+
+
+def test_division_decides_where_the_probe_cannot():
+    # b vanishes at both probe points, so every dividend passes the probe.
+    # For a perturbation c * h_i * m with 0 < c < lead(b), a floor
+    # division by lead(b) would drop c and leave a zero last remainder: it
+    # is rejected only by checking that each quotient coefficient divides.
+    rng = random.Random(25)
+    for i, j in ((0, 1), (0, 2), (1, 2)):
+        b = vanishing_form(3, i, j)
+        lead = K.p_lead(b)[1]
+        assert lead > 1
+        for _ in range(40):
+            q = random_poly(rng, 3, terms=6, deg=3, span=40)
+            a = K.p_mul(q, b)
+            assert divexact(a, b) == q
+            mono = [rng.randint(0, 2) for _ in range(3)]
+            mono[i] += 1
+            for extra in ({tuple(mono): rng.randint(1, lead - 1)},
+                          K.p_const(3, rng.randint(1, 9))):
+                # a monomial is no multiple of b
+                assert divexact(K.p_add(a, extra), b) is None
+            a2 = K.p_add(a, random_poly(rng, 3, terms=3, deg=2, span=9))
+            assert divexact(a2, b) == schoolbook_divexact(a2, b)
+            key = K.fac_key(b)
+            assert K.p_cancel(a, {key: 2}, [key]) == (q, {key: 1})
 
 
 def test_probe_points_keep_small_linear_forms_nonzero():
@@ -115,21 +179,35 @@ coords = st.integers(min_value=-6, max_value=6)
 
 
 @st.composite
+def primitive_linear(draw, nvars, offsets=st.integers(-60, 60), at=None):
+    """A primitive linear form with coefficients in -5..5; when at is a
+    point, the offset makes the form vanish there."""
+    coeffs = draw(st.lists(st.integers(-5, 5), min_size=nvars,
+                           max_size=nvars).filter(any))
+    if at is None:
+        k = draw(offsets)
+    else:
+        k = -sum(c * x for c, x in zip(coeffs, at))
+    return form_of(nvars, coeffs, k)
+
+
+@st.composite
 def divisor_and_quotient(draw):
+    """A primitive linear form, which may vanish at a probe point, and a
+    quotient."""
     nvars = draw(st.integers(min_value=2, max_value=4))
     i, j = draw(st.permutations(range(nvars)))[:2]
     pt = draw(st.sampled_from(K.PROBE_POINTS))
-    if draw(st.booleans()):
-        # a linear form that vanishes at a probe point: b(pt) == 0
-        k = pt[j] - pt[i]
+    kind = draw(st.sampled_from(["family", "vanishing family", "general",
+                                 "vanishing general"]))
+    if kind == "family":
+        b = linear_form(nvars, i, j, draw(st.integers(-60, 60)))
+    elif kind == "vanishing family":
+        b = linear_form(nvars, i, j, pt[j] - pt[i])     # b(pt) == 0
+    elif kind == "general":
+        b = draw(primitive_linear(nvars))
     else:
-        k = draw(st.integers(min_value=-60, max_value=60))
-    b = linear_form(nvars, i, j, k)
-    if draw(st.booleans()):
-        extra = {tuple(draw(coords) % 3 for _ in range(nvars)): draw(coords)}
-        b = K.p_add(K.p_mul(b, b), extra)
-        if K.p_is_const(b) or not b:
-            b = linear_form(nvars, i, j, k)
+        b = draw(primitive_linear(nvars, at=pt))
     terms = draw(st.lists(
         st.tuples(st.tuples(*[st.integers(0, 3)] * nvars), coords),
         min_size=1, max_size=6))
@@ -145,8 +223,7 @@ def divisor_and_quotient(draw):
 def test_probe_never_rejects_a_true_divisor(bq):
     b, q = bq
     a = K.p_mul(q, b)
-    assert not K._probe_rejects(a, b)
-    assert K.p_divexact(a, b) == q
+    assert divexact(a, b) == q
 
 
 @settings(max_examples=200, deadline=None)
@@ -155,7 +232,7 @@ def test_constant_perturbation_is_rejected(bq, c):
     b, q = bq
     a = K.p_add(K.p_mul(q, b), K.p_const(len(next(iter(b))), c))
     # a nonzero constant is never a multiple of a non-constant b
-    assert K.p_divexact(a, b) is None
+    assert divexact(a, b) is None
     assert schoolbook_divexact(a, b) is None
 
 
@@ -199,7 +276,7 @@ def test_normalize_carries_probe_values_through_divisions(case):
     for key in sorted(facs):
         m = facs[key]
         while m:
-            q = K.p_divexact(want_num, dict(key))
+            q = K.p_divexact(want_num, key)
             if q is None:
                 break
             want_num, m = q, m - 1
@@ -286,20 +363,30 @@ def test_substitutions_agree_with_evaluation(case):
             assert K.p_eval(sub, pt) == K.p_eval(poly, moved)
 
 
+@st.composite
+def linear_and_poly(draw):
+    """A family form or a general primitive linear form with offsets from
+    OFFSETS, and a polynomial that may be a constant."""
+    _, form, poly = draw(family_and_poly())
+    if draw(st.booleans()):
+        form = draw(primitive_linear(len(next(iter(form))), OFFSETS))
+    return form, poly
+
+
 @settings(max_examples=300, deadline=None)
-@given(family_and_poly(), st.sampled_from(["multiple", "perturbed", "plain"]),
+@given(linear_and_poly(),
+       st.sampled_from(["multiple", "perturbed", "plain"]),
        st.integers(min_value=1, max_value=9))
-def test_family_division_matches_divide(case, kind, c):
-    _, form, poly = case
+def test_linear_division_matches_schoolbook(case, kind, c):
+    form, poly = case
     nvars = len(next(iter(form)))
     if kind == "multiple":
         poly = K.p_mul(poly, form)
     elif kind == "perturbed":
         # a non-divisor whenever poly * form is not constant
         poly = K.p_add(K.p_mul(poly, form), K.p_const(nvars, c))
-    key = K.fac_key(form)
-    got = K.p_div_family(poly, key)
-    assert got == K._divide(poly, form)
+    got = divexact(poly, form)
+    assert got == schoolbook_divexact(poly, form)
     if kind == "perturbed":
         assert got is None
 
@@ -311,12 +398,12 @@ def test_fac_family_rejects_other_linear_forms():
 
 
 def reference_cancel(num, facs):
-    """p_cancel's contract by plain heap-order division alone."""
+    """p_cancel's contract by schoolbook division alone."""
     want = {}
     for key in sorted(facs):
         m = facs[key]
         while m:
-            q = K._divide(num, dict(key))
+            q = schoolbook_divexact(num, dict(key))
             if q is None:
                 break
             num, m = q, m - 1
@@ -327,15 +414,13 @@ def reference_cancel(num, facs):
 
 @st.composite
 def numerator_and_mixed_factors(draw):
-    """A numerator built from family and non-family factors, and a
+    """A numerator built from family and non-family linear factors, and a
     multiplicity for each factor key (which may exceed how often it
     divides)."""
     nvars = draw(st.integers(min_value=2, max_value=4))
-    others = [{(1,) + (0,) * (nvars - 1): 2, (0,) * nvars: 1},
-              {(1,) + (0,) * (nvars - 1): 1, (0, 1) + (0,) * (nvars - 2): 1,
-               (0,) * nvars: draw(st.integers(-5, 5)) or 1},
-              {(2,) + (0,) * (nvars - 1): 1, (0, 1) + (0,) * (nvars - 2): 1,
-               (0,) * nvars: 1}]
+    others = [form_of(nvars, [2], 1),
+              form_of(nvars, [1, 1], draw(st.integers(-5, 5)) or 1),
+              *named_forms(nvars)]
     forms = []
     for _ in range(draw(st.integers(min_value=1, max_value=4))):
         if draw(st.booleans()):
