@@ -214,7 +214,7 @@ def _root_brackets(a, lo, hi):
     return sorted(out)
 
 
-def _integer_roots(poly, i):
+def _integer_roots(n, poly, i):
     """Integer candidates r for a factor h_i - r of poly.
 
     Grouped by the exponents of the other variables, poly is a sum of
@@ -226,7 +226,7 @@ def _integer_roots(poly, i):
     The bisection makes the cost logarithmic in the offsets.
     """
     best = None
-    for sl in _p_slices(poly, i):
+    for sl in _p_slices(n, poly, i):
         lo, hi = min(sl), max(sl)
         if hi == 0:
             return []                       # a slice free of h_i
@@ -261,11 +261,11 @@ def _linear_family_factors(n, poly):
                 return rem, sorted(found.items())
             if j is None:
                 probe = rem
-            elif {i, j} <= _p_vars(rem):
-                probe = K.p_add_var(rem, i, j)
+            elif {i, j} <= _p_vars(n, rem):
+                probe = K.p_add_var(n, rem, i, j)
             else:
                 continue
-            for r in _integer_roots(probe, i):
+            for r in _integer_roots(n, probe, i):
                 key = _fac_form(n, i, j, -r)
                 q = K.p_divexact(rem, key)
                 while q is not None:
@@ -283,13 +283,13 @@ def _split_denominator(n, den):
     c, sign, prim = K.p_primitive_sign(den)
     rem, facs = _linear_family_factors(n, prim)
     if not _p_is_const(rem):
-        if _p_degree(rem) > 1:
+        if _p_degree(n, rem) > 1:
             # a product of forms outside the family is not split
             raise CoefficientError(
-                f"denominator factor {_p_str(rem)} is not linear; write "
+                f"denominator factor {_p_str(n, rem)} is not linear; write "
                 "linear forms outside the family one by one, as in "
                 "1/(h1+h2)/(2*h1-h2-1)")
-        facs = facs + [(_fac_key(rem), 1)]
+        facs = facs + [(_fac_key(n, rem), 1)]
     return c * sign, facs
 
 
@@ -338,8 +338,8 @@ class RatFun:
         with dint cancels."""
         if not content:
             return cls.zero(n)
-        if len(cof) <= 3 and not _p_is_const(cof) and _p_degree(cof) == 1:
-            key = _fac_key(cof)
+        if len(cof) <= 3 and not _p_is_const(cof) and _p_degree(n, cof) == 1:
+            key = _fac_key(n, cof)
             if _is_family(key):
                 fac[key] = fac.get(key, 0) + 1
                 cof = _p_one(n)
@@ -614,12 +614,17 @@ class RatFun:
         """Global sign reversal h_i -> -h_i."""
         if self._is_constant:
             return self
-        return self._map(_fac_negate, K.p_negate)
+        return self._map(_fac_negate, lambda p: K.p_negate(self.n, p))
 
     # -- evaluation ---------------------------------------------------------
 
     def eval(self, point):
-        """Exact evaluation at an integer point; Fraction result."""
+        """Exact evaluation at an integer point of n coordinates; Fraction
+        result."""
+        if len(point) != self.n:
+            raise CoefficientError(
+                f"a point of rank {self.n} has {self.n} coordinates, not "
+                f"{len(point)}")
         num, den = self.content * K.p_eval(self.cof, point), self.dint
         for key, m in self.fac.items():
             if m > 0:
@@ -837,16 +842,16 @@ def special(name, indices, n):
 # serialization
 # ---------------------------------------------------------------------------
 
-def _den_str(dint, dfac):
+def _den_str(n, dint, dfac):
     parts = []
     if dint != 1:
         parts.append(str(dint))
     for key, m in dfac:
         poly = _fac_poly(key)
         if len(poly) == 1:
-            base = _p_str(poly)
+            base = _p_str(n, poly)
         else:
-            base = f"({_p_str(poly)})"
+            base = f"({_p_str(n, poly)})"
         parts.append(base + (f"^{m}" if m > 1 else ""))
     if len(parts) > 1:
         # keep the whole denominator one parse unit
@@ -860,12 +865,12 @@ def serialize(f):
     if f.is_zero:
         return "0"
     poly, dfac = f.num, f.dfac
-    num = _p_str(poly)
+    num = _p_str(f.n, poly)
     if f.dint == 1 and not dfac:
         return num
     if len(poly) > 1:
         num = f"({num})"
-    return f"{num}/{_den_str(f.dint, dfac)}"
+    return f"{num}/{_den_str(f.n, f.dint, dfac)}"
 
 
 # ---------------------------------------------------------------------------

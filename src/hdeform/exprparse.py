@@ -5,7 +5,8 @@ Grammar: sums of products, where a product factor is either a generator
 a coefficient factor in the h-variables (a factor of the coefficient
 grammar of :mod:`hdeform.coeffs`: an atom, optionally negated or raised
 to an integer power; parenthesize anything composite).  A coefficient
-power is one :class:`~hdeform.coeffs.RatFun` power.
+power is one :class:`~hdeform.coeffs.RatFun` power, and a generator
+power ``x[i,a]^k`` one word of k letters, at most ``MAX_POWER_LETTERS``.
 ``*`` is concatenation and the result is NOT normal ordered.
 """
 
@@ -13,6 +14,9 @@ from __future__ import annotations
 
 from .coeffs import _Parser
 from .errors import CoefficientError
+
+# the longest word a generator power may spell (8 bytes a letter)
+MAX_POWER_LETTERS = 10**6
 
 
 class _WeylParser(_Parser):
@@ -73,8 +77,15 @@ class _WeylParser(_Parser):
         if self.peek() == "^":
             # a generator power is a word k letters long
             self.pos += 1
+            self.skip_ws()
+            at = self.pos
+            k = self.unsigned()
+            if k > MAX_POWER_LETTERS:
+                self.pos = at
+                self.error(f"generator power {k} exceeds the limit of "
+                           f"{MAX_POWER_LETTERS} letters")
             (word,) = base.terms
-            return self.alg.word_element(word * self.unsigned())
+            return self.alg.word_element(word * k)
         return base
 
 

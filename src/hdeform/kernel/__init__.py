@@ -1,12 +1,19 @@
 """Sparse integer-polynomial kernel (pure Python, see ``_poly_py``).
 
-The kernel is the one module that knows how a monomial (an exponent
-tuple) and a factor key (``fac_key``) are laid out; the rest of the
-package builds, reads, substitutes, sums and prints them through the
-functions listed here.  ``BACKEND`` names the kernel (``"python"``).
-Every divisor is a primitive linear form named by its key, and
-``p_divexact`` and ``p_cancel`` divide through one synthetic division by
-it, after rejecting non-divisors by evaluation at ``PROBE_POINTS``.
+The kernel is the one module that packs or unpacks a monomial and knows
+the layout of a factor key (``fac_key``); the rest of the package
+builds, reads, substitutes, sums and prints them through the functions
+listed here.  A monomial of a rank-n polynomial is one int: the total
+degree in the top 32-bit field, then one 32-bit field per exponent, so
+int order is grlex order and a monomial product is one int add.  A
+product whose degree would reach ``2**32`` raises ``ResourceLimitError``.
+Functions that read a field take the rank ``n``.  Factor keys stay
+tuples of (exponent tuple, coefficient).  ``BACKEND`` names the kernel
+(``"python"``).  Every divisor is a primitive linear form named by its
+key, and ``p_divexact`` and ``p_cancel`` divide through one synthetic
+division by it, after rejecting non-divisors by evaluation at
+``PROBE_POINTS``; the value of each monomial at each probe point is
+kept in one memo per rank and point.
 """
 
 from ._poly_py import *  # noqa: F401,F403
@@ -16,7 +23,7 @@ __all__ = [
     "p_zero", "p_const", "p_one", "p_var", "p_is_const", "p_vars",
     "p_sum", "p_add", "p_sub", "p_neg", "p_mul",
     "p_shift", "p_add_var", "p_permute", "p_negate", "p_eval", "p_slices",
-    "grlex_key", "p_lead", "p_degree", "p_content",
+    "p_lead", "p_degree", "p_content",
     "p_primitive_sign", "p_str", "p_divexact", "fac_key", "p_cancel",
     "fac_family", "fac_poly", "fac_form", "fac_shift", "fac_negate",
     "fac_permute", "p_mul_family",

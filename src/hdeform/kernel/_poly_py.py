@@ -1,50 +1,105 @@
-"""Pure-Python kernel for dense-exponent sparse integer polynomials.
+"""Pure-Python kernel for sparse integer polynomials with packed monomials.
 
-A polynomial in ``nvars`` variables is a dict mapping exponent tuples
-(length ``nvars``, nonnegative ints) to nonzero Python ints.  All
-functions are side-effect free and never mutate their arguments.  This
-module is the only one that knows that layout, and the layout of a
+A polynomial in ``n`` variables is a dict mapping monomials to nonzero
+Python ints.  A monomial ``h_1^e_1 ... h_n^e_n`` is one int: its total
+degree in the top field, then ``e_1 ... e_n``, each field ``B`` = 32
+bits wide (``_layout``).  So int order is grlex order, the leading
+monomial is ``max``, a monomial product is one int add, and a product by
+``h_i`` adds the rank's unit ``u_i``.  A product whose degree would
+reach ``2**32`` raises ``ResourceLimitError`` naming the degree; a field
+never wraps.  A packed int does not tell its rank, so a function that
+reads a field takes ``n`` (``p_vars``, ``p_slices``, ``p_add_var``,
+``p_negate``, ``p_degree``, ``p_str``, ``fac_key``) or reads it from an
+argument (``p_shift`` and ``p_eval`` from the length of the vector,
+``p_permute`` from the permutation, ``p_mul_family``, ``p_cancel`` and
+``p_divexact`` from the key).  All functions are side-effect free and
+never mutate their arguments.  This module is the only one that packs
+or unpacks a monomial, and the only one that knows the layout of a
 factor key (``fac_key``): callers build, read, substitute, sum and print
 polynomials and keys through the functions here.
 
-Factors are named by canonical keys (``fac_key``).  One table, filled on
-first use, maps a key to its polynomial, its values at ``PROBE_POINTS``
-and, for a primitive linear form ``a*h_i + r`` (``h_i`` its grlex-leading
-variable, ``a > 0``, ``r`` linear in the other variables plus a
-constant), the form's ``(i, a, r)``; for a family form ``h_i - h_j + k``
-(i < j) or ``h_i + k`` it also holds the triple ``(i, j, k)`` (j None
-for ``h_i + k``).  ``p_mul_family`` multiplies by a family form as the
-two or three shifted copies of the multiplicand instead of forming a
-general product (and by a power of a bare ``h_i`` in one exponent shift).
+Factors are named by canonical keys (``fac_key``), tuples of (exponent
+tuple, coefficient) in descending grlex order.  One table, filled on
+first use, maps a key to its packed polynomial, its values at
+``PROBE_POINTS`` and, for a primitive linear form ``a*h_i + r`` (``h_i``
+its grlex-leading variable, ``a > 0``, ``r`` linear in the other
+variables plus a constant), the form's ``(i, a, r)``; for a family form
+``h_i - h_j + k`` (i < j) or ``h_i + k`` it also holds the triple
+``(i, j, k)`` (j None for ``h_i + k``).  ``p_mul_family`` multiplies by a
+family form as the two or three shifted copies of the multiplicand
+instead of forming a general product (and by a power of a bare ``h_i``
+in one add per monomial).
 
 Every divisor is a primitive linear form, named by its key, and one
 routine divides by it.  ``p_divexact`` first rejects by evaluation: if
 the form ``b`` divides ``a`` in Z[h] then ``b(pt)`` divides ``a(pt)`` at
 every integer point, so a point of ``PROBE_POINTS`` where ``b(pt)`` is
 nonzero and does not divide ``a(pt)`` proves that ``b`` does not divide
-``a``.  A division that passes is synthetic division in ``h_i``: grouped
-by powers of ``h_i``, the dividend's coefficients are polynomials in the
-other variables, each quotient coefficient is the next dividend
-coefficient minus ``r`` times the previous one, divided by ``a``, and
-the division is exact when each of these divisions by ``a`` is exact
-and the last remainder is zero.  ``p_cancel`` probes a numerator once for a whole run
+``a``.  The value of each monomial at each probe point is kept, one
+memo per rank and point, so a probe costs a lookup per term.  A
+division that passes is synthetic division in ``h_i``: grouped by powers
+of ``h_i``, the dividend's coefficients are polynomials in the other
+variables, each quotient coefficient is the next dividend coefficient
+minus ``r`` times the previous one, divided by ``a``, and the division
+is exact when each of these divisions by ``a`` is exact and the last
+remainder is zero.  ``p_cancel`` probes a numerator once for a whole run
 of trial divisions and carries its values through the quotients.
+
+Every routine visits and inserts terms in the same order as it would on
+exponent tuples: the factor search in ``coeffs`` takes the first of ties
+in dict order.
 """
 
 from functools import lru_cache
 from math import comb, gcd
 
+from ..errors import ResourceLimitError
+
 BACKEND = "python"
 
 # Integer points at which the factor table evaluates each factor, and
-# p_divexact and p_cancel the dividend, before dividing.  Coordinates lie
+# p_divexact and p_cancel the dividend, before dividing; a rank-n
+# polynomial is evaluated at their first n coordinates.  Coordinates lie
 # hundreds apart, so a linear form h_i - h_j + k or h_i + k with a small
-# offset k takes a large nonzero value at each point.  Polynomials in more variables than a point has
-# coordinates are not probed.
+# offset k takes a large nonzero value at each point.  Polynomials in more
+# variables than a point has coordinates are not probed.
 PROBE_POINTS = (
     tuple(1000 + 211 * i + 37 * i * i for i in range(16)),
     tuple(3001 + 433 * i + 61 * i * i for i in range(16)),
 )
+
+_B = 32                 # bits per field of a packed monomial
+_MASK = (1 << _B) - 1
+
+
+@lru_cache(maxsize=None)
+def _layout(n):
+    """The packed layout of rank n: the shift of the degree field, the
+    shift of each exponent field, and the unit u_i of each variable (the
+    monomial h_i: degree 1 and e_i = 1)."""
+    shifts = tuple((n - 1 - i) * _B for i in range(n))
+    top = n * _B
+    return top, shifts, tuple((1 << top) | (1 << s) for s in shifts)
+
+
+def _pack(n, exp):
+    top, shifts, _ = _layout(n)
+    m = sum(exp) << top
+    for e, s in zip(exp, shifts):
+        m |= e << s
+    return m
+
+
+def _unpack(n, m):
+    return tuple((m >> s) & _MASK for s in _layout(n)[1])
+
+
+def _check_degree(degree):
+    """Raise when a product's degree would not fit its field."""
+    if degree > _MASK:
+        raise ResourceLimitError(
+            f"polynomial degree {degree} exceeds the kernel's limit of "
+            f"{_MASK}")
 
 
 def p_zero():
@@ -54,7 +109,7 @@ def p_zero():
 def p_const(nvars, c):
     if c == 0:
         return {}
-    return {(0,) * nvars: c}
+    return {0: c}
 
 
 @lru_cache(maxsize=None)
@@ -68,23 +123,19 @@ def p_var(nvars, i, c=1):
     # x_i with 0-based index i
     if c == 0:
         return {}
-    exp = [0] * nvars
-    exp[i] = 1
-    return {tuple(exp): c}
+    return {_layout(nvars)[2][i]: c}
 
 
 def p_is_const(a):
-    if not a:
-        return True
-    if len(a) > 1:
-        return False
-    exp = next(iter(a))
-    return not any(exp)
+    return not a or (len(a) == 1 and 0 in a)
 
 
-def p_vars(a):
+def p_vars(n, a):
     """The set of the (0-based) indices of the variables that occur in a."""
-    return {i for exp in a for i, e in enumerate(exp) if e}
+    seen = 0
+    for m in a:
+        seen |= m
+    return {i for i, s in enumerate(_layout(n)[1]) if (seen >> s) & _MASK}
 
 
 def p_sum(polys):
@@ -121,10 +172,16 @@ def p_mul(a, b):
         return {}
     if len(b) < len(a):
         a, b = b, a
+    ta, tb = max(a), max(b)
+    if ta and tb:
+        # a nonconstant monomial's top field is its degree, so its bit
+        # length tells where that field starts
+        top = (ta.bit_length() - 1) // _B * _B
+        _check_degree((ta >> top) + (tb >> top))
     res = {}
     for e1, c1 in a.items():
         for e2, c2 in b.items():
-            ne = tuple(x + y for x, y in zip(e1, e2))
+            ne = e1 + e2
             s = res.get(ne, 0) + c1 * c2
             if s:
                 res[ne] = s
@@ -133,24 +190,17 @@ def p_mul(a, b):
     return res
 
 
-
-
-def _binomial(a, i, j, d):
-    # substitute x_i -> x_i + d, or x_i -> x_i + d x_j when j is not None:
-    # x_i^e becomes sum_t comb(e, t) x_i^t (d x_j)^(e - t), t ascending (the
-    # factor search in coeffs picks its slice by term order, first of ties)
+def _binomial(a, shift, step, d):
+    # substitute x_i -> x_i + d, or x_i -> x_i + d x_j, where shift is the
+    # shift of e_i's field and step moves one unit of degree from x_i
+    # (-u_i, or u_j - u_i): x_i^e becomes sum_t comb(e, t) x_i^t
+    # (d x_j)^(e - t), t ascending (the factor search in coeffs picks its
+    # slice by term order, first of ties)
     res = {}
-    for exp, c in a.items():
-        e = exp[i]
+    for m, c in a.items():
+        e = (m >> shift) & _MASK
         for t in range(e + 1):
-            if t == e:
-                ne = exp
-            else:
-                ne = list(exp)
-                ne[i] = t
-                if j is not None:
-                    ne[j] += e - t
-                ne = tuple(ne)
+            ne = m if t == e else m + (e - t) * step
             s = res.get(ne, 0) + c * comb(e, t) * d ** (e - t)
             if s:
                 res[ne] = s
@@ -161,77 +211,98 @@ def _binomial(a, i, j, d):
 
 def p_shift(a, deltas):
     # substitute x_i -> x_i + deltas[i] for every variable
+    _, shifts, units = _layout(len(deltas))
     res = a
-    for i, d in enumerate(deltas):
+    for s, u, d in zip(shifts, units, deltas):
         if d:
-            res = _binomial(res, i, None, d)
+            res = _binomial(res, s, -u, d)
     return dict(res) if res is a else res
 
 
-def p_add_var(a, i, j):
+def p_add_var(n, a, i, j):
     """Substitute x_i -> x_i + x_j (0-based, i != j)."""
-    return _binomial(a, i, j, 1)
+    _, shifts, units = _layout(n)
+    return _binomial(a, shifts[i], units[j] - units[i], 1)
 
 
 def p_permute(a, perm):
     # x_i -> x_{perm[i]} (0-based); perm must be a bijection
+    top, shifts, _ = _layout(len(perm))
+    moves = [(s, shifts[p]) for s, p in zip(shifts, perm)]
     res = {}
-    for exp, c in a.items():
-        ne = [0] * len(exp)
-        for i, e in enumerate(exp):
-            ne[perm[i]] = e
-        res[tuple(ne)] = c
+    for m, c in a.items():
+        ne = m >> top << top
+        for s, t in moves:
+            ne |= ((m >> s) & _MASK) << t
+        res[ne] = c
     return res
 
 
-def p_negate(a):
+def p_negate(n, a):
     # x_i -> -x_i for all i
-    res = {}
-    for exp, c in a.items():
-        if sum(exp) & 1:
-            res[exp] = -c
-        else:
-            res[exp] = c
-    return res
+    top = _layout(n)[0]
+    return {m: -c if (m >> top) & 1 else c for m, c in a.items()}
 
 
+def _mono_value(n, m, point):
+    v = 1
+    for x, e in zip(point, _unpack(n, m)):
+        if e:
+            v *= x ** e
+    return v
 
 
-def p_eval(a, point):
+@lru_cache(maxsize=None)
+def _probes(n):
+    """For each of PROBE_POINTS, its first n coordinates and the memo of
+    rank n from packed monomial to its value there; none above 16
+    variables."""
+    if n > len(PROBE_POINTS[0]):
+        return ()
+    return tuple((pt[:n], {}) for pt in PROBE_POINTS)
+
+
+def _probe_value(n, a, probe):
+    """a at a probe point of _probes(n), one memo lookup per term."""
+    point, memo = probe
     total = 0
-    for exp, c in a.items():
-        v = c
-        for x, e in zip(point, exp):
-            if e:
-                v *= x ** e
-        total += v
+    for m, c in a.items():
+        v = memo.get(m)
+        if v is None:
+            v = memo[m] = _mono_value(n, m, point)
+        total += c * v
     return total
 
 
-def p_slices(a, i):
+def p_eval(a, point):
+    """a at point, one integer per variable."""
+    n = len(point)
+    return sum(c * _mono_value(n, m, point) for m, c in a.items())
+
+
+def p_slices(n, a, i):
     """a as a polynomial in x_i over the other variables: one dict per
     monomial in the others, in order of first appearance, from the power
     of x_i to the coefficient."""
+    _, shifts, units = _layout(n)
+    s, u = shifts[i], units[i]
     slices = {}
-    for exp, c in a.items():
-        slices.setdefault(exp[:i] + exp[i + 1:], {})[exp[i]] = c
+    for m, c in a.items():
+        e = (m >> s) & _MASK
+        slices.setdefault(m - e * u, {})[e] = c
     return list(slices.values())
 
 
-def grlex_key(exp):
-    return (sum(exp), exp)
-
-
 def p_lead(a):
-    # grlex-leading (exponent, coefficient)
-    e = max(a, key=grlex_key)
+    # grlex-leading (packed monomial, coefficient)
+    e = max(a)
     return e, a[e]
 
 
-def p_degree(a):
+def p_degree(n, a):
     if not a:
         return -1
-    return max(sum(e) for e in a)
+    return max(a) >> _layout(n)[0]
 
 
 def p_content(a):
@@ -269,32 +340,33 @@ def _mono_str(exp, c):
     return ("-" if c < 0 else "+") + body
 
 
-def p_str(a):
+def p_str(n, a):
     """Text of a in the variables h1, h2, ..., terms in descending grlex
     order."""
     if not a:
         return "0"
-    items = sorted(a.items(), key=lambda t: grlex_key(t[0]), reverse=True)
-    return "".join(_mono_str(e, c) for e, c in items).removeprefix("+")
+    return "".join(_mono_str(_unpack(n, m), c)
+                   for m, c in sorted(a.items(), reverse=True)
+                   ).removeprefix("+")
 
 
-def fac_key(poly):
-    """Canonical hashable form of a factor polynomial."""
-    return tuple(sorted(poly.items(), key=lambda t: grlex_key(t[0]),
-                        reverse=True))
+def fac_key(n, poly):
+    """Canonical hashable form of a factor polynomial: (exponent tuple,
+    coefficient) pairs in descending grlex order."""
+    return tuple((_unpack(n, m), c)
+                 for m, c in sorted(poly.items(), reverse=True))
 
 
 @lru_cache(maxsize=None)
 def _factor(key):
-    # the factor table: (polynomial, values at PROBE_POINTS, linear form,
-    # family triple); the polynomial is shared by every caller and never
-    # changed
-    poly = dict(key)
-    nvars = len(key[0][0])
-    points = PROBE_POINTS if nvars <= len(PROBE_POINTS[0]) else ()
+    # the factor table: (packed polynomial, values at PROBE_POINTS, linear
+    # form, family triple); the polynomial is shared by every caller and
+    # never changed
+    n = len(key[0][0])
+    poly = {_pack(n, e): c for e, c in key}
     form = _linear(key)
-    return (poly, tuple(p_eval(poly, pt) for pt in points), form,
-            _family(form))
+    return (poly, tuple(_probe_value(n, poly, probe) for probe in _probes(n)),
+            form, _family(form))
 
 
 def _linear(key):
@@ -333,8 +405,8 @@ def fac_poly(key):
 def fac_form(nvars, i, j, k):
     """The key of x_i - x_j + k (i < j, 0-based), or of x_i + k when j is
     None."""
-    return fac_key(p_sum((p_var(nvars, i), p_const(nvars, k),
-                          {} if j is None else p_var(nvars, j, -1))))
+    return fac_key(nvars, p_sum((p_var(nvars, i), p_const(nvars, k),
+                                 {} if j is None else p_var(nvars, j, -1))))
 
 
 # The key maps below take the key of a primitive linear form f and return
@@ -342,12 +414,12 @@ def fac_form(nvars, i, j, k):
 
 def fac_shift(key, deltas):
     """x_i -> x_i + deltas[i]: l(x) + k maps to l(x) + k + l(deltas)."""
-    terms = [(e, c) for e, c in key if any(e)]
-    k = sum(c for e, c in key if not any(e))
-    k += sum(c * deltas[e.index(1)] for e, c in terms)
-    if k:
-        terms.append(((0,) * len(deltas), k))
-    return 1, tuple(terms)
+    i, a, tail, k = _factor(key)[2]
+    k2 = k + a * deltas[i] + sum(c * deltas[j] for j, c in tail)
+    terms = key[:-1] if k else key          # the constant term is last
+    if k2:
+        terms += (((0,) * len(deltas), k2),)
+    return 1, terms
 
 
 def fac_negate(key):
@@ -359,27 +431,33 @@ def fac_permute(key, perm):
     """x_i -> x_{perm[i]} (see p_permute)."""
     poly = p_permute(_factor(key)[0], perm)
     if p_lead(poly)[1] > 0:
-        return 1, fac_key(poly)
-    return -1, fac_key(p_neg(poly))
+        return 1, fac_key(len(perm), poly)
+    return -1, fac_key(len(perm), p_neg(poly))
 
 
 def p_mul_family(a, key, m):
     """a times the m-th power (m >= 1) of the family form named by key
-    (see fac_family); a power of a bare h_i is one exponent shift."""
+    (see fac_family); a power of a bare h_i is one add per monomial."""
     i, j, k = _factor(key)[3]
+    top, _, units = _layout(len(key[0][0]))
+    ui = units[i]
+    if a:
+        _check_degree((max(a) >> top) + m)
     if j is None and not k:
-        return {e[:i] + (e[i] + m,) + e[i + 1:]: c for e, c in a.items()}
+        step = m * ui
+        return {e + step: c for e, c in a.items()}
+    uj = None if j is None else units[j]
     for _ in range(m):
         res = {e: k * c for e, c in a.items()} if k else {}
         for e, c in a.items():
-            ne = e[:i] + (e[i] + 1,) + e[i + 1:]
+            ne = e + ui
             s = res.get(ne, 0) + c
             if s:
                 res[ne] = s
             else:
                 del res[ne]
-            if j is not None:
-                ne = e[:j] + (e[j] + 1,) + e[j + 1:]
+            if uj is not None:
+                ne = e + uj
                 s = res.get(ne, 0) - c
                 if s:
                     res[ne] = s
@@ -389,17 +467,21 @@ def p_mul_family(a, key, m):
     return a
 
 
-def _div_linear(a, form):
+def _div_linear(a, n, form):
     # a = (lc h_i + r) * sum_t Q_t h_i^t with form (i, lc, tail, k) (see
     # _linear), so from the top Q_{t-1} = (A_t - r Q_t) / lc, and
     # A_0 - r Q_0 must vanish.  Coefficients in h_i are kept as dicts over
-    # exponents whose i-th entry is 0.
+    # monomials whose i-th field is 0.
     if not a:
         return {}
     i, lc, tail, k = form
+    _, shifts, units = _layout(n)
+    s, ui = shifts[i], units[i]
+    tail = [(units[j], cj) for j, cj in tail]
     slices = {}
     for e, c in a.items():
-        slices.setdefault(e[i], {})[e[:i] + (0,) + e[i + 1:]] = c
+        t = (e >> s) & _MASK
+        slices.setdefault(t, {})[e - t * ui] = c
     q = {}
     cur = {}
     for t in range(max(slices), -1, -1):
@@ -407,16 +489,16 @@ def _div_linear(a, form):
         for e, c in cur.items():
             # nxt -= r * c * e
             if k:
-                s = nxt.get(e, 0) - k * c
-                if s:
-                    nxt[e] = s
+                v = nxt.get(e, 0) - k * c
+                if v:
+                    nxt[e] = v
                 else:
                     del nxt[e]
-            for j, cj in tail:
-                ne = e[:j] + (e[j] + 1,) + e[j + 1:]
-                s = nxt.get(ne, 0) - cj * c
-                if s:
-                    nxt[ne] = s
+            for uj, cj in tail:
+                ne = e + uj
+                v = nxt.get(ne, 0) - cj * c
+                if v:
+                    nxt[ne] = v
                 else:
                     del nxt[ne]
         if not t:
@@ -425,8 +507,9 @@ def _div_linear(a, form):
             if any(c % lc for c in nxt.values()):
                 return None
             nxt = {e: c // lc for e, c in nxt.items()}
+        step = (t - 1) * ui
         for e, c in nxt.items():
-            q[e[:i] + (t - 1,) + e[i + 1:]] = c
+            q[e + step] = c
         cur = nxt
 
 
@@ -450,19 +533,19 @@ def _cancel(num, facs, keys):
     # evaluated again.
     if not keys:
         return num
-    nvars = len(keys[0][0][0])
-    points = PROBE_POINTS if nvars <= len(PROBE_POINTS[0]) else ()
-    values = [p_eval(num, pt) for pt in points]
+    n = len(keys[0][0][0])
+    probes = _probes(n)
+    values = [_probe_value(n, num, probe) for probe in probes]
     for key in keys:
         _, fvals, form, _ = _factor(key)
         m = facs[key]
         while m and not any(f and v % f for v, f in zip(values, fvals)):
-            q = _div_linear(num, form)
+            q = _div_linear(num, n, form)
             if q is None:
                 break
             num = q
-            values = [v // f if f else p_eval(num, pt)
-                      for v, f, pt in zip(values, fvals, points)]
+            values = [v // f if f else _probe_value(n, num, probe)
+                      for v, f, probe in zip(values, fvals, probes)]
             m -= 1
         if m:
             facs[key] = m
@@ -475,7 +558,9 @@ def p_divexact(a, key):
     """Exact division of a by the primitive linear form named by key, or
     None when it does not divide a: first the probe, then synthetic
     division (see the module docstring)."""
+    n = len(key[0][0])
     _, fvals, form, _ = _factor(key)
-    if any(f and p_eval(a, pt) % f for f, pt in zip(fvals, PROBE_POINTS)):
+    if any(f and _probe_value(n, a, probe) % f
+           for f, probe in zip(fvals, _probes(n))):
         return None
-    return _div_linear(a, form)
+    return _div_linear(a, n, form)

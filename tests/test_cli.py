@@ -466,6 +466,29 @@ def test_generator_power_is_one_word(monkeypatch):
     assert calls == []
 
 
+def test_generator_power_word_is_capped(capsys):
+    # the cap is checked before the word is built: a billion letters would
+    # ask for 8 GB
+    code, out, err = run_cli(capsys, "normal-form", "--n", "2",
+                             "--expr", "x[1]^1000000000")
+    assert code == 2 and out == ""
+    assert err == ("parse error: generator power 1000000000 exceeds the "
+                   "limit of 1000000 letters (at position 5)\n")
+    code, out, _ = run_cli(capsys, "normal-form", "--n", "2",
+                           "--expr", "x[1]^1000", "--format", "text")
+    assert code == 0
+    assert out.strip() == "*".join(["x[1,1]"] * 1000)
+
+
+def test_coefficient_degree_past_the_kernel_limit(capsys):
+    # a degree of 2^32 does not fit a packed exponent field: one line, exit 1
+    code, out, err = run_cli(capsys, "normal-form", "--n", "2",
+                             "--expr", "h1^4294967296*x[1]")
+    assert code == 1 and out == ""
+    assert err == ("error: polynomial degree 4294967296 exceeds the "
+                   "kernel's limit of 4294967295\n")
+
+
 def test_central_text_and_check(capsys):
     code, out, _ = run_cli(capsys, "central", "--n", "2", "--power", "1",
                            "--format", "text")

@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hdeform.coeffs import (RatFun, alpha_coeff, beta_coeff, eps, hdiff, hvar,
                             mu_coeff, parse, phi, phi_prime, phi_segment,
                             qminus, qplus, serialize, special)
-from hdeform.errors import CoefficientError, ParseError
+from hdeform.errors import CoefficientError, ParseError, ResourceLimitError
 
 
 def one(n=2):
@@ -309,6 +309,8 @@ def test_eval_exactness():
     assert f.eval((5, 2)) == Fraction(4, 3)
     with pytest.raises(CoefficientError):
         f.eval((2, 2))
+    with pytest.raises(CoefficientError, match="2 coordinates, not 3"):
+        f.eval((5, 2, 1))
 
 
 def test_division_splits_composite_denominators():
@@ -388,7 +390,7 @@ def test_unit_detection_in_localization():
 def _trial_factors(n, poly):
     """Reference split: every candidate of the window goes to division."""
     import hdeform.kernel as K
-    window = max(8, 2 * n + K.p_degree(poly) + 2)
+    window = max(8, 2 * n + K.p_degree(n, poly) + 2)
     found = {}
     rem = poly
     for i in range(n):
@@ -397,7 +399,7 @@ def _trial_factors(n, poly):
                 fac = K.p_add(K.p_var(n, i), K.p_const(n, k))
                 if j >= 0:
                     fac = K.p_sub(fac, K.p_var(n, j))
-                key = K.fac_key(fac)
+                key = K.fac_key(n, fac)
                 while not K.p_is_const(rem):
                     q = K.p_divexact(rem, key)
                     if q is None:
@@ -434,7 +436,7 @@ def _rep(f):
     return (f.num, f.dint, f.dfac)
 
 
-def _reference_build(num, dint, fac_items):
+def _reference_build(n, num, dint, fac_items):
     """The stored form with every factor tried against the full numerator."""
     import hdeform.kernel as K
     if not num:
@@ -448,7 +450,8 @@ def _reference_build(num, dint, fac_items):
         if sign < 0 and m % 2:
             num = K.p_neg(num)
         if not K.p_is_const(prim):
-            facs[K.fac_key(prim)] = facs.get(K.fac_key(prim), 0) + m
+            key = K.fac_key(n, prim)
+            facs[key] = facs.get(key, 0) + m
     for key in sorted(facs):
         while facs[key]:
             q = K.p_divexact(num, key)
@@ -467,7 +470,7 @@ def _reference_mul(a, b):
     facs = dict(a.dfac)
     for key, m in b.dfac:
         facs[key] = facs.get(key, 0) + m
-    return _reference_build(K.p_mul(a.num, b.num), a.dint * b.dint,
+    return _reference_build(a.n, K.p_mul(a.num, b.num), a.dint * b.dint,
                             facs.items())
 
 
@@ -486,7 +489,7 @@ def _reference_add(a, b):
         for _ in range(m - fb.get(key, 0)):
             kb = K.p_mul(kb, K.fac_poly(key))
     num = K.p_add(K.p_mul(a.num, ka), K.p_mul(b.num, kb))
-    return _reference_build(num, a.dint * (b.dint // g), lcm.items())
+    return _reference_build(a.n, num, a.dint * (b.dint // g), lcm.items())
 
 
 def _reference_inverse(a):
@@ -496,7 +499,7 @@ def _reference_inverse(a):
     for key, m in a.dfac:
         for _ in range(m):
             den = K.p_mul(den, K.fac_poly(key))
-    return _reference_build(den, *_split_denominator(a.n, a.num))
+    return _reference_build(a.n, den, *_split_denominator(a.n, a.num))
 
 
 def _reference_map(a, poly_map):
@@ -505,8 +508,9 @@ def _reference_map(a, poly_map):
     if a.is_zero:
         return _rep(a)
     return _reference_build(
-        poly_map(a.num), a.dint,
-        [(K.fac_key(poly_map(K.fac_poly(key))), m) for key, m in a.dfac])
+        a.n, poly_map(a.num), a.dint,
+        [(K.fac_key(a.n, poly_map(K.fac_poly(key))), m)
+         for key, m in a.dfac])
 
 
 def _linear(i, j, k, n=3):
@@ -548,7 +552,7 @@ def test_arithmetic_matches_trial_of_every_factor(a, b, alpha, perm):
     assert _rep(a - b) == _reference_add(a, -b)
     if not a.is_zero:
         rem, _ = _linear_family_factors(3, a.cof)
-        if K.p_degree(rem) > 1:
+        if K.p_degree(3, rem) > 1:
             # a non-linear numerator part outside the family has no
             # inverse in the ring
             with pytest.raises(CoefficientError, match="not linear"):
@@ -560,7 +564,8 @@ def test_arithmetic_matches_trial_of_every_factor(a, b, alpha, perm):
     p0 = tuple(x - 1 for x in perm)
     assert _rep(a.permute(tuple(perm))) == _reference_map(
         a, lambda p: K.p_permute(p, p0))
-    assert _rep(a.negate_h()) == _reference_map(a, K.p_negate)
+    assert _rep(a.negate_h()) == _reference_map(
+        a, lambda p: K.p_negate(3, p))
 
 
 def _fold_reference_add(n, terms):
@@ -698,6 +703,16 @@ def test_huge_powers_parse_and_print_at_once():
     assert serialize(parse(2, "(h1^50000000)^2*h1")) == "h1^100000001"
 
 
+def test_degree_past_the_kernel_limit_raises():
+    # each exponent field holds a degree below 2^32; past it the product
+    # raises instead of wrapping into the next field
+    assert serialize(parse(2, "h1^4294967295")) == "h1^4294967295"
+    for text in ("h1^4294967296", "h2^4294967295*h1", "(h1-h2+1)^4294967296",
+                 "h1^2147483648*(h2+1)^2147483648"):
+        with pytest.raises(ResourceLimitError, match="degree 4294967296"):
+            serialize(parse(2, text))
+
+
 # -- exact factor search and canonical text ----------------------------------
 
 def test_far_factors_print_the_same_whatever_the_route():
@@ -736,7 +751,8 @@ def test_factor_search_finds_every_family_factor():
                                 rng.randint(-500, 500))
             for _ in range(rng.choice([1, 1, 2, 3])):
                 poly = K.p_mul(poly, form)
-                want[K.fac_key(form)] = want.get(K.fac_key(form), 0) + 1
+                key = K.fac_key(4, form)
+                want[key] = want.get(key, 0) + 1
         prim = K.p_primitive_sign(K.p_mul(poly, cof))[2]
         assert _linear_family_factors(4, prim) == (cof, sorted(want.items()))
     # offsets of any size: the root search bisects, it does not sweep
@@ -746,8 +762,8 @@ def test_factor_search_finds_every_family_factor():
     for form in far[1:]:
         poly = K.p_mul(poly, form)
     assert _linear_family_factors(2, poly) == (K.p_const(2, 1), sorted(
-        [(K.fac_key(far[0]), 2), (K.fac_key(far[2]), 1),
-         (K.fac_key(far[3]), 1)]))
+        [(K.fac_key(2, far[0]), 2), (K.fac_key(2, far[2]), 1),
+         (K.fac_key(2, far[3]), 1)]))
 
 
 def _forms(n):
@@ -781,7 +797,8 @@ def test_equal_values_serialize_identically(case, extra):
               top / bottom,
               (top * e) / (bottom * e),
               RatFun.from_poly(n, top.num, bottom.num),
-              parse(n, f"({K.p_str(top.num)})/({K.p_str(bottom.num)})"),
+              parse(n, f"({K.p_str(n, top.num)})/"
+                    f"({K.p_str(n, bottom.num)})"),
               parse(n, "(" + "*".join(f"({g})" for g in [unit] + num)
                     + ")/(" + "*".join(f"({g})" for g in den) + ")")]
     assert len({serialize(f) for f in routes}) == 1
@@ -825,7 +842,7 @@ def test_product_cancels_by_multiplicity_without_the_kernel(monkeypatch):
     b = parse(3, "h1*(h2-h3-1)/((h2-h3)*(h1-h3))")
     c = parse(3, "(h1^2+h2*h3+3)/(h1-h2)")
     d = parse(3, "(h1-h2)/(h2-h3+2)")
-    key = K.fac_key(parse(3, "h2-h3+2").num)
+    key = K.fac_key(3, parse(3, "h2-h3+2").num)
     calls = _record_kernel(monkeypatch)
     ab = a * b
     assert calls == []
@@ -860,7 +877,8 @@ def test_stored_form_invariants(a, b, alpha, perm):
     assert (ab.fac, ab.cof) == (ba.fac, ba.cof)
     results = [ab, a + b, a - b, a.shift(alpha), a.permute(tuple(perm)),
                a.negate_h()]
-    if not a.is_zero and K.p_degree(_linear_family_factors(3, a.cof)[0]) < 2:
+    if not a.is_zero and K.p_degree(
+            3, _linear_family_factors(3, a.cof)[0]) < 2:
         results.append(a.inverse())
     for f in results:
         _assert_stored_form(f)
@@ -870,8 +888,8 @@ def test_inverse_moves_a_form_outside_the_family_into_the_cofactor():
     import hdeform.kernel as K
     x = parse(3, "h1/(2*h1-h2-h3-1)")
     form = parse(3, "2*h1-h2-h3-1")
-    key = K.fac_key(form.cof)
-    assert x.fac == {K.fac_key(hvar(3, 1).num): 1, key: -1}
+    key = K.fac_key(3, form.cof)
+    assert x.fac == {K.fac_key(3, hvar(3, 1).num): 1, key: -1}
     y = x.inverse()
     assert key not in y.fac and y.cof == form.cof
     assert serialize(y) == "(2*h1-h2-h3-1)/h1"

@@ -1,35 +1,103 @@
-"""Exact division in the pure-Python kernel: every divisor is a primitive
-linear form, rejected by evaluation at the probe points or divided by
-synthetic division, and checked against the schoolbook division."""
+"""The pure-Python kernel against test-local references.
+
+Exact division: every divisor is a primitive linear form, rejected by
+evaluation at the probe points or divided by synthetic division, and
+checked against the schoolbook division.  The packed monomials: every
+routine that reads or moves an exponent agrees, values and insertion
+order, with the same routine on a dict from exponent tuples, and a
+product whose degree would not fit its field raises.
+
+The references work on dicts from exponent tuples to coefficients;
+``packed`` builds the kernel's polynomial of such a dict through the
+kernel's constructors, and ``tuples`` reads one back through
+``fac_key``, so no test knows the packed layout."""
 
 import random
+from itertools import product
+from math import comb
 
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from hdeform.errors import ResourceLimitError
 from hdeform.kernel import _poly_py as K
 
 
-def schoolbook_divexact(a, b):
-    """Reference division that rescans the remainder for its lead."""
+def packed(n, terms):
+    """The kernel polynomial of terms, a dict from exponent tuple to
+    coefficient, built from p_const, p_var and p_mul and summed by p_sum
+    in the order of terms."""
+    monos = []
+    for exp, c in terms.items():
+        mono = K.p_const(n, c)
+        for i, e in enumerate(exp):
+            for _ in range(e):
+                mono = K.p_mul(mono, K.p_var(n, i))
+        monos.append(mono)
+    return K.p_sum(monos)
+
+
+def tuples(n, poly):
+    """The dict from exponent tuple to coefficient of a kernel
+    polynomial."""
+    return dict(K.fac_key(n, poly))
+
+
+def _accumulate(res, e, c):
+    s = res.get(e, 0) + c
+    if s:
+        res[e] = s
+    else:
+        res.pop(e, None)
+
+
+def t_lead(a):
+    """The grlex-leading exponent tuple of a."""
+    return max(a, key=lambda e: (sum(e), e))
+
+
+def t_sub(a, b):
+    res = dict(a)
+    for e, c in b.items():
+        _accumulate(res, e, -c)
+    return res
+
+
+def t_mul(a, b):
+    if len(b) < len(a):
+        a, b = b, a
+    res = {}
+    for e1, c1 in a.items():
+        for e2, c2 in b.items():
+            _accumulate(res, tuple(x + y for x, y in zip(e1, e2)), c1 * c2)
+    return res
+
+
+def schoolbook_divexact(n, a, b):
+    """Reference division on exponent tuples that rescans the remainder
+    for its lead."""
     if not a:
         return {}
-    be, bc = K.p_lead(b)
-    r = dict(a)
+    b = tuples(n, b)
+    be = t_lead(b)
+    bc = b[be]
+    r = tuples(n, a)
     q = {}
     while r:
-        re, rc = K.p_lead(r)
+        re = t_lead(r)
+        rc = r[re]
         qe = tuple(x - y for x, y in zip(re, be))
         if sum(re) < sum(be) or min(qe) < 0 or rc % bc:
             return None
         q[qe] = rc // bc
-        r = K.p_sub(r, K.p_mul({qe: rc // bc}, b))
-    return q
+        r = t_sub(r, t_mul({qe: rc // bc}, b))
+    return packed(n, q)
 
 
-def divexact(a, b):
+def divexact(n, a, b):
     """p_divexact by the primitive linear form b, passed as its key."""
-    return K.p_divexact(a, K.fac_key(b))
+    return K.p_divexact(a, K.fac_key(n, b))
 
 
 def linear_form(nvars, i, j, k):
@@ -65,7 +133,7 @@ def vanishing_form(nvars, i, j):
     coeffs = [0] * nvars
     coeffs[i], coeffs[j] = a, b
     form = form_of(nvars, coeffs, -(a * p[i] + b * p[j]))
-    assert all(K.p_eval(form, pt) == 0 for pt in K.PROBE_POINTS)
+    assert all(K.p_eval(form, pt[:nvars]) == 0 for pt in K.PROBE_POINTS)
     return form
 
 
@@ -76,7 +144,7 @@ def random_poly(rng, nvars, terms, deg, span):
         c = rng.randint(-span, span)
         if c:
             out[exp] = c
-    return out
+    return packed(nvars, out)
 
 
 def random_divisor(rng, nvars):
@@ -102,8 +170,8 @@ def test_products_divide_back():
         b = random_divisor(rng, nvars)
         q = random_poly(rng, nvars, terms=8, deg=4, span=50)
         a = K.p_mul(q, b)
-        assert divexact(a, b) == q
-        assert divexact(a, b) == schoolbook_divexact(a, b)
+        assert divexact(nvars, a, b) == q
+        assert divexact(nvars, a, b) == schoolbook_divexact(nvars, a, b)
 
 
 def test_far_offsets_divide_back():
@@ -114,7 +182,7 @@ def test_far_offsets_divide_back():
                   form_of(3, [3, -2, 1], 5 + k)):
             q = K.p_mul(K.p_mul(b, linear_form(3, 1, None, -k)),
                         random_poly(rng, 3, terms=5, deg=3, span=9))
-            assert divexact(K.p_mul(q, b), b) == q
+            assert divexact(3, K.p_mul(q, b), b) == q
 
 
 def test_non_multiples_are_rejected():
@@ -125,19 +193,20 @@ def test_non_multiples_are_rejected():
         q = random_poly(rng, nvars, terms=8, deg=4, span=50)
         # b is not constant, so it divides no nonzero constant
         a = K.p_add(K.p_mul(q, b), K.p_const(nvars, rng.choice([-3, 1, 7])))
-        assert divexact(a, b) is None
-        assert schoolbook_divexact(a, b) is None
+        assert divexact(nvars, a, b) is None
+        assert schoolbook_divexact(nvars, a, b) is None
 
 
 def test_quotient_matches_schoolbook():
     rng = random.Random(24)
     for _ in range(300):
         nvars = rng.randint(1, 4)
-        b = random_divisor(rng, nvars) if nvars > 1 else {(1,): 1, (0,): 3}
+        b = (random_divisor(rng, nvars) if nvars > 1
+             else linear_form(1, 0, None, 3))
         a = random_poly(rng, nvars, terms=10, deg=5, span=30)
         if rng.random() < 0.5:
             a = K.p_mul(a, b)
-        assert divexact(a, b) == schoolbook_divexact(a, b)
+        assert divexact(nvars, a, b) == schoolbook_divexact(nvars, a, b)
 
 
 def test_division_decides_where_the_probe_cannot():
@@ -153,16 +222,16 @@ def test_division_decides_where_the_probe_cannot():
         for _ in range(40):
             q = random_poly(rng, 3, terms=6, deg=3, span=40)
             a = K.p_mul(q, b)
-            assert divexact(a, b) == q
+            assert divexact(3, a, b) == q
             mono = [rng.randint(0, 2) for _ in range(3)]
             mono[i] += 1
-            for extra in ({tuple(mono): rng.randint(1, lead - 1)},
+            for extra in (packed(3, {tuple(mono): rng.randint(1, lead - 1)}),
                           K.p_const(3, rng.randint(1, 9))):
                 # a monomial is no multiple of b
-                assert divexact(K.p_add(a, extra), b) is None
+                assert divexact(3, K.p_add(a, extra), b) is None
             a2 = K.p_add(a, random_poly(rng, 3, terms=3, deg=2, span=9))
-            assert divexact(a2, b) == schoolbook_divexact(a2, b)
-            key = K.fac_key(b)
+            assert divexact(3, a2, b) == schoolbook_divexact(3, a2, b)
+            key = K.fac_key(3, b)
             assert K.p_cancel(a, {key: 2}, [key]) == (q, {key: 1})
 
 
@@ -215,25 +284,25 @@ def divisor_and_quotient(draw):
     for e, c in terms:
         if c:
             q[e] = c
-    return b, q
+    return nvars, b, packed(nvars, q)
 
 
 @settings(max_examples=300, deadline=None)
 @given(divisor_and_quotient())
 def test_probe_never_rejects_a_true_divisor(bq):
-    b, q = bq
+    n, b, q = bq
     a = K.p_mul(q, b)
-    assert divexact(a, b) == q
+    assert divexact(n, a, b) == q
 
 
 @settings(max_examples=200, deadline=None)
 @given(divisor_and_quotient(), st.integers(min_value=1, max_value=50))
 def test_constant_perturbation_is_rejected(bq, c):
-    b, q = bq
-    a = K.p_add(K.p_mul(q, b), K.p_const(len(next(iter(b))), c))
+    n, b, q = bq
+    a = K.p_add(K.p_mul(q, b), K.p_const(n, c))
     # a nonzero constant is never a multiple of a non-constant b
-    assert divexact(a, b) is None
-    assert schoolbook_divexact(a, b) is None
+    assert divexact(n, a, b) is None
+    assert schoolbook_divexact(n, a, b) is None
 
 
 @st.composite
@@ -252,17 +321,17 @@ def numerator_and_factors(draw):
             if draw(st.booleans()):
                 j = None
         form = linear_form(nvars, i, j, k)
-        facs[K.fac_key(K.p_primitive_sign(form)[2])] = draw(
+        facs[K.fac_key(nvars, K.p_primitive_sign(form)[2])] = draw(
             st.integers(min_value=1, max_value=3))
     terms = draw(st.lists(
         st.tuples(st.tuples(*[st.integers(0, 2)] * nvars), coords),
         min_size=1, max_size=4))
-    num = {e: c for e, c in terms if c} or K.p_const(nvars, 1)
+    num = packed(nvars, {e: c for e, c in terms if c}) or K.p_const(nvars, 1)
     for n_key, key in enumerate(facs):
         for _ in range(draw(st.integers(min_value=1 if n_key == 0 else 0,
                                         max_value=facs[key] + 1))):
-            num = K.p_mul(num, dict(key))
-    return num, facs
+            num = K.p_mul(num, K.fac_poly(key))
+    return nvars, num, facs
 
 
 @settings(max_examples=200, deadline=None)
@@ -271,7 +340,7 @@ def test_normalize_carries_probe_values_through_divisions(case):
     # p_cancel divides the probe values by f(pt) after each exact division
     # and evaluates again where f(pt) == 0; the result must be that of
     # dividing by repeated p_divexact, which probes afresh every time
-    num, facs = case
+    n, num, facs = case
     want_num, want = num, {}
     for key in sorted(facs):
         m = facs[key]
@@ -282,7 +351,7 @@ def test_normalize_carries_probe_values_through_divisions(case):
             want_num, m = q, m - 1
         if m:
             want[key] = m
-    assert any(K.p_eval(dict(key), pt) == 0
+    assert any(K.p_eval(K.fac_poly(key), pt[:n]) == 0
                for key in facs for pt in K.PROBE_POINTS)
     assert K.p_cancel(num, facs, facs) == (want_num, want)
 
@@ -306,17 +375,17 @@ def family_and_poly(draw):
         st.tuples(st.tuples(*[st.integers(0, 3)] * nvars),
                   st.integers(-20, 20) | st.sampled_from([10**12, -10**12])),
         max_size=6))
-    poly = {e: c for e, c in terms if c}
+    poly = packed(nvars, {e: c for e, c in terms if c})
     if draw(st.booleans()):
         poly = K.p_const(nvars, draw(st.integers(-5, 5)))
-    return (i, j, k), linear_form(nvars, i, j, k), poly
+    return nvars, (i, j, k), linear_form(nvars, i, j, k), poly
 
 
 @settings(max_examples=300, deadline=None)
 @given(family_and_poly(), st.integers(1, 3))
 def test_family_product_matches_p_mul(case, m):
-    fam, form, poly = case
-    key = K.fac_key(form)
+    n, fam, form, poly = case
+    key = K.fac_key(n, form)
     assert K.fac_family(key) == fam
     assert K.p_mul_family(poly, key, 1) == K.p_mul(poly, form)
     power = poly
@@ -339,7 +408,7 @@ def substitution_case(draw):
     terms = draw(st.lists(
         st.tuples(st.tuples(*[st.integers(0, 3)] * nvars),
                   st.integers(-20, 20)), max_size=6))
-    poly = {e: c for e, c in terms if c}
+    poly = packed(nvars, {e: c for e, c in terms if c})
     return (i, j, k), poly, draw(ints), draw(ints)
 
 
@@ -358,7 +427,7 @@ def test_substitutions_agree_with_evaluation(case):
         for s, t in ((i, j), (j, i)):
             moved = list(pt)
             moved[s] += pt[t]
-            sub = K.p_add_var(poly, s, t)
+            sub = K.p_add_var(nvars, poly, s, t)
             assert all(sub.values())
             assert K.p_eval(sub, pt) == K.p_eval(poly, moved)
 
@@ -367,10 +436,10 @@ def test_substitutions_agree_with_evaluation(case):
 def linear_and_poly(draw):
     """A family form or a general primitive linear form with offsets from
     OFFSETS, and a polynomial that may be a constant."""
-    _, form, poly = draw(family_and_poly())
+    n, _, form, poly = draw(family_and_poly())
     if draw(st.booleans()):
-        form = draw(primitive_linear(len(next(iter(form))), OFFSETS))
-    return form, poly
+        form = draw(primitive_linear(n, OFFSETS))
+    return n, form, poly
 
 
 @settings(max_examples=300, deadline=None)
@@ -378,32 +447,34 @@ def linear_and_poly(draw):
        st.sampled_from(["multiple", "perturbed", "plain"]),
        st.integers(min_value=1, max_value=9))
 def test_linear_division_matches_schoolbook(case, kind, c):
-    form, poly = case
-    nvars = len(next(iter(form)))
+    nvars, form, poly = case
     if kind == "multiple":
         poly = K.p_mul(poly, form)
     elif kind == "perturbed":
         # a non-divisor whenever poly * form is not constant
         poly = K.p_add(K.p_mul(poly, form), K.p_const(nvars, c))
-    got = divexact(poly, form)
-    assert got == schoolbook_divexact(poly, form)
+    got = divexact(nvars, poly, form)
+    assert got == schoolbook_divexact(nvars, poly, form)
     if kind == "perturbed":
         assert got is None
 
 
 def test_fac_family_rejects_other_linear_forms():
-    for poly in ({(1, 0): 2, (0, 0): 1}, {(1, 0): 1, (0, 1): 1},
-                 {(2, 0): 1, (0, 0): 1}, {(1, 0): 1, (0, 1): -2}):
-        assert K.fac_family(K.fac_key(poly)) is None
+    # 2*h1+1, h1+h2, h1^2+1 and h1-2*h2
+    h1 = K.p_var(2, 0)
+    for poly in (form_of(2, [2], 1), form_of(2, [1, 1], 0),
+                 K.p_add(K.p_mul(h1, h1), K.p_const(2, 1)),
+                 form_of(2, [1, -2], 0)):
+        assert K.fac_family(K.fac_key(2, poly)) is None
 
 
-def reference_cancel(num, facs):
+def reference_cancel(n, num, facs):
     """p_cancel's contract by schoolbook division alone."""
     want = {}
     for key in sorted(facs):
         m = facs[key]
         while m:
-            q = schoolbook_divexact(num, dict(key))
+            q = schoolbook_divexact(n, num, K.fac_poly(key))
             if q is None:
                 break
             num, m = q, m - 1
@@ -433,18 +504,194 @@ def numerator_and_mixed_factors(draw):
     terms = draw(st.lists(
         st.tuples(st.tuples(*[st.integers(0, 2)] * nvars), coords),
         min_size=1, max_size=4))
-    num = {e: c for e, c in terms if c} or K.p_const(nvars, 1)
+    num = packed(nvars, {e: c for e, c in terms if c}) or K.p_const(nvars, 1)
     facs = {}
     for form in forms:
-        key = K.fac_key(form)
+        key = K.fac_key(nvars, form)
         facs[key] = draw(st.integers(min_value=1, max_value=3))
         for _ in range(draw(st.integers(min_value=0, max_value=2))):
             num = K.p_mul(num, form)
-    return num, facs
+    return nvars, num, facs
 
 
 @settings(max_examples=200, deadline=None)
 @given(numerator_and_mixed_factors())
 def test_cancel_matches_plain_division(case):
-    num, facs = case
-    assert K.p_cancel(num, facs, facs) == reference_cancel(num, facs)
+    n, num, facs = case
+    assert K.p_cancel(num, facs, facs) == reference_cancel(n, num, facs)
+
+
+# -- the packed monomials against exponent tuples ----------------------------
+
+def t_mul_family(a, i, j, k, m):
+    """a times (h_i - h_j + k)^m, or (h_i + k)^m when j is None."""
+    if j is None and not k:
+        return {e[:i] + (e[i] + m,) + e[i + 1:]: c for e, c in a.items()}
+    for _ in range(m):
+        res = {e: k * c for e, c in a.items()} if k else {}
+        for e, c in a.items():
+            _accumulate(res, e[:i] + (e[i] + 1,) + e[i + 1:], c)
+            if j is not None:
+                _accumulate(res, e[:j] + (e[j] + 1,) + e[j + 1:], -c)
+        a = res
+    return a
+
+
+def t_binomial(a, i, j, d):
+    """x_i -> x_i + d, or x_i -> x_i + d x_j when j is not None."""
+    res = {}
+    for exp, c in a.items():
+        e = exp[i]
+        for t in range(e + 1):
+            ne = list(exp)
+            ne[i] = t
+            if j is not None:
+                ne[j] += e - t
+            _accumulate(res, tuple(ne), c * comb(e, t) * d ** (e - t))
+    return res
+
+
+def t_shift(a, deltas):
+    for i, d in enumerate(deltas):
+        if d:
+            a = t_binomial(a, i, None, d)
+    return a
+
+
+def t_permute(a, perm):
+    res = {}
+    for exp, c in a.items():
+        ne = [0] * len(exp)
+        for i, e in enumerate(exp):
+            ne[perm[i]] = e
+        res[tuple(ne)] = c
+    return res
+
+
+def t_eval(a, point):
+    total = 0
+    for exp, c in a.items():
+        for x, e in zip(point, exp):
+            c *= x ** e
+        total += c
+    return total
+
+
+def t_slices(a, i):
+    slices = {}
+    for exp, c in a.items():
+        slices.setdefault(exp[:i] + exp[i + 1:], {})[exp[i]] = c
+    return list(slices.values())
+
+
+def t_str(a):
+    if not a:
+        return "0"
+    out = ""
+    for exp, c in sorted(a.items(), key=lambda t: (sum(t[0]), t[0]),
+                         reverse=True):
+        body = "*".join(f"h{i + 1}" + (f"^{e}" if e > 1 else "")
+                        for i, e in enumerate(exp) if e)
+        if not body:
+            body = str(abs(c))
+        elif abs(c) != 1:
+            body = f"{abs(c)}*{body}"
+        out += ("-" if c < 0 else "+") + body
+    return out.removeprefix("+")
+
+
+def t_key(a):
+    return tuple(sorted(a.items(), key=lambda t: (sum(t[0]), t[0]),
+                        reverse=True))
+
+
+@st.composite
+def tuple_polys(draw, n, max_size=6):
+    """A dict from exponent tuple (entries 0-4) to a nonzero coefficient."""
+    terms = draw(st.lists(
+        st.tuples(st.tuples(*[st.integers(0, 4)] * n),
+                  st.integers(-20, 20) | st.sampled_from([10**12, -10**12])),
+        max_size=max_size))
+    return {e: c for e, c in terms if c}
+
+
+@st.composite
+def packed_case(draw):
+    """A rank 1-5, two tuple polynomials, a family triple, a power, a
+    shift vector, a permutation, an integer point and two variables."""
+    n = draw(st.integers(min_value=1, max_value=5))
+    i = draw(st.integers(min_value=0, max_value=n - 1))
+    j = None
+    if i + 1 < n and draw(st.booleans()):
+        j = draw(st.integers(min_value=i + 1, max_value=n - 1))
+    ints = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
+    pair = draw(st.permutations(range(n)))[:2]
+    return (n, draw(tuple_polys(n)), draw(tuple_polys(n)),
+            (i, j, draw(st.integers(-5, 5))), draw(st.integers(1, 3)),
+            draw(ints), draw(st.permutations(range(n))), draw(ints), pair)
+
+
+@settings(max_examples=300, deadline=None)
+@given(packed_case())
+def test_packed_kernel_matches_exponent_tuples(case):
+    n, a, b, (i, j, k), m, deltas, perm, point, pair = case
+    pa, pb = packed(n, a), packed(n, b)
+
+    def same(poly, ref):
+        # equal terms, inserted in the same order
+        assert list(poly.items()) == list(packed(n, ref).items())
+
+    same(K.p_mul(pa, pb), t_mul(a, b))
+    same(K.p_mul_family(pa, K.fac_form(n, i, j, k), m),
+         t_mul_family(a, i, j, k, m))
+    same(K.p_shift(pa, deltas), t_shift(a, deltas))
+    if n > 1:
+        s, t = pair
+        same(K.p_add_var(n, pa, s, t), t_binomial(a, s, t, 1))
+    same(K.p_permute(pa, perm), t_permute(a, perm))
+    same(K.p_negate(n, pa),
+         {e: -c if sum(e) % 2 else c for e, c in a.items()})
+    assert K.p_eval(pa, point) == t_eval(a, point)
+    for pt, memo in K._probes(n):
+        assert K.p_eval(pa, pt) == K._probe_value(n, pa, (pt, memo)) \
+            == t_eval(a, pt)
+    assert K.p_str(n, pa) == t_str(a)
+    assert K.fac_key(n, pa) == t_key(a)
+    assert K.p_slices(n, pa, i) == t_slices(a, i)
+    if a:
+        lead, c = K.p_lead(pa)
+        assert K.fac_key(n, {lead: c}) == ((t_lead(a), a[t_lead(a)]),)
+        assert K.p_degree(n, pa) == max(map(sum, a))
+        assert K.p_vars(n, pa) == {v for e in a for v, x in enumerate(e)
+                                   if x}
+
+
+def test_int_order_is_grlex_order():
+    for n in range(1, 5):
+        exps = list(product(range(3), repeat=n))
+        by_int = sorted(exps, key=lambda e: next(iter(packed(n, {e: 1}))))
+        assert by_int == sorted(exps, key=lambda e: (sum(e), e))
+
+
+LIMIT = 2**32 - 1       # the largest degree a monomial field holds
+
+
+def test_degree_guard_raises_instead_of_wrapping():
+    for n in (1, 2, 5):
+        key = K.fac_form(n, 0, None, 0)
+        top = K.p_mul_family(K.p_one(n), key, LIMIT)
+        assert K.p_degree(n, top) == LIMIT
+        assert K.p_str(n, top) == f"h1^{LIMIT}"
+        with pytest.raises(ResourceLimitError, match=str(LIMIT + 1)):
+            K.p_mul_family(K.p_one(n), key, LIMIT + 1)
+        with pytest.raises(ResourceLimitError, match=str(LIMIT + 1)):
+            K.p_mul(top, K.p_var(n, n - 1))
+        with pytest.raises(ResourceLimitError, match=str(LIMIT + 1)):
+            K.p_mul_family(top, K.fac_form(n, n - 1, None, 3), 1)
+        half = K.p_mul_family(K.p_one(n), key, 2**31)
+        assert K.p_degree(n, K.p_mul(half, K.p_mul_family(
+            K.p_const(n, 2), key, 2**31 - 1))) == LIMIT
+        with pytest.raises(ResourceLimitError, match=str(LIMIT + 1)):
+            K.p_mul(half, half)
+        # a constant factor raises nothing
+        assert K.p_mul(top, K.p_const(n, 7)) == {next(iter(top)): 7}
