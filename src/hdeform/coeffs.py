@@ -10,7 +10,10 @@ with ``content`` a signed integer (the integer content of the
 numerator), the ``li`` distinct linear forms ``h_i - h_j + k`` (i < j)
 or ``h_i + k`` of the family the algebra inverts, ``cof`` one primitive
 cofactor polynomial with positive grlex-leading coefficient (often 1;
-the bracket of a sum stays in it unsplit), ``dint`` a positive integer
+the bracket of a sum stays in it unsplit, but a value built once and
+multiplied many times, such as an exchange-tensor entry or an extracted
+rewrite-rule coefficient, is split at build by :meth:`RatFun.split`, so
+its cofactor has no factor of the family), ``dint`` a positive integer
 coprime to the content and the ``fi`` distinct primitive linear forms
 with positive leading coefficient.  Numerator and denominator are
 coprime, so no form is on both sides, and the factors are kept in one
@@ -441,10 +444,24 @@ class RatFun:
         if self.is_zero or not all(_is_family(key) for key, m
                                    in self.fac.items() if m < 0):
             return False
+        return _p_is_const(self.split().cof)
+
+    def split(self):
+        """The same value with every family factor of its cofactor moved
+        into the map, found by :func:`_linear_family_factors`.  Meant for
+        values built once and multiplied many times: a product cancels
+        their factors in the sum of exponents instead of trial-dividing
+        the cofactor.  A value whose cofactor has no such factor comes
+        back as it is."""
         if _p_is_const(self.cof):
-            return True
-        rem, _ = _linear_family_factors(self.n, self.cof)
-        return _p_is_const(rem)
+            return self
+        cof, facs = _linear_family_factors(self.n, self.cof)
+        if not facs:
+            return self
+        fac = dict(self.fac)
+        for key, m in facs:
+            fac[key] = fac.get(key, 0) + m
+        return RatFun(self.n, self.content, fac, cof, self.dint)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -982,7 +999,13 @@ class _Parser:
             self.pos += 1
         if start == self.pos:
             self.error("expected an integer")
-        return int(self.text[start:self.pos])
+        try:
+            return int(self.text[start:self.pos])
+        except ValueError:
+            # a run longer than the interpreter's integer string limit
+            digits = self.pos - start
+            self.pos = start
+            self.error(f"an integer of {digits} digits is too long")
 
     def integer(self):
         self.skip_ws()

@@ -206,7 +206,8 @@ def _solve_for_unordered(components, is_unordered):
                 f"inconsistent leftover relation at weight {wt}: "
                 f"words {sorted(leftover)}")
         for u, pivot in pivots.items():
-            rules[u] = {k: -v for k, v in pivot.items()}
+            # split once: every rewrite step multiplies these
+            rules[u] = {k: (-v).split() for k, v in pivot.items()}
     return rules
 
 

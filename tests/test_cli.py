@@ -480,6 +480,18 @@ def test_generator_power_word_is_capped(capsys):
     assert out.strip() == "*".join(["x[1,1]"] * 1000)
 
 
+def test_over_long_digit_run_is_a_parse_error(capsys):
+    # a run past the interpreter's integer string limit is reported at its
+    # first digit, for a generator power and for a coefficient power alike
+    nines = "9" * 5000
+    for expr, at in ((f"x[1]^{nines}", 5), (f"h1^{nines}*x[1]", 3)):
+        code, out, err = run_cli(capsys, "normal-form", "--n", "2",
+                                 "--expr", expr)
+        assert code == 2 and out == ""
+        assert err == ("parse error: an integer of 5000 digits is too long "
+                       f"(at position {at})\n")
+
+
 def test_coefficient_degree_past_the_kernel_limit(capsys):
     # a degree of 2^32 does not fit a packed exponent field: one line, exit 1
     code, out, err = run_cli(capsys, "normal-form", "--n", "2",

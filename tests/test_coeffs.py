@@ -895,3 +895,46 @@ def test_inverse_moves_a_form_outside_the_family_into_the_cofactor():
     assert serialize(y) == "(2*h1-h2-h3-1)/h1"
     assert (x * y).is_one
     _assert_stored_form(y)
+
+
+@st.composite
+def _unsplit_values(draw):
+    """num / den built from expanded polynomials, so that every family
+    factor of the numerator sits in the cofactor: family forms, repeated
+    ones included, optionally a form outside the family, and a
+    denominator that may share a form with the numerator (it cancels)."""
+    import hdeform.kernel as K
+    forms = st.tuples(st.integers(1, 3), st.integers(0, 3),
+                      st.integers(-3, 3))
+    num = [_linear(*f).num for f in draw(st.lists(forms, max_size=4))]
+    num += num[:draw(st.integers(0, 2))]
+    if draw(st.booleans()):
+        num.append(parse(3, "2*h1-h2-1").num)
+    den = [_linear(*f).num for f in draw(st.lists(forms, max_size=3))]
+    if num and draw(st.booleans()):
+        den.append(num[0])
+    top = K.p_const(3, draw(st.sampled_from([1, -2, 3])))
+    for poly in num:
+        top = K.p_mul(top, poly)
+    bottom = K.p_const(3, draw(st.sampled_from([1, 6])))
+    for poly in den:
+        bottom = K.p_mul(bottom, poly)
+    return RatFun.from_poly(3, top, bottom)
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.one_of(_unsplit_values(), _coefficients()), _atoms)
+def test_split_keeps_the_value_and_empties_the_cofactor(v, g):
+    import hdeform.kernel as K
+    from hdeform.coeffs import _linear_family_factors
+    s = v.split()
+    assert s == v and v == s
+    assert serialize(s) == serialize(v)
+    assert _linear_family_factors(3, s.cof)[1] == []
+    assert s.split() is s
+    _assert_stored_form(s)
+    # products cancel the moved factors by multiplicity, to the same form
+    assert_same(s * g, v * g)
+    for key, _ in s.nfac:
+        f = RatFun.from_poly(3, K.fac_poly(key))
+        assert_same(s / f, v / f)

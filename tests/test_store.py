@@ -1,12 +1,14 @@
 """The process-wide store: each tensor, special coefficient and exchange
-rule is built once and shared, and a swapped store keeps a perturbed
-builder from leaking into later callers."""
+rule is built once and shared, a swapped store keeps a perturbed
+builder from leaking into later callers, and the exchange tensors and
+extracted rules are stored split."""
 
 import pytest
 
 from hdeform import rmatrix, store
-from hdeform.coeffs import qplus
-from hdeform.rmatrix import psihat, rhat
+from hdeform.coeffs import _linear_family_factors, qplus, serialize
+from hdeform.dra import rule_system
+from hdeform.rmatrix import psihat, rhat, shat, that
 from hdeform.weyl import WeylAlgebra, dgen, xgen
 
 PAIRS = [(dgen(1), xgen(1)), (dgen(2), xgen(1)), (xgen(2), xgen(1)),
@@ -49,3 +51,24 @@ def test_perturbed_builder_leaves_no_trace_after_the_swap(monkeypatch):
         assert WeylAlgebra(2).pair_rule(*pair) != rule
     assert psihat(2) is psi
     assert WeylAlgebra(2).pair_rule(*pair) is rule
+
+
+def _unsplit(n, values):
+    """The values whose cofactor still holds a factor of the family."""
+    return [serialize(c) for c in values
+            if _linear_family_factors(n, c.cof)[1]]
+
+
+@pytest.mark.parametrize("n", [2, 3, 4])
+def test_stored_tensor_entries_are_split(n):
+    # a product with an entry cancels its factors by multiplicity; the
+    # off-diagonal rhat entry (h_ik - 1)(h_ik + 1)/h_ik^2 is the one built
+    # as a product on purpose
+    for build in (rhat, that, shat, psihat):
+        assert _unsplit(n, build(n).entries.values()) == []
+
+
+@pytest.mark.parametrize("n,cross", [(2, False), (3, False), (2, True)])
+def test_stored_rule_coefficients_are_split(n, cross):
+    rules = rule_system(n, cross=cross)
+    assert _unsplit(n, [c for rule in rules.values() for c, _ in rule]) == []
