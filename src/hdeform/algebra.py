@@ -489,6 +489,12 @@ def associativity_failures(alg, triples):
     """Degree-3 oracle: for each generator triple both bracketings must
     normal-order identically.
 
+    Each triple is decided by one residual, the normal form of
+    ``nf(e1 e2) e3 - e1 nf(e2 e3)``: the words the two bracketings share
+    cancel and are rewritten once, and a failure records the nonzero
+    residual as lhs and "0" as rhs.  Each generator pair's product is
+    normal-ordered once per call.
+
     Run over :func:`overlap_triples`, a pass covers every triple, since
     the others agree by construction: it is the degree-3 confluence test
     of Bergman's diamond lemma, given termination.  Termination is not
@@ -499,12 +505,19 @@ def associativity_failures(alg, triples):
     instead.
     """
     nf = alg.normal_form
+    gen = alg.gen_element
+    pairs = {}      # (g1, g2) -> nf(g1 g2), for this call only
+
+    def pair_nf(a, b):
+        p = pairs.get((a, b))
+        if p is None:
+            p = pairs[a, b] = nf(gen(a) * gen(b))
+        return p
+
     failures = []
     for g1, g2, g3 in triples:
-        e1, e2, e3 = (alg.gen_element(g) for g in (g1, g2, g3))
-        left = nf(nf(e1 * e2) * e3)
-        right = nf(e1 * nf(e2 * e3))
-        if left != right:
+        res = nf(pair_nf(g1, g2) * gen(g3) - gen(g1) * pair_nf(g2, g3))
+        if not res.is_zero:
             failures.append(failure("associativity_oracle", (g1, g2, g3),
-                                    left, right))
+                                    res))
     return failures

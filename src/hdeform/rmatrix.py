@@ -8,11 +8,15 @@ entry has {i, k} == {j, l} as multisets, and rank-2 operators (``qplus``
 / ``qminus`` weights and the Cartan matrix ``hmat``) are diagonal.
 
 Checkers enumerate index tuples exhaustively and return a list of
-failure records; an empty list means the identity holds exactly.
-Contractions and traces sum each entry once: a contraction keeps the
-parts of every entry (:func:`hdeform.coeffs.add_part`) and sums each in
-one :func:`hdeform.coeffs.add_many`; a trace or a weighted row sum is
-one ``add_many``.
+failure records; an empty list means the identity holds exactly.  An
+identity whose side is a sum (a contraction, a trace, a weighted row
+sum) is decided by its residual: the negated expected value is one more
+part of the sum (:func:`hdeform.coeffs.add_part`), each key is summed
+once in one :func:`hdeform.coeffs.add_many`, and a key fails iff its
+sum is nonzero.  A sum that vanishes stops at its zero bracket, before
+any trial division, and its failure record holds the residual as lhs
+and "0" as rhs.  Pointwise identities, which build no sum, compare the
+two sides with ``==`` and record both.
 """
 
 from __future__ import annotations
@@ -34,9 +38,6 @@ class DynTensor2:
 
     def __getitem__(self, i):
         return self.entries.get(i) or RatFun.zero(self.n)
-
-    def trace(self):
-        return add_many(self.n, self.entries.values())
 
 
 class DynTensor4:
@@ -188,16 +189,16 @@ def hmat(n):
 
 
 # ---------------------------------------------------------------------------
-# sparse comparison
+# residuals
 # ---------------------------------------------------------------------------
 
-def _compare_sparse(identity, n, got, expected):
-    """One failure per key, in key order, where the sparse maps got and
-    expected differ (an absent key is zero)."""
-    zero = RatFun.zero(n)
-    return [failure(identity, key, g, e)
-            for key in sorted(set(got) | set(expected))
-            if (g := got.get(key, zero)) != (e := expected.get(key, zero))]
+def _nonzero_sums(identity, n, acc, more):
+    """One failure per key, in key order, whose parts (kept in acc and
+    more by :func:`hdeform.coeffs.add_part`) do not sum to zero; the
+    record holds the sum as lhs and "0" as rhs."""
+    sum_parts(n, acc, more)
+    return [failure(identity, key, acc[key]) for key in sorted(acc)
+            if not acc[key].is_zero]
 
 
 # ---------------------------------------------------------------------------
@@ -207,106 +208,119 @@ def _compare_sparse(identity, n, got, expected):
 def check_involutive(n):
     """rhat squared is the identity operator."""
     r = rhat(n)
-    one = RatFun.const(n, 1)
-    got, more = {}, {}
+    minus_one = RatFun.const(n, -1)
+    acc, more = {}, {}
     by_up = r.by_upper()
     for (i, k, j, l), v in r.entries.items():
         for (m, p), w in by_up.get((j, l), ()):
-            add_part(got, more, (i, k, m, p), v * w)
-    sum_parts(n, got, more)
-    expected = {(i, k, i, k): one
-                for i in range(1, n + 1) for k in range(1, n + 1)}
-    return _compare_sparse("rhat_squared_identity", n, got, expected)
+            add_part(acc, more, (i, k, m, p), v * w)
+    for i in range(1, n + 1):
+        for k in range(1, n + 1):
+            add_part(acc, more, (i, k, i, k), minus_one)
+    return _nonzero_sums("rhat_squared_identity", n, acc, more)
 
 
 def check_dybe(n):
-    """Dynamical Yang-Baxter equation, exhaustively over free indices."""
+    """Dynamical Yang-Baxter equation, exhaustively over free indices:
+    both sides go into one sum per key, the right side negated."""
     r = rhat(n)
     by_up = r.by_upper()
     # down[a][key] = r[key][-eps_a], each entry shifted once per a
     down = {a: {key: v.shift(tuple(-x for x in eps(n, a)))
                 for key, v in r.entries.items()}
             for a in range(1, n + 1)}
-    lhs, more = {}, {}
+    acc, more = {}, {}
     for (i, j, a, b), v1 in r.entries.items():
         for k in range(1, n + 1):
             # v1 * r[b,k,u,rr][-eps_a] * r[a,u,m,nn]
             for (u, rr), _ in by_up.get((b, k), ()):
                 v12 = v1 * down[a][b, k, u, rr]
                 for (m, nn), v3 in by_up.get((a, u), ()):
-                    add_part(lhs, more, (i, j, k, m, nn, rr), v12 * v3)
-    sum_parts(n, lhs, more)
-    rhs, more = {}, {}
+                    add_part(acc, more, (i, j, k, m, nn, rr), v12 * v3)
     for (j, k, a, b), v1 in r.entries.items():
         for i in range(1, n + 1):
-            v1s = down[i][j, k, a, b]
-            # v1s * r[i,a,m,u] * r[u,b,nn,rr][-eps_m]
+            # the right side, negated: v1s * r[i,a,m,u] * r[u,b,nn,rr][-eps_m]
+            # with v1s = -r[j,k,a,b][-eps_i]
+            v1s = -down[i][j, k, a, b]
             for (m, u), v2 in by_up.get((i, a), ()):
                 v12 = v1s * v2
                 for (nn, rr), _ in by_up.get((u, b), ()):
-                    add_part(rhs, more, (i, j, k, m, nn, rr),
+                    add_part(acc, more, (i, j, k, m, nn, rr),
                              v12 * down[m][u, b, nn, rr])
-    sum_parts(n, rhs, more)
-    return _compare_sparse("dynamical_yang_baxter", n, lhs, rhs)
+    return _nonzero_sums("dynamical_yang_baxter", n, acc, more)
 
 
 def check_skew_inverse(n):
     """psihat is the skew inverse of that, plus its two partial traces."""
     t = that(n)
     psi = psihat(n)
-    one = RatFun.const(n, 1)
+    minus_one = RatFun.const(n, -1)
     rng = range(1, n + 1)
 
     # sum_{k,l} psi[i,k | j,l] t[l,m | k,nn] == delta(i,nn) delta(m,j)
-    got, more = {}, {}
+    acc, more = {}, {}
     for (i, k, j, l), v in psi.entries.items():
         for m in rng:
             for nn in rng:
                 w = t.get(l, m, k, nn)
                 if w is not None:
-                    add_part(got, more, (i, j, m, nn), v * w)
-    sum_parts(n, got, more)
-    expected = {(i, j, j, i): one for i in rng for j in rng}
-    failures = _compare_sparse("skew_inverse_contraction", n, got,
-                               expected)
+                    add_part(acc, more, (i, j, m, nn), v * w)
+    for i in rng:
+        for j in rng:
+            add_part(acc, more, (i, j, j, i), minus_one)
+    failures = _nonzero_sums("skew_inverse_contraction", n, acc, more)
 
     for i in rng:
         for j in rng:
-            tot = add_many(n, [psi[i, k, j, k] for k in rng])
-            want = qplus(n, i) if i == j else RatFun.zero(n)
-            if tot != want:
-                failures.append(failure("psihat_trace2", (i, j), tot, want))
+            parts = [psi[i, k, j, k] for k in rng]
+            if i == j:
+                parts.append(-qplus(n, i))
+            tot = add_many(n, parts)
+            if not tot.is_zero:
+                failures.append(failure("psihat_trace2", (i, j), tot))
     for m in rng:
         for nn in rng:
-            tot = add_many(n, [psi[a, m, a, nn] for a in rng])
-            want = qminus(n, nn) if m == nn else RatFun.zero(n)
-            if tot != want:
-                failures.append(failure("psihat_trace1", (m, nn), tot, want))
+            parts = [psi[a, m, a, nn] for a in rng]
+            if m == nn:
+                parts.append(-qminus(n, nn))
+            tot = add_many(n, parts)
+            if not tot.is_zero:
+                failures.append(failure("psihat_trace1", (m, nn), tot))
     return failures
 
 
 def check_aux_identities(n):
-    """The web of identities tying rhat, that, shat, psihat and q-weights."""
+    """The web of identities tying rhat, that, shat, psihat and q-weights.
+
+    Each shifted q-weight is made once, and the weighted row and column
+    sums are decided by their residuals."""
     r = rhat(n)
     t = that(n)
     s = shat(n)
     psi = psihat(n)
-    qp = {i: qplus(n, i) for i in range(1, n + 1)}
-    qm = {i: qminus(n, i) for i in range(1, n + 1)}
-    qp_inv = {l: qp[l].inverse().shift(tuple(-x for x in eps(n, l)))
-              for l in range(1, n + 1)}
-    one = RatFun.const(n, 1)
+    rng = range(1, n + 1)
+    neps = {i: tuple(-x for x in eps(n, i)) for i in rng}
+    qp = {i: qplus(n, i) for i in rng}
+    qm = {i: qminus(n, i) for i in rng}
+    qp_inv = {l: qp[l].inverse().shift(neps[l]) for l in rng}
+    # qm_down[a, m] = qm[a][-eps_m] and qp_up[a, m] = qp[a][eps_m]
+    qm_down = {(a, m): qm[a].shift(neps[m]) for a in rng for m in rng}
+    qp_up = {(a, m): qp[a].shift(eps(n, m)) for a in rng for m in rng}
+    # qp_pair[i, k] = qp[k][-eps_i - eps_k] and qp_self[i] = qp[i][-eps_i]
+    qp_pair = {(i, k): qp[k].shift(tuple(x + y for x, y
+                                         in zip(neps[i], neps[k])))
+               for i in rng for k in rng}
+    qp_self = {i: qp[i].shift(neps[i]) for i in rng}
+    minus_one = RatFun.const(n, -1)
     zero = RatFun.zero(n)
     failures = []
 
-    rng = range(1, n + 1)
     for k in rng:
         for l in rng:
             for i in rng:
                 for j in rng:
                     # shifted that equals transposed-swapped rhat
-                    lhs = (t.get(k, l, i, j) or zero).shift(
-                        tuple(-x for x in eps(n, l)))
+                    lhs = (t.get(k, l, i, j) or zero).shift(neps[l])
                     rhs = r.get(l, k, j, i) or zero
                     if lhs != rhs:
                         failures.append(failure("that_from_rhat",
@@ -340,32 +354,30 @@ def check_aux_identities(n):
     # weighted row/column sums of rhat collapse to the identity
     for m in rng:
         for nn in rng:
-            tot1 = add_many(n, [
-                qm[a].shift(tuple(-x for x in eps(n, m))) * v for a in rng
-                if (v := r.get(m, a, nn, a)) is not None])
-            tot2 = add_many(n, [qp[a].shift(eps(n, m)) * w for a in rng
-                                if (w := r.get(a, m, a, nn)) is not None])
-            want = one if m == nn else zero
-            if tot1 != want:
+            unit = [minus_one] if m == nn else []
+            tot1 = add_many(n, [qm_down[a, m] * v for a in rng
+                                if (v := r.get(m, a, nn, a)) is not None]
+                            + unit)
+            tot2 = add_many(n, [qp_up[a, m] * w for a in rng
+                                if (w := r.get(a, m, a, nn)) is not None]
+                            + unit)
+            if not tot1.is_zero:
                 failures.append(failure("qminus_weighted_row_sum",
-                                        (m, nn), tot1, want))
-            if tot2 != want:
+                                        (m, nn), tot1))
+            if not tot2.is_zero:
                 failures.append(failure("qplus_weighted_column_sum",
-                                        (m, nn), tot2, want))
+                                        (m, nn), tot2))
     # exchange of shifted q-weights
     for i in rng:
         for j in rng:
-            lhs = qm[j] * qm[i].shift(tuple(-x for x in eps(n, j)))
-            rhs = qm[i] * qm[j].shift(tuple(-x for x in eps(n, i)))
+            lhs = qm[j] * qm_down[i, j]
+            rhs = qm[i] * qm_down[j, i]
             if lhs != rhs:
                 failures.append(failure("qminus_shift_exchange",
                                         (i, j), lhs, rhs))
     for (i, k, j, l), v in r.entries.items():
-        lhs = (qp[i].shift(tuple(-x for x in eps(n, i)))
-               * qp[k].shift(tuple(-x - y for x, y in zip(eps(n, i), eps(n, k))))
-               * v)
-        rhs = (v * qp[j].shift(tuple(-x for x in eps(n, j)))
-               * qp[l].shift(tuple(-x - y for x, y in zip(eps(n, j), eps(n, l)))))
+        lhs = qp_self[i] * qp_pair[i, k] * v
+        rhs = v * qp_self[j] * qp_pair[j, l]
         if lhs != rhs:
             failures.append(failure("qplus_rhat_compatibility",
                                     (i, k, j, l), lhs, rhs))
@@ -376,15 +388,14 @@ def check_traces(n):
     """Exact trace values and reciprocity of the q-weights."""
     failures = []
     one = RatFun.const(n, 1)
+    minus_one = RatFun.const(n, -1)
     qp = {j: qplus(n, j) for j in range(1, n + 1)}
     qm = {j: qminus(n, j) for j in range(1, n + 1)}
-    tp = qplus_op(n).trace()
-    tm = qminus_op(n).trace()
-    want = RatFun.const(n, n)
-    if tp != want:
-        failures.append(failure("trace_qplus", (n,), tp, want))
-    if tm != want:
-        failures.append(failure("trace_qminus", (n,), tm, want))
+    for identity, op in (("trace_qplus", qplus_op),
+                         ("trace_qminus", qminus_op)):
+        tot = add_many(n, [*op(n).entries.values(), RatFun.const(n, -n)])
+        if not tot.is_zero:
+            failures.append(failure(identity, (n,), tot))
     for j in range(1, n + 1):
         v = qm[j].shift(eps(n, j)) * qp[j]
         if v != one:
@@ -394,10 +405,11 @@ def check_traces(n):
             failures.append(failure("q_sign_reversal", (j,),
                                     reversed_qm, qp[j]))
     for i in range(1, n + 1):
-        tot = add_many(n, [q / (hdiff(n, i, j) + 1) for j, q in qm.items()])
-        if tot != one:
+        tot = add_many(n, [q / (hdiff(n, i, j) + 1) for j, q in qm.items()]
+                       + [minus_one])
+        if not tot.is_zero:
             failures.append(failure("qminus_partial_fraction_row", (i,),
-                                    tot, one))
+                                    tot))
     return failures
 
 
