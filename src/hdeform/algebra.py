@@ -41,7 +41,7 @@ from . import coeffs
 from .coeffs import (RatFun, add_many, add_part, qminus, serialize,
                      sum_parts)
 from .errors import ResourceLimitError, RewriteLimitError
-from .report import failure
+from .report import expect
 
 _STEP_LIMIT = coeffs.env_limit("HDEFORM_MAX_REWRITES") or 20_000_000
 
@@ -71,10 +71,6 @@ class Element:
                 other.alg.signature != self.alg.signature:
             return NotImplemented
         return self.terms == other.terms
-
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
 
     def weight_decomposition(self):
         """Map from word weight to the sub-element of that weight."""
@@ -461,13 +457,12 @@ def substitute(dst, terms, image):
 
 
 def residual_failures(identity, residuals):
-    """One failure per residual (key -> Element) that does not
-    normal-order to zero, in key order."""
+    """The failures, in key order, of the residuals (key -> Element) as
+    decided by :func:`hdeform.report.expect`: each is normal-ordered and
+    must be zero."""
     failures = []
     for key in sorted(residuals):
-        nf = residuals[key].normal_form()
-        if not nf.is_zero:
-            failures.append(failure(identity, key, nf))
+        expect(failures, identity, key, residuals[key].normal_form())
     return failures
 
 
@@ -516,8 +511,6 @@ def associativity_failures(alg, triples):
 
     failures = []
     for g1, g2, g3 in triples:
-        res = nf(pair_nf(g1, g2) * gen(g3) - gen(g1) * pair_nf(g2, g3))
-        if not res.is_zero:
-            failures.append(failure("associativity_oracle", (g1, g2, g3),
-                                    res))
+        expect(failures, "associativity_oracle", (g1, g2, g3),
+               nf(pair_nf(g1, g2) * gen(g3) - gen(g1) * pair_nf(g2, g3)))
     return failures

@@ -585,10 +585,6 @@ class RatFun:
             return True
         return self.dfac == other.dfac and self.num == other.num
 
-    def __ne__(self, other):
-        r = self.__eq__(other)
-        return NotImplemented if r is NotImplemented else not r
-
     # -- automorphisms ------------------------------------------------------
 
     def _map(self, key_map, poly_map):

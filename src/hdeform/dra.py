@@ -28,7 +28,7 @@ from .algebra import (Element, TermAlgebra, add_elements,
 from .coeffs import (RatFun, add_many, eps, hdiff, phi, phi_segment,
                      serialize)
 from .errors import RelationExtractionError, RewriteLimitError
-from .report import failure, select_units
+from .report import expect, failure, select_units
 from .rmatrix import hmat, rhat
 from .store import lookup
 
@@ -415,9 +415,7 @@ def check_central(n, power, primed=False):
     tag = "central_commutator_primed" if primed else "central_commutator"
     for (i, j) in sorted(alg.lmatrix()):
         g = alg.gen(i, j)
-        res = alg.normal_form(c * g - g * c)
-        if not res.is_zero:
-            failures.append(failure(tag, (n, power, i, j), res))
+        expect(failures, tag, (n, power, i, j), alg.normal_form(c * g - g * c))
     return failures
 
 
@@ -477,12 +475,10 @@ def check_generator_transforms(n):
     inv = invert_transform(alg, trans)
     for (i, j), el in sorted(inv.items()):
         # substitute L expressions back: must reproduce the bare generator
-        res = add_elements(alg, [trans[(a, b)].times_coeff_left(c)
-                                 for ((_, a, b),), c in el.terms.items()]
-                           + [-alg.gen(i, j)])
-        if not res.is_zero:
-            failures.append(failure("transition_inverse_roundtrip", (i, j),
-                                    res))
+        expect(failures, "transition_inverse_roundtrip", (i, j),
+               add_elements(alg, [trans[(a, b)].times_coeff_left(c)
+                                  for ((_, a, b),), c in el.terms.items()]
+                            + [-alg.gen(i, j)]))
     return failures
 
 
@@ -520,9 +516,7 @@ def check_cartan_sum(n):
         for ((_, a, b),), c in trans[(i, i)].terms.items():
             assert a == b
             parts.append(c * (RatFun.var(n, a) + a))
-        res = add_many(n, parts + [-h[i]])
-        if not res.is_zero:
-            failures.append(failure("cartan_sum", (i,), res))
+        expect(failures, "cartan_sum", (i,), add_many(n, parts + [-h[i]]))
     return failures
 
 
@@ -545,11 +539,9 @@ def check_weyl_realization(n):
     rules = rule_system(n)
     failures = []
     for (g1, g2) in sorted(rules):
-        res = walg.normal_form(lt[g1] * lt[g2]
-                               - substitute(walg, rules[(g1, g2)], lt))
-        if not res.is_zero:
-            failures.append(failure("rule_in_weyl_realization", (g1, g2),
-                                    res))
+        expect(failures, "rule_in_weyl_realization", (g1, g2),
+               walg.normal_form(lt[g1] * lt[g2]
+                                - substitute(walg, rules[(g1, g2)], lt)))
     return failures
 
 
@@ -563,10 +555,8 @@ def check_central_realization(n, power):
     trace = quantum_trace(walg, mat_power(walg, lt, power))
     failures = []
     for (i, j) in sorted(lt):
-        res = walg.normal_form(trace * lt[(i, j)] - lt[(i, j)] * trace)
-        if not res.is_zero:
-            failures.append(failure("central_in_weyl_realization",
-                                    (n, power, i, j), res))
+        expect(failures, "central_in_weyl_realization", (n, power, i, j),
+               walg.normal_form(trace * lt[(i, j)] - lt[(i, j)] * trace))
     return failures
 
 
@@ -687,9 +677,8 @@ def check_appendix_central_form(max_power=3):
         p = alg.mat_power(alg.lmatrix(), power)
         want = alg.normal_form(p[(1, 1)].times_coeff_left(qm1)
                                + p[(2, 2)].times_coeff_left(qm2))
-        if str(got) != str(want):
-            failures.append(failure("appendix_central_form", (power,),
-                                    got, want))
+        expect(failures, "appendix_central_form", (power,),
+               str(got), str(want))
     return failures
 
 
@@ -731,9 +720,7 @@ def check_appendix_cross_copy():
     failures = []
 
     def chk(tag, lhs, rhs):
-        res = nf(lhs - rhs)
-        if not res.is_zero:
-            failures.append(failure(tag, (), res))
+        expect(failures, tag, (), nf(lhs - rhs))
 
     chk("xx_12", x[(1, 1)] * x[(2, 2)],
         (x[(1, 2)] * x[(2, 1)]).times_coeff_left(one / h)

@@ -40,7 +40,7 @@ class _WeylParser(_Parser):
 
     def signed_product(self):
         sign = 1
-        while self.peek() in "+-":
+        while self.peek() in ("+", "-"):
             if self.text[self.pos] == "-":
                 sign = -sign
             self.pos += 1

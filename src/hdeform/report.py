@@ -13,6 +13,20 @@ def failure(identity, indices, lhs, rhs="0"):
             "lhs": str(lhs), "rhs": str(rhs)}
 
 
+def expect(failures, identity, indices, lhs, rhs=None):
+    """Decide one identity, appending its failure record to failures.
+
+    With no rhs, lhs is a residual (a summed coefficient, or an element
+    already normal-ordered) and the identity holds when it is zero; a
+    failure records it with "0" as rhs.  With rhs, the identity holds
+    when lhs == rhs, and a failure records both sides."""
+    if rhs is None:
+        if not lhs.is_zero:
+            failures.append(failure(identity, indices, lhs))
+    elif lhs != rhs:
+        failures.append(failure(identity, indices, lhs, rhs))
+
+
 def select_units(kind, table, suite):
     """The units of one named suite of an ordered suite table, or of every
     suite that applies for suite="all".

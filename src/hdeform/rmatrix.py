@@ -8,22 +8,23 @@ entry has {i, k} == {j, l} as multisets, and rank-2 operators (``qplus``
 / ``qminus`` weights and the Cartan matrix ``hmat``) are diagonal.
 
 Checkers enumerate index tuples exhaustively and return a list of
-failure records; an empty list means the identity holds exactly.  An
-identity whose side is a sum (a contraction, a trace, a weighted row
-sum) is decided by its residual: the negated expected value is one more
-part of the sum (:func:`hdeform.coeffs.add_part`), each key is summed
-once in one :func:`hdeform.coeffs.add_many`, and a key fails iff its
-sum is nonzero.  A sum that vanishes stops at its zero bracket, before
-any trial division, and its failure record holds the residual as lhs
-and "0" as rhs.  Pointwise identities, which build no sum, compare the
-two sides with ``==`` and record both.
+failure records; an empty list means the identity holds exactly.  Each
+identity is decided by :func:`hdeform.report.expect`.  One whose side is
+a sum (a contraction, a trace, a weighted row sum) is decided by its
+residual: the negated expected value is one more part of the sum
+(:func:`hdeform.coeffs.add_part`), each key is summed once in one
+:func:`hdeform.coeffs.add_many`, and the key fails iff its sum is
+nonzero.  A sum that vanishes stops at its zero bracket, before any
+trial division, and its failure record holds the residual as lhs and
+"0" as rhs.  Pointwise identities, which build no sum, pass both sides
+to ``expect``, which compares them with ``==`` and records both.
 """
 
 from __future__ import annotations
 
 from .coeffs import (RatFun, add_many, add_part, eps, hdiff, qminus, qplus,
                      sum_parts)
-from .report import failure, select_units
+from .report import expect, select_units
 from .store import stored
 
 
@@ -197,8 +198,10 @@ def _nonzero_sums(identity, n, acc, more):
     more by :func:`hdeform.coeffs.add_part`) do not sum to zero; the
     record holds the sum as lhs and "0" as rhs."""
     sum_parts(n, acc, more)
-    return [failure(identity, key, acc[key]) for key in sorted(acc)
-            if not acc[key].is_zero]
+    failures = []
+    for key in sorted(acc):
+        expect(failures, identity, key, acc[key])
+    return failures
 
 
 # ---------------------------------------------------------------------------
@@ -275,17 +278,13 @@ def check_skew_inverse(n):
             parts = [psi[i, k, j, k] for k in rng]
             if i == j:
                 parts.append(-qplus(n, i))
-            tot = add_many(n, parts)
-            if not tot.is_zero:
-                failures.append(failure("psihat_trace2", (i, j), tot))
+            expect(failures, "psihat_trace2", (i, j), add_many(n, parts))
     for m in rng:
         for nn in rng:
             parts = [psi[a, m, a, nn] for a in rng]
             if m == nn:
                 parts.append(-qminus(n, nn))
-            tot = add_many(n, parts)
-            if not tot.is_zero:
-                failures.append(failure("psihat_trace1", (m, nn), tot))
+            expect(failures, "psihat_trace1", (m, nn), add_many(n, parts))
     return failures
 
 
@@ -320,17 +319,13 @@ def check_aux_identities(n):
             for i in rng:
                 for j in rng:
                     # shifted that equals transposed-swapped rhat
-                    lhs = (t.get(k, l, i, j) or zero).shift(neps[l])
-                    rhs = r.get(l, k, j, i) or zero
-                    if lhs != rhs:
-                        failures.append(failure("that_from_rhat",
-                                                (k, l, i, j), lhs, rhs))
+                    expect(failures, "that_from_rhat", (k, l, i, j),
+                           (t.get(k, l, i, j) or zero).shift(neps[l]),
+                           r.get(l, k, j, i) or zero)
                     # shat is the one-step shift of rhat
-                    lhs = s.get(i, j, k, l) or zero
-                    rhs = (r.get(i, j, k, l) or zero).shift(eps(n, k))
-                    if lhs != rhs:
-                        failures.append(failure("shat_from_rhat",
-                                                (i, j, k, l), lhs, rhs))
+                    expect(failures, "shat_from_rhat", (i, j, k, l),
+                           s.get(i, j, k, l) or zero,
+                           (r.get(i, j, k, l) or zero).shift(eps(n, k)))
     for i in rng:
         for k in rng:
             # qp[i][eps_k - eps_l] for each l, shifted once per (i, k)
@@ -339,48 +334,33 @@ def check_aux_identities(n):
                      for l in rng}
             for j in rng:
                 for l in rng:
-                    sv = s.get(i, k, j, l) or zero
-                    lhs = psi.get(i, k, j, l) or zero
-                    rhs = qp_kl[l] * sv * qp_inv[l]
-                    if lhs != rhs:
-                        failures.append(failure("psihat_from_shat",
-                                                (i, k, j, l), lhs, rhs))
+                    expect(failures, "psihat_from_shat", (i, k, j, l),
+                           psi.get(i, k, j, l) or zero,
+                           qp_kl[l] * (s.get(i, k, j, l) or zero) * qp_inv[l])
                     # transpose symmetry under global sign reversal
-                    lhs = r.get(k, i, l, j) or zero
-                    rhs = (r.get(j, l, i, k) or zero).negate_h()
-                    if lhs != rhs:
-                        failures.append(failure("rhat_transpose_negation",
-                                                (i, k, j, l), lhs, rhs))
+                    expect(failures, "rhat_transpose_negation", (i, k, j, l),
+                           r.get(k, i, l, j) or zero,
+                           (r.get(j, l, i, k) or zero).negate_h())
     # weighted row/column sums of rhat collapse to the identity
     for m in rng:
         for nn in rng:
             unit = [minus_one] if m == nn else []
-            tot1 = add_many(n, [qm_down[a, m] * v for a in rng
+            expect(failures, "qminus_weighted_row_sum", (m, nn),
+                   add_many(n, [qm_down[a, m] * v for a in rng
                                 if (v := r.get(m, a, nn, a)) is not None]
-                            + unit)
-            tot2 = add_many(n, [qp_up[a, m] * w for a in rng
+                            + unit))
+            expect(failures, "qplus_weighted_column_sum", (m, nn),
+                   add_many(n, [qp_up[a, m] * w for a in rng
                                 if (w := r.get(a, m, a, nn)) is not None]
-                            + unit)
-            if not tot1.is_zero:
-                failures.append(failure("qminus_weighted_row_sum",
-                                        (m, nn), tot1))
-            if not tot2.is_zero:
-                failures.append(failure("qplus_weighted_column_sum",
-                                        (m, nn), tot2))
+                            + unit))
     # exchange of shifted q-weights
     for i in rng:
         for j in rng:
-            lhs = qm[j] * qm_down[i, j]
-            rhs = qm[i] * qm_down[j, i]
-            if lhs != rhs:
-                failures.append(failure("qminus_shift_exchange",
-                                        (i, j), lhs, rhs))
+            expect(failures, "qminus_shift_exchange", (i, j),
+                   qm[j] * qm_down[i, j], qm[i] * qm_down[j, i])
     for (i, k, j, l), v in r.entries.items():
-        lhs = qp_self[i] * qp_pair[i, k] * v
-        rhs = v * qp_self[j] * qp_pair[j, l]
-        if lhs != rhs:
-            failures.append(failure("qplus_rhat_compatibility",
-                                    (i, k, j, l), lhs, rhs))
+        expect(failures, "qplus_rhat_compatibility", (i, k, j, l),
+               qp_self[i] * qp_pair[i, k] * v, v * qp_self[j] * qp_pair[j, l])
     return failures
 
 
@@ -393,23 +373,16 @@ def check_traces(n):
     qm = {j: qminus(n, j) for j in range(1, n + 1)}
     for identity, op in (("trace_qplus", qplus_op),
                          ("trace_qminus", qminus_op)):
-        tot = add_many(n, [*op(n).entries.values(), RatFun.const(n, -n)])
-        if not tot.is_zero:
-            failures.append(failure(identity, (n,), tot))
+        expect(failures, identity, (n,),
+               add_many(n, [*op(n).entries.values(), RatFun.const(n, -n)]))
     for j in range(1, n + 1):
-        v = qm[j].shift(eps(n, j)) * qp[j]
-        if v != one:
-            failures.append(failure("qminus_qplus_reciprocal", (j,), v, one))
-        reversed_qm = qm[j].negate_h()
-        if reversed_qm != qp[j]:
-            failures.append(failure("q_sign_reversal", (j,),
-                                    reversed_qm, qp[j]))
+        expect(failures, "qminus_qplus_reciprocal", (j,),
+               qm[j].shift(eps(n, j)) * qp[j], one)
+        expect(failures, "q_sign_reversal", (j,), qm[j].negate_h(), qp[j])
     for i in range(1, n + 1):
-        tot = add_many(n, [q / (hdiff(n, i, j) + 1) for j, q in qm.items()]
-                       + [minus_one])
-        if not tot.is_zero:
-            failures.append(failure("qminus_partial_fraction_row", (i,),
-                                    tot))
+        expect(failures, "qminus_partial_fraction_row", (i,),
+               add_many(n, [q / (hdiff(n, i, j) + 1) for j, q in qm.items()]
+                        + [minus_one]))
     return failures
 
 

@@ -27,7 +27,7 @@ from .algebra import (Element, TermAlgebra, add_elements,
 from .coeffs import (RatFun, beta_coeff, eps, hdiff, mu_coeff, phi,
                      phi_prime, qminus, qplus)
 from .errors import CoefficientError
-from .report import failure, select_units
+from .report import expect, select_units
 from .rmatrix import psihat, rhat, shat, that
 from .store import lookup
 
@@ -205,10 +205,9 @@ def check_forward_exchange(n, copies=1, fermionic=False):
                                     (dgen(k, b), xgen(l, a)), c * sgn))
                     if a == b and i == j:
                         parts.append(alg.one().times_int(-sgn))
-                    res = alg.normal_form(add_elements(alg, parts))
-                    if not res.is_zero:
-                        failures.append(failure("forward_exchange_round_trip",
-                                                (i, j, a, b), res))
+                    expect(failures, "forward_exchange_round_trip",
+                           (i, j, a, b),
+                           alg.normal_form(add_elements(alg, parts)))
     return failures
 
 
@@ -244,23 +243,18 @@ def check_variant_generators(n):
         for j in range(1, n + 1):
             if i < j:
                 a_c = (hdiff(n, i, j) + 1) / hdiff(n, i, j)
-                r = nf(x[i] * x[j] - (x[j] * x[i]).times_coeff_left(a_c))
-                if not r.is_zero:
-                    failures.append(failure("unbarred_xx", (i, j), r))
-                r = nf(d_un[j] * d_un[i] -
-                       (d_un[i] * d_un[j]).times_coeff_left(a_c))
-                if not r.is_zero:
-                    failures.append(failure("unbarred_dd", (i, j), r))
+                expect(failures, "unbarred_xx", (i, j),
+                       nf(x[i] * x[j] - (x[j] * x[i]).times_coeff_left(a_c)))
+                expect(failures, "unbarred_dd", (i, j),
+                       nf(d_un[j] * d_un[i]
+                          - (d_un[i] * d_un[j]).times_coeff_left(a_c)))
             if i != j:
-                r = nf(x[i] * d_un[j] - d_un[j] * x[i])
-                if not r.is_zero:
-                    failures.append(failure("unbarred_xd_commute", (i, j), r))
+                expect(failures, "unbarred_xd_commute", (i, j),
+                       nf(x[i] * d_un[j] - d_un[j] * x[i]))
         acc = add_elements(
             alg, [(d_un[j] * x[j]).times_coeff_left(beta_coeff(n, i, j))
                   for j in range(1, n + 1)] + [alg.scalar(mu_coeff(n, i))])
-        r = nf(x[i] * d_un[i] - acc)
-        if not r.is_zero:
-            failures.append(failure("unbarred_diagonal", (i,), r))
+        expect(failures, "unbarred_diagonal", (i,), nf(x[i] * d_un[i] - acc))
 
     # doubly-barred family against the shat tensor
     s = shat(n)
@@ -274,17 +268,15 @@ def check_variant_generators(n):
                         parts.append((x[l] * d_bb[k]).times_coeff_left(c))
             if i == j:
                 parts.append(one)
-            r = nf(d_bb[j] * x[i] - add_elements(alg, parts))
-            if not r.is_zero:
-                failures.append(failure("double_barred_exchange", (i, j), r))
+            expect(failures, "double_barred_exchange", (i, j),
+                   nf(d_bb[j] * x[i] - add_elements(alg, parts)))
     # derivative change of basis: D_i == bbar_i (q-)^{-1} == (q+) bbar_i
     for i in range(1, n + 1):
-        r = nf(d_bb[i].times_coeff_right(qminus(n, i).inverse()) - alg.d(i))
-        if not r.is_zero:
-            failures.append(failure("derivative_scaling_right", (i,), r))
-        r = nf(d_bb[i].times_coeff_left(qplus(n, i)) - alg.d(i))
-        if not r.is_zero:
-            failures.append(failure("derivative_scaling_left", (i,), r))
+        expect(failures, "derivative_scaling_right", (i,),
+               nf(d_bb[i].times_coeff_right(qminus(n, i).inverse())
+                  - alg.d(i)))
+        expect(failures, "derivative_scaling_left", (i,),
+               nf(d_bb[i].times_coeff_left(qplus(n, i)) - alg.d(i)))
     return failures
 
 
@@ -310,18 +302,15 @@ def zhelobenko_images(alg, i):
     return img
 
 
-def zhelobenko(alg, i, el, _img_cache=None):
+def zhelobenko(alg, i, el):
     """Apply the i-th braid automorphism and normal order the result."""
-    return alg.normal_form(_zhelobenko_image(alg, i, el, _img_cache))
+    return alg.normal_form(
+        _zhelobenko_image(alg, i, el, zhelobenko_images(alg, i)))
 
 
-def _zhelobenko_image(alg, i, el, img_cache=None):
-    """The i-th braid automorphism applied to el, not normal ordered;
-    img_cache keeps the generator images per i."""
-    cache = {} if img_cache is None else img_cache
-    img = cache.get(i)
-    if img is None:
-        img = cache[i] = zhelobenko_images(alg, i)
+def _zhelobenko_image(alg, i, el, img):
+    """The i-th braid automorphism applied to el, not normal ordered,
+    given img, its generator images (:func:`zhelobenko_images`)."""
     perm = list(range(1, alg.n + 1))
     perm[i - 1], perm[i] = perm[i], perm[i - 1]
     perm = tuple(perm)
@@ -336,32 +325,30 @@ def verify_zhelobenko(n, copies=1):
     two sides; a failure records that residual."""
     alg = WeylAlgebra(n, copies)
     failures = []
-    cache = {}
     gens = alg.generators()
     nf = alg.normal_form
-    image = _zhelobenko_image
+    imgs = {i: zhelobenko_images(alg, i) for i in range(1, n)}
 
+    def image(i, el):
+        return _zhelobenko_image(alg, i, el, imgs[i])
+
+    # each generator's normal-ordered image, once per braid index
+    q = {(i, g): nf(image(i, alg.gen_element(g))) for i in imgs for g in gens}
+    prods = {(g1, g2): nf(alg.gen_element(g1) * alg.gen_element(g2))
+             for g1 in gens for g2 in gens}
     # q_i respects every quadratic exchange: q(nf(g1 g2)) == nf(q(g1) q(g2))
-    for i in range(1, n):
+    for i in imgs:
         for g1 in gens:
             for g2 in gens:
-                prod = nf(alg.gen_element(g1) * alg.gen_element(g2))
-                res = nf(image(alg, i, prod, cache)
-                         - zhelobenko(alg, i, alg.gen_element(g1), cache)
-                         * zhelobenko(alg, i, alg.gen_element(g2), cache))
-                if not res.is_zero:
-                    failures.append(failure("automorphism_on_exchange",
-                                            (i, g1, g2), res))
+                expect(failures, "automorphism_on_exchange", (i, g1, g2),
+                       nf(image(i, prods[g1, g2]) - q[i, g1] * q[i, g2]))
     # braid relation on every generator (needs n >= 3)
     for i in range(1, n - 1):
         for g in gens:
-            e = alg.gen_element(g)
-            left = zhelobenko(alg, i + 1, zhelobenko(alg, i, e, cache), cache)
-            right = zhelobenko(alg, i, zhelobenko(alg, i + 1, e, cache), cache)
-            res = nf(image(alg, i, left, cache)
-                     - image(alg, i + 1, right, cache))
-            if not res.is_zero:
-                failures.append(failure("braid_relation", (i, g), res))
+            left = nf(image(i + 1, q[i, g]))
+            right = nf(image(i, q[i + 1, g]))
+            expect(failures, "braid_relation", (i, g),
+                   nf(image(i, left) - image(i + 1, right)))
     # mu recursion: x^i d_i - sum_j beta_ij d_j x^j == mu_i == -1/phi_i
     relations = {}
     for i in range(1, n + 1):
@@ -371,30 +358,27 @@ def verify_zhelobenko(n, copies=1):
                   for j in range(1, n + 1)])
         relations[i] = (alg.x(i, 1) * _unbarred_d(alg, i, 1) - acc
                         - alg.scalar(mu_coeff(n, i)))
-        res = nf(relations[i])
-        if not res.is_zero:
-            failures.append(failure("mu_recursion", (i,), res))
+        expect(failures, "mu_recursion", (i,), nf(relations[i]))
     # propagation step: the braid image of each diagonal relation element
     # is again a relation, i.e. normal-orders to zero (this is how the
     # value of each mu follows from the base case at the last index)
-    for i in range(1, n):
+    for i in imgs:
         for k in relations:
-            img = zhelobenko(alg, i, relations[k], cache)
-            if not img.is_zero:
-                failures.append(failure("mu_propagation", (i, k), img))
+            expect(failures, "mu_propagation", (i, k),
+                   nf(image(i, relations[k])))
     return failures
 
 
 def zhelobenko_square_action(n, copies=1):
     """Computed (not asserted) action of each squared braid generator."""
     alg = WeylAlgebra(n, copies)
-    cache = {}
+    nf = alg.normal_form
     out = {}
     for i in range(1, n):
+        img = zhelobenko_images(alg, i)
         for g in alg.generators():
-            sq = zhelobenko(alg, i, zhelobenko(
-                alg, i, alg.gen_element(g), cache), cache)
-            out[(i, g)] = str(sq)
+            once = nf(_zhelobenko_image(alg, i, alg.gen_element(g), img))
+            out[(i, g)] = str(nf(_zhelobenko_image(alg, i, once, img)))
     return out
 
 
@@ -419,9 +403,8 @@ def split_realization(n, copies, nu):
     # the two intervals sum to the full composite matrix
     lt = alg.ltilde()
     for key in sorted(lt):
-        res = add_elements(alg, (m1[key], m2[key], -lt[key]))
-        if not res.is_zero:
-            failures.append(failure("interval_sum", key, res))
+        expect(failures, "interval_sum", key,
+               add_elements(alg, (m1[key], m2[key], -lt[key])))
     return failures
 
 

@@ -410,6 +410,17 @@ def test_normal_form_parse_error(capsys):
     assert "position" in err
 
 
+@pytest.mark.parametrize("expr,pos", [("x[1,1]+", 7), ("", 0), ("-", 1)])
+def test_normal_form_missing_operand_is_a_parse_error(capsys, expr, pos):
+    # a sign with nothing after it is a positioned parse error, not a crash
+    code, out, err = run_cli(capsys, "normal-form", "--n", "2",
+                             "--expr", expr)
+    assert code == 2
+    assert out == ""
+    assert (f"expected a number, variable or '(' (at position {pos})"
+            in err)
+
+
 def test_normal_form_unparenthesized_quotient_is_a_parse_error(capsys):
     # h1/2*x[1,1] divides by a coefficient outside parentheses: the error
     # is at the '/', not trailing input after h1

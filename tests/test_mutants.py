@@ -2,11 +2,14 @@
 
 Each case perturbs one ingredient of the construction and runs the units
 of ``verify all --n 2 --N 2`` in-process.  It pins the exact set of
-units that fail and the identities each one names.  A pass must be
-sound: a change that empties an oracle's residuals, or makes it compare
-nothing, moves these sets and fails here.
+units that fail and the identities each one names, and a digest of
+every unit's full failure list, so each record (indices, lhs and rhs)
+is pinned too.  A pass must be sound: a change that empties an oracle's
+residuals, or makes it compare nothing, moves these sets and fails here.
 """
 
+import hashlib
+import json
 import sys
 
 import pytest
@@ -172,18 +175,35 @@ CASES = {
 }
 
 
-def failing_units():
+# perturbation -> digest of every unit's full failure list, in unit order
+DIGESTS = {
+    "cross_rule": "b9eea01c13c5dca5",
+    "psihat": "8ec65a481ab5f5ff",
+    "qminus": "ea5092ea8d767048",
+    "rhat": "d112239b25a42f22",
+    "same_copy_rule": "a1714b4cfb4a647d",
+}
+
+
+def run_units():
+    """[[unit name, failures] for every unit of ARGV, in order]."""
     units = cli._verify_units(cli.build_parser().parse_args(ARGV))
-    out = {}
-    for name, task in units:
-        failures, _ = cli.run_unit(task)
-        if failures:
-            out[name] = sorted({f["identity"] for f in failures})
-    return out
+    return [[name, cli.run_unit(task)[0]] for name, task in units]
+
+
+def digest(runs):
+    """The first 16 hex digits of the SHA-256 of the runs as sorted-key
+    JSON: it pins every failure record, not just the identity names."""
+    text = json.dumps(runs, sort_keys=True)
+    return hashlib.sha256(text.encode()).hexdigest()[:16]
 
 
 @pytest.mark.parametrize("case", sorted(CASES))
 def test_perturbation_is_caught_by_exactly_these_units(monkeypatch, case):
     monkeypatch.setattr(store, "_STORE", {})
     CASES[case](monkeypatch)
-    assert failing_units() == EXPECTED[case]
+    runs = run_units()
+    failing = {name: sorted({f["identity"] for f in failures})
+               for name, failures in runs if failures}
+    assert failing == EXPECTED[case]
+    assert digest(runs) == DIGESTS[case]
