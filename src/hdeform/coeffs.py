@@ -17,7 +17,7 @@ its cofactor has no factor of the family), ``dint`` a positive integer
 coprime to the content and the ``fi`` distinct primitive linear forms
 with positive leading coefficient.  Numerator and denominator are
 coprime, so no form is on both sides, and the factors are kept in one
-map ``fac`` from canonical key to signed multiplicity: ``fac[li] = ai``
+map ``fac`` from factor key to signed multiplicity: ``fac[li] = ai``
 and ``fac[fi] = -mi``.  The numerator is expanded only where its terms
 are needed: ``+``, :func:`serialize`, ``==`` on unequal maps and the
 term guard; the expansion is not kept.
@@ -70,7 +70,9 @@ factor's value always does, since ``b | a`` in Z[h] implies
 The kernel owns the layout of a monomial and of a factor key; this
 module works on keys and multiplicities only.  It decides which keys to
 multiply out (``K.p_mul_family`` for a family form, ``K.p_mul`` for any
-other) and which to try (``K.p_cancel``).
+other) and which to try (``K.p_cancel``).  A key is an int interned per
+process in first-use order, so every sort of keys here goes by the key's
+canonical tuple (``K.fac_tuple``) and no output depends on an id.
 
 ``shift``, ``permute`` and ``negate_h`` are ring automorphisms that map
 linear forms to linear forms and the family onto itself: sigma(f)
@@ -149,8 +151,14 @@ _p_one, _p_is_const, _p_degree, _p_vars, _p_slices, _p_str = (
     K.p_one, K.p_is_const, K.p_degree, K.p_vars, K.p_slices, K.p_str)
 _fac_key, _fac_family, _fac_poly, _fac_form = (
     K.fac_key, K.fac_family, K.fac_poly, K.fac_form)
-_fac_shift, _fac_permute, _fac_negate = (
-    K.fac_shift, K.fac_permute, K.fac_negate)
+_fac_shift, _fac_permute, _fac_negate, _fac_tuple = (
+    K.fac_shift, K.fac_permute, K.fac_negate, K.fac_tuple)
+
+
+def _by_form(item):
+    """The sort key of a (factor key, value) pair: the key's canonical
+    tuple, never its id."""
+    return _fac_tuple(item[0])
 
 
 def _is_family(key):
@@ -261,7 +269,7 @@ def _linear_family_factors(n, poly):
     for i in range(n):
         for j in [None] + list(range(i + 1, n)):
             if _p_is_const(rem):
-                return rem, sorted(found.items())
+                return rem, sorted(found.items(), key=_by_form)
             if j is None:
                 probe = rem
             elif {i, j} <= _p_vars(n, rem):
@@ -275,7 +283,7 @@ def _linear_family_factors(n, poly):
                     found[key] = found.get(key, 0) + 1
                     rem = q
                     q = K.p_divexact(rem, key)
-    return rem, sorted(found.items())
+    return rem, sorted(found.items(), key=_by_form)
 
 
 def _split_denominator(n, den):
@@ -398,12 +406,14 @@ class RatFun:
     @property
     def nfac(self):
         """The numerator factors, sorted (key, multiplicity) pairs."""
-        return tuple(sorted(item for item in self.fac.items() if item[1] > 0))
+        return tuple(sorted((item for item in self.fac.items() if item[1] > 0),
+                            key=_by_form))
 
     @property
     def dfac(self):
         """The denominator factors, sorted (key, multiplicity) pairs."""
-        return tuple(sorted((key, -m) for key, m in self.fac.items() if m < 0))
+        return tuple(sorted(((key, -m) for key, m in self.fac.items()
+                             if m < 0), key=_by_form))
 
     # -- predicates ---------------------------------------------------------
 
@@ -543,7 +553,7 @@ class RatFun:
                 fac[key] = -m
             else:
                 rest.append((key, -m))
-        cof = _expand(1, _p_one(n), sorted(rest))
+        cof = _expand(1, _p_one(n), sorted(rest, key=_by_form))
         if not _p_is_const(self.cof):
             for key, m in _split_denominator(n, self.cof)[1]:
                 fac[key] = fac.get(key, 0) - m

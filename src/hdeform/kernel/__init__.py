@@ -7,8 +7,10 @@ listed here.  A monomial of a rank-n polynomial is one int: the total
 degree in the top 32-bit field, then one 32-bit field per exponent, so
 int order is grlex order and a monomial product is one int add.  A
 product whose degree would reach ``2**32`` raises ``ResourceLimitError``.
-Functions that read a field take the rank ``n``.  Factor keys stay
-tuples of (exponent tuple, coefficient).  ``BACKEND`` names the kernel
+Functions that read a field take the rank ``n``.  A factor key is a
+small int interned per process, an index into the kernel's factor table
+in first-use order; keys sort and print through their canonical tuple
+(``fac_tuple``), never by id.  ``BACKEND`` names the kernel
 (``"python"``).  Every divisor is a primitive linear form named by its
 key, and ``p_divexact`` and ``p_cancel`` divide through one synthetic
 division by it, after rejecting non-divisors by evaluation at
@@ -26,5 +28,5 @@ __all__ = [
     "p_lead", "p_degree", "p_content",
     "p_primitive_sign", "p_str", "p_divexact", "fac_key", "p_cancel",
     "fac_family", "fac_poly", "fac_form", "fac_shift", "fac_negate",
-    "fac_permute", "p_mul_family",
+    "fac_permute", "fac_tuple", "p_mul_family",
 ]

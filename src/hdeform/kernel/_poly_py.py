@@ -12,19 +12,24 @@ reads a field takes ``n`` (``p_vars``, ``p_slices``, ``p_add_var``,
 ``p_negate``, ``p_degree``, ``p_str``, ``fac_key``) or reads it from an
 argument (``p_shift`` and ``p_eval`` from the length of the vector,
 ``p_permute`` from the permutation, ``p_mul_family``, ``p_cancel`` and
-``p_divexact`` from the key).  All functions are side-effect free and
-never mutate their arguments.  This module is the only one that packs
+``p_divexact`` from the key's table entry).  No function mutates its
+arguments, and the only state is the memos and the factor table.  This module is the only one that packs
 or unpacks a monomial, and the only one that knows the layout of a
 factor key (``fac_key``): callers build, read, substitute, sum and print
 polynomials and keys through the functions here.
 
-Factors are named by canonical keys (``fac_key``), tuples of (exponent
-tuple, coefficient) in descending grlex order.  One table, filled on
-first use, maps a key to its packed polynomial, its values at
-``PROBE_POINTS`` and, for a primitive linear form ``a*h_i + r`` (``h_i``
-its grlex-leading variable, ``a > 0``, ``r`` linear in the other
-variables plus a constant), the form's ``(i, a, r)``; for a family form
-``h_i - h_j + k`` (i < j) or ``h_i + k`` it also holds the triple
+Factors are named by keys (``fac_key``): small ints, interned per
+process.  A factor's canonical tuple (``fac_tuple``) is its (exponent
+tuple, coefficient) pairs in descending grlex order, and its key is the
+index of its entry in the one factor table, handed out in first-use
+order, so a factor map hashes ints, not nested tuples.  Ids depend on
+the order of first use, so keys sort and print through their canonical
+tuples and never by id.  The table, filled on first use, holds for each
+key its packed polynomial, its values at ``PROBE_POINTS``, its rank,
+its canonical tuple and, for a primitive linear form ``a*h_i + r``
+(``h_i`` its grlex-leading variable, ``a > 0``, ``r`` linear in the
+other variables plus a constant), the form's ``(i, a, r)``; for a family
+form ``h_i - h_j + k`` (i < j) or ``h_i + k`` it also holds the triple
 ``(i, j, k)`` (j None for ``h_i + k``).  ``p_mul_family`` multiplies by a
 family form as the two or three shifted copies of the multiplicand
 instead of forming a general product (and by a power of a bare ``h_i``
@@ -350,32 +355,48 @@ def p_str(n, a):
                    ).removeprefix("+")
 
 
+# The factor table: a factor key is an index into _FACTORS, handed out in
+# first-use order, and _IDS maps a canonical tuple to its index.  Each
+# entry is (packed polynomial, values at PROBE_POINTS, linear form, family
+# triple, rank, canonical tuple); the polynomial is shared by every caller
+# and never changed.
+_FACTORS = []
+_IDS = {}
+
+
+def _intern(n, canon):
+    key = _IDS.get(canon)
+    if key is None:
+        poly = {_pack(n, e): c for e, c in canon}
+        form = _linear(canon)
+        key = _IDS[canon] = len(_FACTORS)
+        _FACTORS.append((
+            poly, tuple(_probe_value(n, poly, probe) for probe in _probes(n)),
+            form, _family(form), n, canon))
+    return key
+
+
 def fac_key(n, poly):
-    """Canonical hashable form of a factor polynomial: (exponent tuple,
-    coefficient) pairs in descending grlex order."""
-    return tuple((_unpack(n, m), c)
-                 for m, c in sorted(poly.items(), reverse=True))
+    """The key of a factor polynomial: a small int, the same for equal
+    polynomials within one process.  Ids follow first use, so order and
+    print keys by their canonical tuple (``fac_tuple``), never by id."""
+    return _intern(n, tuple((_unpack(n, m), c)
+                            for m, c in sorted(poly.items(), reverse=True)))
 
 
-@lru_cache(maxsize=None)
-def _factor(key):
-    # the factor table: (packed polynomial, values at PROBE_POINTS, linear
-    # form, family triple); the polynomial is shared by every caller and
-    # never changed
-    n = len(key[0][0])
-    poly = {_pack(n, e): c for e, c in key}
-    form = _linear(key)
-    return (poly, tuple(_probe_value(n, poly, probe) for probe in _probes(n)),
-            form, _family(form))
+def fac_tuple(key):
+    """The canonical tuple of key: its (exponent tuple, coefficient) pairs
+    in descending grlex order.  Keys sort and print by it."""
+    return _FACTORS[key][5]
 
 
-def _linear(key):
-    # (i, a, tail, k) when key is a*x_i + r, x_i its grlex-leading
+def _linear(canon):
+    # (i, a, tail, k) when canon is a*x_i + r, x_i its grlex-leading
     # variable and r the sum of c*x_j over (j, c) in tail, plus k;
-    # None when key is not of degree 1
-    (lead, a), *rest = key
-    if sum(lead) != 1:
+    # None when canon is not of degree 1
+    if not canon or sum(canon[0][0]) != 1:
         return None
+    (lead, a), *rest = canon
     tail = tuple((e.index(1), c) for e, c in rest if any(e))
     k = sum(c for e, c in rest if not any(e))
     return lead.index(1), a, tail, k
@@ -394,12 +415,12 @@ def _family(form):
 def fac_family(key):
     """(i, j, k) when key names h_i - h_j + k (i < j, 0-based) or h_i + k
     (j None), else None."""
-    return _factor(key)[3]
+    return _FACTORS[key][3]
 
 
 def fac_poly(key):
     """The polynomial of key, shared by every caller: never change it."""
-    return _factor(key)[0]
+    return _FACTORS[key][0]
 
 
 def fac_form(nvars, i, j, k):
@@ -414,22 +435,25 @@ def fac_form(nvars, i, j, k):
 
 def fac_shift(key, deltas):
     """x_i -> x_i + deltas[i]: l(x) + k maps to l(x) + k + l(deltas)."""
-    i, a, tail, k = _factor(key)[2]
+    _, _, (i, a, tail, k), _, n, canon = _FACTORS[key]
     k2 = k + a * deltas[i] + sum(c * deltas[j] for j, c in tail)
-    terms = key[:-1] if k else key          # the constant term is last
+    if k2 == k:
+        return 1, key
+    terms = canon[:-1] if k else canon      # the constant term is last
     if k2:
-        terms += (((0,) * len(deltas), k2),)
-    return 1, terms
+        terms += (((0,) * n, k2),)
+    return 1, _intern(n, terms)
 
 
 def fac_negate(key):
     """x_i -> -x_i: l(x) + k maps to -l(x) + k = -(l(x) - k)."""
-    return -1, tuple((e, c if any(e) else -c) for e, c in key)
+    _, _, _, _, n, canon = _FACTORS[key]
+    return -1, _intern(n, tuple((e, c if any(e) else -c) for e, c in canon))
 
 
 def fac_permute(key, perm):
     """x_i -> x_{perm[i]} (see p_permute)."""
-    poly = p_permute(_factor(key)[0], perm)
+    poly = p_permute(_FACTORS[key][0], perm)
     if p_lead(poly)[1] > 0:
         return 1, fac_key(len(perm), poly)
     return -1, fac_key(len(perm), p_neg(poly))
@@ -438,8 +462,8 @@ def fac_permute(key, perm):
 def p_mul_family(a, key, m):
     """a times the m-th power (m >= 1) of the family form named by key
     (see fac_family); a power of a bare h_i is one add per monomial."""
-    i, j, k = _factor(key)[3]
-    top, _, units = _layout(len(key[0][0]))
+    _, _, _, (i, j, k), n, _ = _FACTORS[key]
+    top, _, units = _layout(n)
     ui = units[i]
     if a:
         _check_degree((max(a) >> top) + m)
@@ -522,7 +546,7 @@ def p_cancel(num, facs, keys):
     lowered; a factor that cancelled fully is dropped.
     """
     facs = dict(facs)
-    return _cancel(num, facs, sorted(keys)), facs
+    return _cancel(num, facs, sorted(keys, key=fac_tuple)), facs
 
 
 def _cancel(num, facs, keys):
@@ -533,11 +557,11 @@ def _cancel(num, facs, keys):
     # evaluated again.
     if not keys:
         return num
-    n = len(keys[0][0][0])
+    n = _FACTORS[keys[0]][4]
     probes = _probes(n)
     values = [_probe_value(n, num, probe) for probe in probes]
     for key in keys:
-        _, fvals, form, _ = _factor(key)
+        _, fvals, form, _, _, _ = _FACTORS[key]
         m = facs[key]
         while m and not any(f and v % f for v, f in zip(values, fvals)):
             q = _div_linear(num, n, form)
@@ -558,8 +582,7 @@ def p_divexact(a, key):
     """Exact division of a by the primitive linear form named by key, or
     None when it does not divide a: first the probe, then synthetic
     division (see the module docstring)."""
-    n = len(key[0][0])
-    _, fvals, form, _ = _factor(key)
+    _, fvals, form, _, n, _ = _FACTORS[key]
     if any(f and _probe_value(n, a, probe) % f
            for f, probe in zip(fvals, _probes(n))):
         return None

@@ -4,7 +4,6 @@ per suite run, JSON-serializable."""
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
 def failure(identity, indices, lhs, rhs="0"):
@@ -47,12 +46,15 @@ def select_units(kind, table, suite):
     return units
 
 
-@dataclass
 class SuiteReport:
-    suite: str
-    config: dict
-    failures: list = field(default_factory=list)
-    wall_time_s: float = 0.0
+    """The record of one suite run: its name, the options it ran under,
+    its failure records and its wall time."""
+
+    def __init__(self, suite, config, failures=None, wall_time_s=0.0):
+        self.suite = suite
+        self.config = config
+        self.failures = [] if failures is None else failures
+        self.wall_time_s = wall_time_s
 
     @property
     def status(self):

@@ -534,12 +534,68 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["status"] == "pass"
 
 
-def test_jobs_parallel_matches_serial(capsys):
+def test_jobs_parallel_matches_serial(capsys, monkeypatch):
+    import multiprocessing
     c1, out1, _ = run_cli(capsys, "verify", "rmatrix", "--n", "2")
     c2, out2, _ = run_cli(capsys, "verify", "rmatrix", "--n", "2",
                           "--jobs", "2")
     assert c1 == c2 == 0
     assert strip_timing(out1) == strip_timing(out2)
+    # factor ids are per process: workers started fresh ("spawn", the
+    # default start method on macOS and Windows) intern their own
+    monkeypatch.setattr(multiprocessing, "Pool",
+                        multiprocessing.get_context("spawn").Pool)
+    c3, out3, _ = run_cli(capsys, "verify", "rmatrix", "--n", "2",
+                          "--jobs", "2")
+    assert c3 == 0
+    assert strip_timing(out1) == strip_timing(out3)
+
+
+# Builds coefficients and runs `verify rmatrix --n 3` in a fresh process;
+# with "reverse" it first interns a set of forms in reverse order, so
+# every factor gets another id than in the default order.
+_ID_ORDER_SCRIPT = """
+import contextlib, io, json, sys
+import hdeform.kernel as K
+from hdeform import cli, coeffs
+forms = [(n, i, j, k) for n in (2, 3, 4) for i in range(n)
+         for j in [None, *range(i + 1, n)] for k in range(-4, 5)]
+if sys.argv[1] == "reverse":
+    for form in reversed(forms):
+        K.fac_form(*form)
+ids = [K.fac_form(*form) for form in forms]
+values = [coeffs.parse(3, text) for text in (
+    "1/(h1+h2)/(2*h1-h2-1)", "(h1-h3+2)^2/((h2+5)*(h1-h2-1)^3)",
+    "(h1*h2+h3^2+7)/(3*h1-2*h2+h3+5)")]
+for i in range(1, 4):
+    values += [coeffs.phi(3, i), coeffs.phi_prime(3, i), coeffs.qplus(3, i),
+               coeffs.qminus(3, i), coeffs.mu_coeff(3, i)]
+    values += [coeffs.beta_coeff(3, i, j) for j in range(1, 4)]
+values += [f.shift((1, -2, 3)) for f in values] + [
+    f.permute((3, 1, 2)) * f.negate_h() for f in values]
+views = [[coeffs.serialize(f)]
+         + [[[K.fac_tuple(key), m] for key, m in view]
+            for view in (f.nfac, f.dfac)] for f in values]
+out = io.StringIO()
+with contextlib.redirect_stdout(out):
+    code = cli.main(["verify", "rmatrix", "--n", "3"])
+print(json.dumps({"ids": ids, "values": views, "code": code,
+                  "report": out.getvalue()}))
+"""
+
+
+def test_factor_ids_never_reach_output():
+    runs = {}
+    for order in ("default", "reverse"):
+        proc = subprocess.run(
+            [sys.executable, "-c", _ID_ORDER_SCRIPT, order],
+            capture_output=True, text=True, check=True)
+        runs[order] = json.loads(proc.stdout)
+        runs[order]["report"] = strip_timing(runs[order]["report"])
+    default, reverse = runs["default"], runs["reverse"]
+    assert default.pop("ids") != reverse.pop("ids")
+    assert default["code"] == 0
+    assert default == reverse
 
 
 @pytest.mark.parametrize("jobs", ["0", "-1"])

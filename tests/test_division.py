@@ -9,8 +9,9 @@ product whose degree would not fit its field raises.
 
 The references work on dicts from exponent tuples to coefficients;
 ``packed`` builds the kernel's polynomial of such a dict through the
-kernel's constructors, and ``tuples`` reads one back through
-``fac_key``, so no test knows the packed layout."""
+kernel's constructors, and ``tuples`` reads one back as the canonical
+tuple of its factor key (``fac_tuple``), so no test knows the packed
+layout."""
 
 import random
 from itertools import product
@@ -41,7 +42,7 @@ def packed(n, terms):
 def tuples(n, poly):
     """The dict from exponent tuple to coefficient of a kernel
     polynomial."""
-    return dict(K.fac_key(n, poly))
+    return dict(K.fac_tuple(K.fac_key(n, poly)))
 
 
 def _accumulate(res, e, c):
@@ -342,7 +343,7 @@ def test_normalize_carries_probe_values_through_divisions(case):
     # dividing by repeated p_divexact, which probes afresh every time
     n, num, facs = case
     want_num, want = num, {}
-    for key in sorted(facs):
+    for key in sorted(facs, key=K.fac_tuple):
         m = facs[key]
         while m:
             q = K.p_divexact(want_num, key)
@@ -468,10 +469,38 @@ def test_fac_family_rejects_other_linear_forms():
         assert K.fac_family(K.fac_key(2, poly)) is None
 
 
+@settings(max_examples=300, deadline=None)
+@given(family_and_poly(), st.booleans(), st.data())
+def test_one_id_per_form(case, general, data):
+    # a key is an interned int: every route to a form gives its one id,
+    # and each automorphism followed by its inverse gives the key back
+    n, (i, j, k), form, _ = case
+    if general:
+        form = data.draw(primitive_linear(n, OFFSETS))
+    key = K.fac_key(n, form)
+    assert type(key) is int
+    assert K.fac_key(n, dict(form)) == K.fac_key(n, K.fac_poly(key)) == key
+    if not general:
+        assert K.fac_form(n, i, j, k) == key
+    alpha = data.draw(st.lists(st.integers(-50, 50), min_size=n, max_size=n))
+    s, shifted = K.fac_shift(key, alpha)
+    assert (s, shifted) == (1, K.fac_key(n, K.p_shift(form, alpha)))
+    assert K.fac_shift(shifted, [-a for a in alpha]) == (1, key)
+    s, negated = K.fac_negate(key)
+    assert s == -1 and K.fac_negate(negated) == (-1, key)
+    perm = data.draw(st.permutations(range(n)))
+    inv = [0] * n
+    for v, p in enumerate(perm):
+        inv[p] = v
+    s1, moved = K.fac_permute(key, perm)
+    s2, back = K.fac_permute(moved, inv)
+    assert back == key and s1 * s2 == 1
+
+
 def reference_cancel(n, num, facs):
     """p_cancel's contract by schoolbook division alone."""
     want = {}
-    for key in sorted(facs):
+    for key in sorted(facs, key=K.fac_tuple):
         m = facs[key]
         while m:
             q = schoolbook_divexact(n, num, K.fac_poly(key))
@@ -656,11 +685,12 @@ def test_packed_kernel_matches_exponent_tuples(case):
         assert K.p_eval(pa, pt) == K._probe_value(n, pa, (pt, memo)) \
             == t_eval(a, pt)
     assert K.p_str(n, pa) == t_str(a)
-    assert K.fac_key(n, pa) == t_key(a)
+    assert K.fac_tuple(K.fac_key(n, pa)) == t_key(a)
     assert K.p_slices(n, pa, i) == t_slices(a, i)
     if a:
         lead, c = K.p_lead(pa)
-        assert K.fac_key(n, {lead: c}) == ((t_lead(a), a[t_lead(a)]),)
+        assert K.fac_tuple(K.fac_key(n, {lead: c})) \
+            == ((t_lead(a), a[t_lead(a)]),)
         assert K.p_degree(n, pa) == max(map(sum, a))
         assert K.p_vars(n, pa) == {v for e in a for v, x in enumerate(e)
                                    if x}
