@@ -24,13 +24,17 @@ term guard; the expansion is not kept.
 
 The ring is localized at linear forms only.  Denominators are split by
 :func:`_linear_family_factors`, which finds every factor of the family
-whatever its offset; what is left may be one more linear form outside
-the family (Gauss-Jordan rule extraction inverts pivots such as
-``2*h1-h2-h3-1``), and a left-over factor of degree 2 or more raises
-:class:`CoefficientError`.  So every denominator factor is a primitive
-linear form, numerator and denominator are coprime, and the form is
-canonical: equal values have equal denominators and equal expanded
-numerators, and serialize to the same text.
+whatever its offset: for each family (i, j) the kernel maps its forms
+to t + k by a unimodular substitution and gives the univariate slices
+in t of the polynomial's image, and the common integer roots of the
+slices are the only offsets tried, so the result does not depend on the
+order of the polynomial's terms.  What is left may be one more linear
+form outside the family (Gauss-Jordan rule extraction inverts pivots
+such as ``2*h1-h2-h3-1``), and a left-over factor of degree 2 or more
+raises :class:`CoefficientError`.  So every denominator factor is a
+primitive linear form, numerator and denominator are coprime, and the
+form is canonical: equal values have equal denominators and equal
+expanded numerators, and serialize to the same text.
 
 Arithmetic works on the maps and trial-divides only what can cancel.
 The rules rest on two facts: a primitive linear form is prime in Z[h],
@@ -67,10 +71,12 @@ kernel's probe points divides the polynomial's value there: a true
 factor's value always does, since ``b | a`` in Z[h] implies
 ``b(pt) | a(pt)`` at every integer point.
 
-The kernel owns the layout of a monomial and of a factor key; this
-module works on keys and multiplicities only.  It decides which keys to
-multiply out (``K.p_mul_family`` for a family form, ``K.p_mul`` for any
-other) and which to try (``K.p_cancel``).  A key is an int interned per
+The kernel owns the layout of a monomial and of a factor key, and the
+coordinates a polynomial is stored in (``x_i = h_i - h_n``, so that a
+function of differences is short); this module works on keys and
+multiplicities only, and its polynomials are opaque.  It decides which
+keys to multiply out (``K.p_mul_family`` for a family form, ``K.p_mul``
+for any other) and which to try (``K.p_cancel``).  A key is an int interned per
 process in first-use order, so every sort of keys here goes by the key's
 canonical tuple (``K.fac_tuple``) and no output depends on an id.
 
@@ -147,8 +153,8 @@ def eps(n, i):
 # through ``K.`` so that a wrapper on the kernel module sees every product,
 # sum, substitution and division.  A stored cofactor is primitive with
 # positive lead, so a constant one is 1 (_p_is_const).
-_p_one, _p_is_const, _p_degree, _p_vars, _p_slices, _p_str = (
-    K.p_one, K.p_is_const, K.p_degree, K.p_vars, K.p_slices, K.p_str)
+_p_one, _p_is_const, _p_degree, _p_str = (
+    K.p_one, K.p_is_const, K.p_degree, K.p_str)
 _fac_key, _fac_family, _fac_poly, _fac_form = (
     K.fac_key, K.fac_family, K.fac_poly, K.fac_form)
 _fac_shift, _fac_permute, _fac_negate, _fac_tuple = (
@@ -225,24 +231,25 @@ def _root_brackets(a, lo, hi):
     return sorted(out)
 
 
-def _integer_roots(n, poly, i):
-    """Integer candidates r for a factor h_i - r of poly.
+def _integer_roots(slices):
+    """Integer candidates r for a root t = r of every univariate slice
+    (dicts from power of t to coefficient).
 
-    Grouped by the exponents of the other variables, poly is a sum of
-    univariate slices in h_i, and h_i - r divides poly only if r is a
-    root of every slice.  The candidates are the integer roots of the
-    slice of least degree: 0 when h_i divides it, and the integers at
-    the ends of the root brackets of its quotient by the power of h_i,
-    within Cauchy's bound 1 + max |a_k / a_d|, at which it vanishes.
-    The bisection makes the cost logarithmic in the offsets.
+    A common root is a root of the slice of least degree, so the
+    candidates are its integer roots: 0 when t divides it, and the
+    integers at the ends of the root brackets of its quotient by the
+    power of t, within Cauchy's bound 1 + max |a_k / a_d|, at which it
+    vanishes.  The bisection makes the cost logarithmic in the offsets.
     """
     best = None
-    for sl in _p_slices(n, poly, i):
+    for sl in slices:
         lo, hi = min(sl), max(sl)
         if hi == 0:
-            return []                       # a slice free of h_i
+            return []                       # a slice free of t
         if best is None or hi - lo < best[1] - best[0]:
             best = (lo, hi, sl)
+    if best is None:
+        return []
     lo, hi, sl = best
     roots = [0] if lo > 0 else []
     a = [sl.get(e, 0) for e in range(lo, hi + 1)]   # a[0] != 0 != a[-1]
@@ -257,12 +264,14 @@ def _linear_family_factors(n, poly):
     """Split off every factor ``h_i + k`` / ``h_i - h_j + k``, k any integer.
 
     Returns (remaining cofactor, sorted list of (factor_key, multiplicity)).
-    For each variable h_i, and for each pair i < j after substituting
-    h_i -> h_i + h_j (which maps h_i - h_j + k to h_i + k), the
-    candidates are the integer roots found by :func:`_integer_roots`;
-    each is confirmed by exact division, repeated for its multiplicity.
-    No candidate is missed, so the remaining cofactor has no factor of
-    the family.
+    For each variable h_i, and for each pair i < j, the kernel's
+    :func:`~hdeform.kernel.p_family_slices` takes the forms of the pair
+    to t + k by a unimodular substitution and gives the univariate
+    slices in t of the cofactor's image; the candidates are their common
+    integer roots, found by :func:`_integer_roots`, and each is confirmed
+    by exact division, repeated for its multiplicity.  No candidate is
+    missed, so the remaining cofactor has no factor of the family, and
+    the result does not depend on the order of the cofactor's terms.
     """
     found = {}
     rem = poly
@@ -270,13 +279,7 @@ def _linear_family_factors(n, poly):
         for j in [None] + list(range(i + 1, n)):
             if _p_is_const(rem):
                 return rem, sorted(found.items(), key=_by_form)
-            if j is None:
-                probe = rem
-            elif {i, j} <= _p_vars(n, rem):
-                probe = K.p_add_var(n, rem, i, j)
-            else:
-                continue
-            for r in _integer_roots(n, probe, i):
+            for r in _integer_roots(K.p_family_slices(n, rem, i, j)):
                 key = _fac_form(n, i, j, -r)
                 q = K.p_divexact(rem, key)
                 while q is not None:
@@ -870,12 +873,8 @@ def _den_str(n, dint, dfac):
     if dint != 1:
         parts.append(str(dint))
     for key, m in dfac:
-        poly = _fac_poly(key)
-        if len(poly) == 1:
-            base = _p_str(n, poly)
-        else:
-            base = f"({_p_str(n, poly)})"
-        parts.append(base + (f"^{m}" if m > 1 else ""))
+        parts.append(_p_str(n, _fac_poly(key), (), True)
+                     + (f"^{m}" if m > 1 else ""))
     if len(parts) > 1:
         # keep the whole denominator one parse unit
         return "(" + "*".join(parts) + ")"
@@ -887,12 +886,12 @@ def serialize(f):
     values print the same text (the stored form is canonical)."""
     if f.is_zero:
         return "0"
-    poly, dfac = f.num, f.dfac
-    num = _p_str(f.n, poly)
-    if f.dint == 1 and not dfac:
+    dfac = f.dfac
+    over = f.dint != 1 or bool(dfac)
+    num = _p_str(f.n, _expand(f.content, f.cof, ()),
+                 [item for item in f.fac.items() if item[1] > 0], over)
+    if not over:
         return num
-    if len(poly) > 1:
-        num = f"({num})"
     return f"{num}/{_den_str(f.n, f.dint, dfac)}"
 
 

@@ -1,39 +1,56 @@
 """Pure-Python kernel for sparse integer polynomials with packed monomials.
 
-A polynomial in ``n`` variables is a dict mapping monomials to nonzero
-Python ints.  A monomial ``h_1^e_1 ... h_n^e_n`` is one int: its total
-degree in the top field, then ``e_1 ... e_n``, each field ``B`` = 32
-bits wide (``_layout``).  So int order is grlex order, the leading
-monomial is ``max``, a monomial product is one int add, and a product by
-``h_i`` adds the rank's unit ``u_i``.  A product whose degree would
-reach ``2**32`` raises ``ResourceLimitError`` naming the degree; a field
+A polynomial in h_1 ... h_n is stored in the unimodular coordinates
+``x_i = h_i - h_n`` (i < n) and ``x_n = h_n``.  A function of the
+differences h_i - h_j never contains x_n, so a polynomial in h_1 - h_2
+of degree d has d + 1 terms instead of about d^2/2, and the family forms
+stay short: ``h_i - h_j + k`` is ``x_i - x_j + k``, ``h_i - h_n + k`` is
+``x_i + k`` and ``h_i + k`` is ``x_i + x_n + k``.  The change is
+triangular with x_n last, so the grlex-leading exponent and
+coefficient, the content and the degree are those in h.  Only the
+boundary converts: ``p_var``, the factor table, ``p_eval`` and the
+probe points on the way in, ``p_str`` on the way out, ``p_shift`` by
+``(d_i - d_n, d_n)`` and ``p_permute`` when it moves h_n; ``fac_tuple``
+and ``fac_family`` speak of h.  No result depends on the order in which
+a dict's terms were inserted.
+
+A polynomial is a dict mapping monomials to nonzero Python ints.  A
+monomial ``x_1^e_1 ... x_n^e_n`` is one int: its total degree in the
+top field, then ``e_1 ... e_n``, each field ``B`` = 32 bits wide
+(``_layout``).  So int order is grlex order, the leading monomial is
+``max``, a monomial product is one int add, and a product by ``x_i``
+adds the rank's unit ``u_i``.  A product whose degree would reach
+``2**32`` raises ``ResourceLimitError`` naming the degree; a field
 never wraps.  A packed int does not tell its rank, so a function that
-reads a field takes ``n`` (``p_vars``, ``p_slices``, ``p_add_var``,
-``p_negate``, ``p_degree``, ``p_str``, ``fac_key``) or reads it from an
-argument (``p_shift`` and ``p_eval`` from the length of the vector,
+reads a field takes ``n`` (``p_family_slices``, ``p_negate``,
+``p_degree``, ``p_str``, ``fac_key``) or reads it from an argument
+(``p_shift`` and ``p_eval`` from the length of the vector,
 ``p_permute`` from the permutation, ``p_mul_family``, ``p_cancel`` and
 ``p_divexact`` from the key's table entry).  No function mutates its
-arguments, and the only state is the memos and the factor table.  This module is the only one that packs
-or unpacks a monomial, and the only one that knows the layout of a
-factor key (``fac_key``): callers build, read, substitute, sum and print
-polynomials and keys through the functions here.
+arguments, and the only state is the memos and the factor table.  This
+module is the only one that packs or unpacks a monomial, and the only
+one that knows the layout of a factor key (``fac_key``): callers build,
+read, substitute, sum and print polynomials and keys through the
+functions here.
 
 Factors are named by keys (``fac_key``): small ints, interned per
 process.  A factor's canonical tuple (``fac_tuple``) is its (exponent
-tuple, coefficient) pairs in descending grlex order, and its key is the
-index of its entry in the one factor table, handed out in first-use
-order, so a factor map hashes ints, not nested tuples.  Ids depend on
-the order of first use, so keys sort and print through their canonical
-tuples and never by id.  The table, filled on first use, holds for each
-key its packed polynomial, its values at ``PROBE_POINTS``, its rank,
-its canonical tuple and, for a primitive linear form ``a*h_i + r``
-(``h_i`` its grlex-leading variable, ``a > 0``, ``r`` linear in the
-other variables plus a constant), the form's ``(i, a, r)``; for a family
-form ``h_i - h_j + k`` (i < j) or ``h_i + k`` it also holds the triple
-``(i, j, k)`` (j None for ``h_i + k``).  ``p_mul_family`` multiplies by a
-family form as the two or three shifted copies of the multiplicand
-instead of forming a general product (and by a power of a bare ``h_i``
-in one add per monomial).
+tuple, coefficient) pairs in h, in descending grlex order, and its key
+is the index of its entry in the one factor table, handed out in
+first-use order, so a factor map hashes ints, not nested tuples.  Ids
+depend on the order of first use, so keys sort and print through their
+canonical tuples and never by id.  ``fac_key`` finds a stored factor by
+its packed terms and builds the canonical tuple only for a new one.
+The table, filled on first use, holds for each key its packed
+polynomial, its values at ``PROBE_POINTS``, its rank, its canonical
+tuple and, for a primitive linear form ``a*x_i + r`` (``x_i`` its
+grlex-leading variable, ``a > 0``, ``r`` linear in the other variables
+plus a constant), the form's ``(i, a, r)`` in both coordinates; for a
+family form ``h_i - h_j + k`` (i < j) or ``h_i + k`` it also holds the
+triple ``(i, j, k)`` (j None for ``h_i + k``) and the units of its
+stored form, so ``p_mul_family`` multiplies by it as two or three
+shifted copies of the multiplicand (a power of the bare x_n as one add
+per monomial).
 
 Every divisor is a primitive linear form, named by its key, and one
 routine divides by it.  ``p_divexact`` first rejects by evaluation: if
@@ -42,17 +59,13 @@ every integer point, so a point of ``PROBE_POINTS`` where ``b(pt)`` is
 nonzero and does not divide ``a(pt)`` proves that ``b`` does not divide
 ``a``.  The value of each monomial at each probe point is kept, one
 memo per rank and point, so a probe costs a lookup per term.  A
-division that passes is synthetic division in ``h_i``: grouped by powers
-of ``h_i``, the dividend's coefficients are polynomials in the other
+division that passes is synthetic division in ``x_i``: grouped by powers
+of ``x_i``, the dividend's coefficients are polynomials in the other
 variables, each quotient coefficient is the next dividend coefficient
 minus ``r`` times the previous one, divided by ``a``, and the division
 is exact when each of these divisions by ``a`` is exact and the last
 remainder is zero.  ``p_cancel`` probes a numerator once for a whole run
 of trial divisions and carries its values through the quotients.
-
-Every routine visits and inserts terms in the same order as it would on
-exponent tuples: the factor search in ``coeffs`` takes the first of ties
-in dict order.
 """
 
 from functools import lru_cache
@@ -62,7 +75,7 @@ from ..errors import ResourceLimitError
 
 BACKEND = "python"
 
-# Integer points at which the factor table evaluates each factor, and
+# Integer points in h at which the factor table evaluates each factor, and
 # p_divexact and p_cancel the dividend, before dividing; a rank-n
 # polynomial is evaluated at their first n coordinates.  Coordinates lie
 # hundreds apart, so a linear form h_i - h_j + k or h_i + k with a small
@@ -81,7 +94,7 @@ _MASK = (1 << _B) - 1
 def _layout(n):
     """The packed layout of rank n: the shift of the degree field, the
     shift of each exponent field, and the unit u_i of each variable (the
-    monomial h_i: degree 1 and e_i = 1)."""
+    monomial x_i: degree 1 and e_i = 1)."""
     shifts = tuple((n - 1 - i) * _B for i in range(n))
     top = n * _B
     return top, shifts, tuple((1 << top) | (1 << s) for s in shifts)
@@ -107,6 +120,12 @@ def _check_degree(degree):
             f"{_MASK}")
 
 
+def _x_point(point):
+    """The x-coordinates of the point with h-coordinates point."""
+    last = point[-1]
+    return [v - last for v in point[:-1]] + [last]
+
+
 def p_zero():
     return {}
 
@@ -125,22 +144,17 @@ def p_one(nvars):
 
 
 def p_var(nvars, i, c=1):
-    # x_i with 0-based index i
+    """c * h_i with 0-based index i: c * (x_i + x_n), or c * x_n for h_n."""
     if c == 0:
         return {}
-    return {_layout(nvars)[2][i]: c}
+    units = _layout(nvars)[2]
+    if i == nvars - 1:
+        return {units[i]: c}
+    return {units[i]: c, units[-1]: c}
 
 
 def p_is_const(a):
     return not a or (len(a) == 1 and 0 in a)
-
-
-def p_vars(n, a):
-    """The set of the (0-based) indices of the variables that occur in a."""
-    seen = 0
-    for m in a:
-        seen |= m
-    return {i for i, s in enumerate(_layout(n)[1]) if (seen >> s) & _MASK}
 
 
 def p_sum(polys):
@@ -199,8 +213,7 @@ def _binomial(a, shift, step, d):
     # substitute x_i -> x_i + d, or x_i -> x_i + d x_j, where shift is the
     # shift of e_i's field and step moves one unit of degree from x_i
     # (-u_i, or u_j - u_i): x_i^e becomes sum_t comb(e, t) x_i^t
-    # (d x_j)^(e - t), t ascending (the factor search in coeffs picks its
-    # slice by term order, first of ties)
+    # (d x_j)^(e - t)
     res = {}
     for m, c in a.items():
         e = (m >> shift) & _MASK
@@ -214,24 +227,29 @@ def _binomial(a, shift, step, d):
     return res
 
 
+def _recoordinate(n, a, d):
+    """Substitute x_i -> x_i + d x_n for every i < n: d = 1 takes a
+    polynomial written in h to the stored coordinates (h_i = x_i + x_n),
+    d = -1 takes a stored polynomial back to h.  At rank 1 a itself."""
+    _, shifts, units = _layout(n)
+    for s, u in zip(shifts[:-1], units[:-1]):
+        a = _binomial(a, s, units[-1] - u, d)
+    return a
+
+
 def p_shift(a, deltas):
-    # substitute x_i -> x_i + deltas[i] for every variable
+    """Substitute h_i -> h_i + deltas[i] for every variable: x_i shifts by
+    deltas[i] - deltas[n] and x_n by deltas[n]."""
     _, shifts, units = _layout(len(deltas))
     res = a
-    for s, u, d in zip(shifts, units, deltas):
+    for s, u, d in zip(shifts, units, _x_point(deltas)):
         if d:
             res = _binomial(res, s, -u, d)
     return dict(res) if res is a else res
 
 
-def p_add_var(n, a, i, j):
-    """Substitute x_i -> x_i + x_j (0-based, i != j)."""
-    _, shifts, units = _layout(n)
-    return _binomial(a, shifts[i], units[j] - units[i], 1)
-
-
-def p_permute(a, perm):
-    # x_i -> x_{perm[i]} (0-based); perm must be a bijection
+def _permute_fields(a, perm):
+    # exponent field i moves to field perm[i]
     top, shifts, _ = _layout(len(perm))
     moves = [(s, shifts[p]) for s, p in zip(shifts, perm)]
     res = {}
@@ -243,8 +261,19 @@ def p_permute(a, perm):
     return res
 
 
+def p_permute(a, perm):
+    """Substitute h_i -> h_{perm[i]} (0-based); perm must be a bijection.
+    When perm fixes h_n it permutes x_1 ... x_{n-1} alike; otherwise a
+    goes through h."""
+    n = len(perm)
+    if perm[-1] == n - 1:
+        return _permute_fields(a, perm)
+    return _recoordinate(n, _permute_fields(_recoordinate(n, a, -1), perm),
+                         1)
+
+
 def p_negate(n, a):
-    # x_i -> -x_i for all i
+    # h_i -> -h_i for all i, which is x_i -> -x_i for all i
     top = _layout(n)[0]
     return {m: -c if (m >> top) & 1 else c for m, c in a.items()}
 
@@ -259,12 +288,12 @@ def _mono_value(n, m, point):
 
 @lru_cache(maxsize=None)
 def _probes(n):
-    """For each of PROBE_POINTS, its first n coordinates and the memo of
-    rank n from packed monomial to its value there; none above 16
-    variables."""
+    """For each of PROBE_POINTS, the x-coordinates of its first n
+    coordinates and the memo of rank n from packed monomial to its value
+    there; none above 16 variables."""
     if n > len(PROBE_POINTS[0]):
         return ()
-    return tuple((pt[:n], {}) for pt in PROBE_POINTS)
+    return tuple((_x_point(pt[:n]), {}) for pt in PROBE_POINTS)
 
 
 def _probe_value(n, a, probe):
@@ -280,21 +309,42 @@ def _probe_value(n, a, probe):
 
 
 def p_eval(a, point):
-    """a at point, one integer per variable."""
+    """a at point, one integer per variable h_i."""
     n = len(point)
+    point = _x_point(point)
     return sum(c * _mono_value(n, m, point) for m, c in a.items())
 
 
-def p_slices(n, a, i):
-    """a as a polynomial in x_i over the other variables: one dict per
-    monomial in the others, in order of first appearance, from the power
-    of x_i to the coefficient."""
+def p_family_slices(n, a, i, j):
+    """The factor search's view of a for the family forms h_i - h_j + k
+    (0-based i < j) or, when j is None, h_i + k.
+
+    A unimodular substitution takes each of these forms to t + k, t one
+    stored variable, so such a form divides a only if -k is a root of
+    every univariate slice of a's image in t.  Returns those slices, one
+    dict from power of t to coefficient per monomial in the other
+    variables, or [] when a lacks a variable of the forms.
+    """
     _, shifts, units = _layout(n)
-    s, u = shifts[i], units[i]
+    last = n - 1
+    if j is None:
+        v, s = (None, 0) if i == last else (last, 1)    # x_i + x_n + k
+    else:
+        v, s = (None, 0) if j == last else (j, -1)      # x_i - x_j + k
+    seen = 0
+    for m in a:
+        seen |= m
+    si, ui = shifts[i], units[i]
+    if not (seen >> si) & _MASK:
+        return []
+    if v is not None:
+        if not (seen >> shifts[v]) & _MASK:
+            return []
+        a = _binomial(a, si, units[v] - ui, -s)         # x_i -> x_i - s x_v
     slices = {}
     for m, c in a.items():
-        e = (m >> s) & _MASK
-        slices.setdefault(m - e * u, {})[e] = c
+        e = (m >> si) & _MASK
+        slices.setdefault(m - e * ui, {})[e] = c
     return list(slices.values())
 
 
@@ -345,34 +395,68 @@ def _mono_str(exp, c):
     return ("-" if c < 0 else "+") + body
 
 
-def p_str(n, a):
-    """Text of a in the variables h1, h2, ..., terms in descending grlex
-    order."""
+def p_str(n, a, facs=(), group=False):
+    """Text of a times the product of the family forms facs ((key,
+    multiplicity) pairs) in the variables h1, h2, ..., terms in
+    descending grlex order; with group, a text of more than one term is
+    put in parentheses.
+
+    The product's degree is checked before any product is formed.  The
+    powers of a bare h_i multiply the text's h-monomials last, one add
+    each, so h1^100000000 prints at once."""
+    units = _layout(n)[2]
+    _check_degree(p_degree(n, a) + sum(power for _, power in facs))
+    step = 0
+    for key, power in facs:
+        i, j, k = _FACTORS[key][3]
+        if j is None and not k:
+            step += power * units[i]
+        else:
+            a = p_mul_family(a, key, power)
     if not a:
         return "0"
-    return "".join(_mono_str(_unpack(n, m), c)
+    a = _recoordinate(n, a, -1)
+    text = "".join(_mono_str(_unpack(n, m + step), c)
                    for m, c in sorted(a.items(), reverse=True)
                    ).removeprefix("+")
+    return f"({text})" if group and len(a) > 1 else text
 
 
 # The factor table: a factor key is an index into _FACTORS, handed out in
-# first-use order, and _IDS maps a canonical tuple to its index.  Each
-# entry is (packed polynomial, values at PROBE_POINTS, linear form, family
-# triple, rank, canonical tuple); the polynomial is shared by every caller
-# and never changed.
+# first-use order; _IDS maps a canonical tuple and _BY_POLY the rank and
+# the packed terms of a stored polynomial to its index.  Each entry is
+# (packed polynomial, values at PROBE_POINTS, stored linear form, family
+# triple, rank, canonical tuple, linear form in h, family plan); the
+# polynomial is shared by every caller and never changed.
 _FACTORS = []
 _IDS = {}
+_BY_POLY = {}
+
+
+def _canon(n, poly):
+    # (exponent tuple, coefficient) pairs in descending grlex order
+    return tuple((_unpack(n, m), c)
+                 for m, c in sorted(poly.items(), reverse=True))
 
 
 def _intern(n, canon):
     key = _IDS.get(canon)
     if key is None:
-        poly = {_pack(n, e): c for e, c in canon}
-        form = _linear(canon)
-        key = _IDS[canon] = len(_FACTORS)
+        poly = _recoordinate(n, {_pack(n, e): c for e, c in canon}, 1)
+        form, hform = _linear(_canon(n, poly)), _linear(canon)
+        family = _family(hform)
+        plan = None
+        if family is not None:
+            # x_i + c x_j + k, with the units of x_i and x_j
+            i, _, tail, k = form
+            top, _, units = _layout(n)
+            j, c = tail[0] if tail else (None, 0)
+            plan = top, units[i], None if j is None else units[j], c, k
+        key = _IDS[canon] = _BY_POLY[n, frozenset(poly.items())] = len(
+            _FACTORS)
         _FACTORS.append((
             poly, tuple(_probe_value(n, poly, probe) for probe in _probes(n)),
-            form, _family(form), n, canon))
+            form, family, n, canon, hform, plan))
     return key
 
 
@@ -380,20 +464,22 @@ def fac_key(n, poly):
     """The key of a factor polynomial: a small int, the same for equal
     polynomials within one process.  Ids follow first use, so order and
     print keys by their canonical tuple (``fac_tuple``), never by id."""
-    return _intern(n, tuple((_unpack(n, m), c)
-                            for m, c in sorted(poly.items(), reverse=True)))
+    key = _BY_POLY.get((n, frozenset(poly.items())))
+    if key is None:
+        key = _intern(n, _canon(n, _recoordinate(n, poly, -1)))
+    return key
 
 
 def fac_tuple(key):
     """The canonical tuple of key: its (exponent tuple, coefficient) pairs
-    in descending grlex order.  Keys sort and print by it."""
+    in h, in descending grlex order.  Keys sort and print by it."""
     return _FACTORS[key][5]
 
 
 def _linear(canon):
-    # (i, a, tail, k) when canon is a*x_i + r, x_i its grlex-leading
-    # variable and r the sum of c*x_j over (j, c) in tail, plus k;
-    # None when canon is not of degree 1
+    # (i, a, tail, k) when canon is a*v_i + r, v_i its grlex-leading
+    # variable and r the sum of c*v_j over (j, c) in tail, plus k;
+    # None when canon is not of degree 1 (v is x or h, as canon is)
     if not canon or sum(canon[0][0]) != 1:
         return None
     (lead, a), *rest = canon
@@ -403,7 +489,8 @@ def _linear(canon):
 
 
 def _family(form):
-    # (i, j, k) when form is x_i - x_j + k (i < j) or x_i + k (j None)
+    # (i, j, k) when the h-form is h_i - h_j + k (i < j) or h_i + k (j
+    # None)
     if form is None:
         return None
     i, a, tail, k = form
@@ -424,7 +511,7 @@ def fac_poly(key):
 
 
 def fac_form(nvars, i, j, k):
-    """The key of x_i - x_j + k (i < j, 0-based), or of x_i + k when j is
+    """The key of h_i - h_j + k (i < j, 0-based), or of h_i + k when j is
     None."""
     return fac_key(nvars, p_sum((p_var(nvars, i), p_const(nvars, k),
                                  {} if j is None else p_var(nvars, j, -1))))
@@ -434,8 +521,8 @@ def fac_form(nvars, i, j, k):
 # (s, key2): the automorphism maps f to s times the form named by key2.
 
 def fac_shift(key, deltas):
-    """x_i -> x_i + deltas[i]: l(x) + k maps to l(x) + k + l(deltas)."""
-    _, _, (i, a, tail, k), _, n, canon = _FACTORS[key]
+    """h_i -> h_i + deltas[i]: l(h) + k maps to l(h) + k + l(deltas)."""
+    _, _, _, _, n, canon, (i, a, tail, k), _ = _FACTORS[key]
     k2 = k + a * deltas[i] + sum(c * deltas[j] for j, c in tail)
     if k2 == k:
         return 1, key
@@ -446,13 +533,13 @@ def fac_shift(key, deltas):
 
 
 def fac_negate(key):
-    """x_i -> -x_i: l(x) + k maps to -l(x) + k = -(l(x) - k)."""
-    _, _, _, _, n, canon = _FACTORS[key]
+    """h_i -> -h_i: l(h) + k maps to -l(h) + k = -(l(h) - k)."""
+    _, _, _, _, n, canon, _, _ = _FACTORS[key]
     return -1, _intern(n, tuple((e, c if any(e) else -c) for e, c in canon))
 
 
 def fac_permute(key, perm):
-    """x_i -> x_{perm[i]} (see p_permute)."""
+    """h_i -> h_{perm[i]} (see p_permute)."""
     poly = p_permute(_FACTORS[key][0], perm)
     if p_lead(poly)[1] > 0:
         return 1, fac_key(len(perm), poly)
@@ -461,16 +548,14 @@ def fac_permute(key, perm):
 
 def p_mul_family(a, key, m):
     """a times the m-th power (m >= 1) of the family form named by key
-    (see fac_family); a power of a bare h_i is one add per monomial."""
-    _, _, _, (i, j, k), n, _ = _FACTORS[key]
-    top, _, units = _layout(n)
-    ui = units[i]
+    (see fac_family): m passes that add the two or three shifted copies
+    of a, or one add per monomial for a power of h_n, which is x_n."""
+    top, ui, uj, cj, k = _FACTORS[key][7]     # x_i + cj x_j + k
     if a:
         _check_degree((max(a) >> top) + m)
-    if j is None and not k:
+    if uj is None and not k:
         step = m * ui
         return {e + step: c for e, c in a.items()}
-    uj = None if j is None else units[j]
     for _ in range(m):
         res = {e: k * c for e, c in a.items()} if k else {}
         for e, c in a.items():
@@ -482,7 +567,7 @@ def p_mul_family(a, key, m):
                 del res[ne]
             if uj is not None:
                 ne = e + uj
-                s = res.get(ne, 0) - c
+                s = res.get(ne, 0) + cj * c
                 if s:
                     res[ne] = s
                 else:
@@ -492,9 +577,9 @@ def p_mul_family(a, key, m):
 
 
 def _div_linear(a, n, form):
-    # a = (lc h_i + r) * sum_t Q_t h_i^t with form (i, lc, tail, k) (see
+    # a = (lc x_i + r) * sum_t Q_t x_i^t with form (i, lc, tail, k) (see
     # _linear), so from the top Q_{t-1} = (A_t - r Q_t) / lc, and
-    # A_0 - r Q_0 must vanish.  Coefficients in h_i are kept as dicts over
+    # A_0 - r Q_0 must vanish.  Coefficients in x_i are kept as dicts over
     # monomials whose i-th field is 0.
     if not a:
         return {}
@@ -561,7 +646,7 @@ def _cancel(num, facs, keys):
     probes = _probes(n)
     values = [_probe_value(n, num, probe) for probe in probes]
     for key in keys:
-        _, fvals, form, _, _, _ = _FACTORS[key]
+        _, fvals, form, _, _, _, _, _ = _FACTORS[key]
         m = facs[key]
         while m and not any(f and v % f for v, f in zip(values, fvals)):
             q = _div_linear(num, n, form)
@@ -582,7 +667,7 @@ def p_divexact(a, key):
     """Exact division of a by the primitive linear form named by key, or
     None when it does not divide a: first the probe, then synthetic
     division (see the module docstring)."""
-    _, fvals, form, _, n, _ = _FACTORS[key]
+    _, fvals, form, _, n, _, _, _ = _FACTORS[key]
     if any(f and _probe_value(n, a, probe) % f
            for f, probe in zip(fvals, _probes(n))):
         return None

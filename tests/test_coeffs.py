@@ -437,6 +437,41 @@ def test_probed_factor_split_matches_trial_division():
         assert _linear_family_factors(n, prim) == _trial_factors(n, prim)
 
 
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_factor_search_ignores_insertion_order(data):
+    # the same polynomial with its terms inserted in another order gives
+    # the same cofactor and factor list, and the same factor key
+    import hdeform.kernel as K
+    from hdeform.coeffs import _linear_family_factors
+    n = data.draw(st.integers(2, 4))
+    poly = K.p_const(n, data.draw(st.sampled_from([1, 2, 3])))
+    for _ in range(data.draw(st.integers(1, 4))):
+        i, j = data.draw(st.permutations(range(n)))[:2]
+        fac = K.p_add(K.p_var(n, i), K.p_const(n, data.draw(st.integers(-9, 9))))
+        if data.draw(st.booleans()):
+            fac = K.p_sub(fac, K.p_var(n, j))
+        poly = K.p_mul(poly, fac)
+    if data.draw(st.booleans()):
+        # a cofactor with no linear factor
+        h = K.p_var(n, data.draw(st.integers(0, n - 1)))
+        poly = K.p_mul(poly, K.p_add(K.p_mul(h, h), K.p_const(n, 1)))
+    _, _, prim = K.p_primitive_sign(poly)
+    other = dict(data.draw(st.permutations(list(prim.items()))))
+    assert _linear_family_factors(n, other) == _linear_family_factors(n, prim)
+    assert K.fac_key(n, other) == K.fac_key(n, prim)
+
+
+def test_difference_values_carry_no_last_variable():
+    # stored in x_i = h_i - h_n, a function of differences is short: a
+    # polynomial in h1 - h2 of degree d has d + 1 terms, not about d^2/2
+    assert len(parse(2, "(h1-h2)^5+1").cof) == 2
+    assert len(parse(3, "(h1-h3)^4*(h2-h3)+(h1-h2)^2+1").cof) == 5
+    # h1 alone is x1 + x2
+    assert len(parse(2, "(h1-h2)^5+h1").cof) == 3
+
+
 # -- trial division of only the factors that can cancel ----------------------
 
 def _rep(f):
@@ -578,13 +613,15 @@ def test_arithmetic_matches_trial_of_every_factor(a, b, alpha, perm):
 
 def _fold_reference_add(n, terms):
     """The left fold of _reference_add, each partial sum kept as its
-    reference representation."""
+    reference representation, with the fields serialize reads: the
+    expanded numerator as the cofactor and the denominator as the map."""
     from types import SimpleNamespace
     acc = SimpleNamespace(n=n, num={}, dint=1, dfac=(), is_zero=True)
     for t in terms:
         num, dint, dfac = _reference_add(acc, t)
         acc = SimpleNamespace(n=n, num=num, dint=dint, dfac=dfac,
-                              is_zero=not num)
+                              is_zero=not num, content=1, cof=num,
+                              fac={key: -m for key, m in dfac})
     return acc
 
 

@@ -2,20 +2,21 @@
 
 Exact division: every divisor is a primitive linear form, rejected by
 evaluation at the probe points or divided by synthetic division, and
-checked against the schoolbook division.  The packed monomials: every
-routine that reads or moves an exponent agrees, values and insertion
-order, with the same routine on a dict from exponent tuples, and a
-product whose degree would not fit its field raises.
+checked against the schoolbook division.  The packed monomials in the
+kernel's coordinates: every routine that reads or moves an exponent
+gives the value, text and canonical tuple that the same routine gives
+on a dict from exponent tuples in h, and a product whose degree would
+not fit its field raises.
 
-The references work on dicts from exponent tuples to coefficients;
-``packed`` builds the kernel's polynomial of such a dict through the
-kernel's constructors, and ``tuples`` reads one back as the canonical
-tuple of its factor key (``fac_tuple``), so no test knows the packed
-layout."""
+The references work on dicts from exponent tuples in h to
+coefficients; ``packed`` builds the kernel's polynomial of such a dict
+through the kernel's constructors, and ``tuples`` reads one back as the
+canonical tuple of its factor key (``fac_tuple``), so no test knows the
+packed layout or the stored coordinates."""
 
 import random
 from itertools import product
-from math import comb
+from math import comb, gcd
 
 import pytest
 from hypothesis import given, settings
@@ -416,7 +417,7 @@ def substitution_case(draw):
 @settings(max_examples=300, deadline=None)
 @given(substitution_case())
 def test_substitutions_agree_with_evaluation(case):
-    # x -> x + d and x_i -> x_i + x_j, checked against p_eval alone
+    # h -> h + d, checked against p_eval alone
     (i, j, k), poly, deltas, pt = case
     nvars = len(pt)
     assert K.fac_family(K.fac_form(nvars, i, j, k)) == (i, j, k)
@@ -424,13 +425,32 @@ def test_substitutions_agree_with_evaluation(case):
     assert all(shifted.values())
     assert K.p_eval(shifted, pt) == K.p_eval(
         poly, [x + d for x, d in zip(pt, deltas)])
-    if j is not None:
-        for s, t in ((i, j), (j, i)):
-            moved = list(pt)
-            moved[s] += pt[t]
-            sub = K.p_add_var(nvars, poly, s, t)
-            assert all(sub.values())
-            assert K.p_eval(sub, pt) == K.p_eval(poly, moved)
+
+
+def common_root(slices, r):
+    """True when r is a root of every slice of a nonempty list."""
+    return bool(slices) and all(
+        sum(c * r ** e for e, c in sl.items()) == 0 for sl in slices)
+
+
+@settings(max_examples=100, deadline=None)
+@given(substitution_case())
+def test_family_slices_find_exactly_the_family_divisors(case):
+    # -k is a common root of p_family_slices(a, i, j) exactly when the
+    # family form h_i - h_j + k (h_i + k for j None) divides a
+    (i, j, k), poly, deltas, _ = case
+    nvars = len(deltas)
+    if not poly:
+        poly = K.p_const(nvars, 3)
+    multiple = K.p_mul(poly, K.fac_poly(K.fac_form(nvars, i, j, k)))
+    assert common_root(K.p_family_slices(nvars, multiple, i, j), -k)
+    for a in (poly, multiple):
+        for s in range(nvars):
+            for t in [None, *range(s + 1, nvars)]:
+                slices = K.p_family_slices(nvars, a, s, t)
+                for r in range(-6, 7):
+                    divides = K.p_divexact(a, K.fac_form(nvars, s, t, r))
+                    assert common_root(slices, -r) == (divides is not None)
 
 
 @st.composite
@@ -606,13 +626,6 @@ def t_eval(a, point):
     return total
 
 
-def t_slices(a, i):
-    slices = {}
-    for exp, c in a.items():
-        slices.setdefault(exp[:i] + exp[i + 1:], {})[exp[i]] = c
-    return list(slices.values())
-
-
 def t_str(a):
     if not a:
         return "0"
@@ -647,53 +660,46 @@ def tuple_polys(draw, n, max_size=6):
 @st.composite
 def packed_case(draw):
     """A rank 1-5, two tuple polynomials, a family triple, a power, a
-    shift vector, a permutation, an integer point and two variables."""
+    shift vector, a permutation and an integer point."""
     n = draw(st.integers(min_value=1, max_value=5))
     i = draw(st.integers(min_value=0, max_value=n - 1))
     j = None
     if i + 1 < n and draw(st.booleans()):
         j = draw(st.integers(min_value=i + 1, max_value=n - 1))
     ints = st.lists(st.integers(-9, 9), min_size=n, max_size=n)
-    pair = draw(st.permutations(range(n)))[:2]
     return (n, draw(tuple_polys(n)), draw(tuple_polys(n)),
             (i, j, draw(st.integers(-5, 5))), draw(st.integers(1, 3)),
-            draw(ints), draw(st.permutations(range(n))), draw(ints), pair)
+            draw(ints), draw(st.permutations(range(n))), draw(ints))
 
 
 @settings(max_examples=300, deadline=None)
 @given(packed_case())
 def test_packed_kernel_matches_exponent_tuples(case):
-    n, a, b, (i, j, k), m, deltas, perm, point, pair = case
+    n, a, b, (i, j, k), m, deltas, perm, point = case
     pa, pb = packed(n, a), packed(n, b)
 
     def same(poly, ref):
-        # equal terms, inserted in the same order
-        assert list(poly.items()) == list(packed(n, ref).items())
+        # the same terms, text and value as the reference in h
+        assert K.fac_tuple(K.fac_key(n, poly)) == t_key(ref)
+        assert K.p_str(n, poly) == t_str(ref)
+        assert K.p_eval(poly, point) == t_eval(ref, point)
 
+    same(pa, a)
     same(K.p_mul(pa, pb), t_mul(a, b))
     same(K.p_mul_family(pa, K.fac_form(n, i, j, k), m),
          t_mul_family(a, i, j, k, m))
     same(K.p_shift(pa, deltas), t_shift(a, deltas))
-    if n > 1:
-        s, t = pair
-        same(K.p_add_var(n, pa, s, t), t_binomial(a, s, t, 1))
     same(K.p_permute(pa, perm), t_permute(a, perm))
     same(K.p_negate(n, pa),
          {e: -c if sum(e) % 2 else c for e, c in a.items()})
-    assert K.p_eval(pa, point) == t_eval(a, point)
-    for pt, memo in K._probes(n):
-        assert K.p_eval(pa, pt) == K._probe_value(n, pa, (pt, memo)) \
-            == t_eval(a, pt)
-    assert K.p_str(n, pa) == t_str(a)
-    assert K.fac_tuple(K.fac_key(n, pa)) == t_key(a)
-    assert K.p_slices(n, pa, i) == t_slices(a, i)
+    for pt, probe in zip(K.PROBE_POINTS, K._probes(n)):
+        assert K._probe_value(n, pa, probe) == t_eval(a, pt[:n])
+    assert K.p_content(pa) == gcd(*a.values())
     if a:
-        lead, c = K.p_lead(pa)
-        assert K.fac_tuple(K.fac_key(n, {lead: c})) \
-            == ((t_lead(a), a[t_lead(a)]),)
+        # the change of coordinates keeps the grlex lead and the degree
+        lead = t_lead(a)
+        assert K.p_lead(pa) == K.p_lead(packed(n, {lead: a[lead]}))
         assert K.p_degree(n, pa) == max(map(sum, a))
-        assert K.p_vars(n, pa) == {v for e in a for v, x in enumerate(e)
-                                   if x}
 
 
 def test_int_order_is_grlex_order():
@@ -708,10 +714,11 @@ LIMIT = 2**32 - 1       # the largest degree a monomial field holds
 
 def test_degree_guard_raises_instead_of_wrapping():
     for n in (1, 2, 5):
-        key = K.fac_form(n, 0, None, 0)
+        # h_n is a stored variable, so its power is one monomial
+        key = K.fac_form(n, n - 1, None, 0)
         top = K.p_mul_family(K.p_one(n), key, LIMIT)
         assert K.p_degree(n, top) == LIMIT
-        assert K.p_str(n, top) == f"h1^{LIMIT}"
+        assert K.p_str(n, top) == f"h{n}^{LIMIT}"
         with pytest.raises(ResourceLimitError, match=str(LIMIT + 1)):
             K.p_mul_family(K.p_one(n), key, LIMIT + 1)
         with pytest.raises(ResourceLimitError, match=str(LIMIT + 1)):
