@@ -111,12 +111,6 @@ class Element:
                 res[w] = s
         return Element(self.alg, res)
 
-    def times_int(self, k):
-        if k == 0:
-            return self.alg.zero()
-        kc = RatFun.const(self.alg.n, k)
-        return Element(self.alg, {w: c * kc for w, c in self.terms.items()})
-
     # -- multiplication --------------------------------------------------------
 
     def __mul__(self, other):

@@ -7,6 +7,8 @@ Subcommands:
   normal-form  normal-order an expression in the deformed Weyl algebra
 
 Exit codes: 0 all checks pass, 1 an identity failed, 2 usage or parse error.
+The --out file is opened before any work, so a path that cannot be
+written (a missing directory, a directory) is a usage error.
 The HDEFORM_MAX_TERMS environment variable caps the number of monomials
 any single coefficient or element may hold (0 = unlimited), and
 HDEFORM_MAX_REWRITES caps the steps of the rewrite engine; a value of
@@ -16,6 +18,7 @@ either that is not a nonnegative integer is a usage error.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import importlib
 import json
 import re
@@ -23,7 +26,7 @@ import sys
 import time
 
 from .errors import HdeformError, ParseError, UsageError
-from .report import SuiteReport, failure, render_reports
+from .report import failure, render_reports
 
 GUARD_N = 6
 GUARD_COPIES = 4
@@ -145,16 +148,14 @@ def cmd_verify(args):
             results = pool.map(run_unit, [task for _, task in units])
     else:
         results = [run_unit(task) for _, task in units]
-    reports = [SuiteReport(
-        suite=name,
-        config={"n": args.n, "copies": args.copies_weyl,
-                "statistics": args.stats,
-                "braided_copies": args.copies, "power": args.power},
-        failures=failures,
-        wall_time_s=elapsed)
-        for (name, _task), (failures, elapsed) in zip(units, results)]
-    _emit(args, render_reports(reports, time.time() - t_all))
-    return 1 if any(r.failures for r in reports) else 0
+    config = {"n": args.n, "copies": args.copies_weyl,
+              "statistics": args.stats, "braided_copies": args.copies,
+              "power": args.power}
+    _emit(args, render_reports(
+        [(name, config, failures, elapsed)
+         for (name, _task), (failures, elapsed) in zip(units, results)],
+        time.time() - t_all))
+    return 1 if any(failures for failures, _ in results) else 0
 
 
 def cmd_relations(args):
@@ -236,11 +237,19 @@ def cmd_normal_form(args):
 
 
 def _emit(args, text):
-    if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(text + "\n")
-    else:
-        print(text)
+    print(text, file=args.stream)
+
+
+def _open_out(path):
+    """The stream the output goes to: standard output, or the file path,
+    opened before any work, so that a path that cannot be written is a
+    usage error and not a traceback after every check has run."""
+    if not path:
+        return contextlib.nullcontext(sys.stdout)
+    try:
+        return open(path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise UsageError(f"cannot write --out {path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -252,8 +261,11 @@ def build_parser():
         prog="hdeform",
         description="Exact calculus in h-deformed differential-operator "
                     "algebras and the reflection-equation algebra.",
-        epilog="Environment: HDEFORM_MAX_TERMS caps coefficient and element "
-               "size; HDEFORM_MAX_REWRITES caps rewrite steps.")
+        epilog="Exit codes: 0 pass, 1 an identity failed, 2 usage or parse "
+               "error; an --out path that cannot be written is a usage "
+               "error, reported before any work.  Environment: "
+               "HDEFORM_MAX_TERMS caps coefficient and element size; "
+               "HDEFORM_MAX_REWRITES caps rewrite steps.")
     sub = p.add_subparsers(dest="command", required=True)
 
     # each subcommand declares the options it reads: --n, --out, --force
@@ -320,7 +332,8 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        with _open_out(args.out) as args.stream:
+            return args.func(args)
     except UsageError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -313,7 +313,8 @@ def _cancel(cof, fac, keys):
     raised in place.  Returns the quotient."""
     if not keys or _p_is_const(cof):
         return cof
-    cof, left = K.p_cancel(cof, {key: -fac[key] for key in keys}, keys)
+    left = {key: -fac[key] for key in keys}
+    cof = K.p_cancel(cof, left)
     for key in keys:
         m = left.get(key)
         if m:
@@ -400,7 +401,7 @@ class RatFun:
             facs = dict(items)
             if dint < 0:
                 content, dint = -content, -dint
-            cof, facs = K.p_cancel(cof, facs, facs)
+            cof = K.p_cancel(cof, facs)
             fac = {key: -m for key, m in facs.items()}
         return cls._new(n, content, fac, cof, dint)
 
@@ -556,7 +557,7 @@ class RatFun:
                 fac[key] = -m
             else:
                 rest.append((key, -m))
-        cof = _expand(1, _p_one(n), sorted(rest, key=_by_form))
+        cof = _expand(1, _p_one(n), rest)
         if not _p_is_const(self.cof):
             for key, m in _split_denominator(n, self.cof)[1]:
                 fac[key] = fac.get(key, 0) - m
@@ -720,9 +721,10 @@ def add_many(n, terms):
     if not bracket:
         return RatFun.zero(n)
     c, sign, cof = K.p_primitive_sign(bracket)
-    trial = [key for key, k in top.items() if k > 1]
+    trial = {key: facs.pop(key) for key, k in top.items() if k > 1}
     if trial and not _p_is_const(cof):
-        cof, facs = K.p_cancel(cof, facs, trial)
+        cof = K.p_cancel(cof, trial)
+    facs.update(trial)
     for key, m in facs.items():
         common[key] = -m
     return RatFun._new(n, c * sign, common, cof, dint)
@@ -753,11 +755,6 @@ def sum_parts(n, acc, more):
 # ---------------------------------------------------------------------------
 # special elements of the coefficient ring
 # ---------------------------------------------------------------------------
-
-def hvar(n, i):
-    """h_i."""
-    return RatFun.var(n, i)
-
 
 @stored
 def hdiff(n, i, j):

@@ -10,8 +10,8 @@ triangular with x_n last, so the grlex-leading exponent and
 coefficient, the content and the degree are those in h.  Only the
 boundary converts: ``p_var``, the factor table, ``p_eval`` and the
 probe points on the way in, ``p_str`` on the way out, ``p_shift`` by
-``(d_i - d_n, d_n)`` and ``p_permute`` when it moves h_n; ``fac_tuple``
-and ``fac_family`` speak of h.  No result depends on the order in which
+``(d_i - d_n, d_n)`` and ``p_permute`` through h; ``fac_tuple`` and
+``fac_family`` speak of h.  No result depends on the order in which
 a dict's terms were inserted.
 
 A polynomial is a dict mapping monomials to nonzero Python ints.  A
@@ -27,7 +27,8 @@ reads a field takes ``n`` (``p_family_slices``, ``p_negate``,
 (``p_shift`` and ``p_eval`` from the length of the vector,
 ``p_permute`` from the permutation, ``p_mul_family``, ``p_cancel`` and
 ``p_divexact`` from the key's table entry).  No function mutates its
-arguments, and the only state is the memos and the factor table.  This
+arguments except ``p_cancel``, which lowers the multiplicities it is
+given, and the only state is the memos and the factor table.  This
 module is the only one that packs or unpacks a monomial, and the only
 one that knows the layout of a factor key (``fac_key``): callers build,
 read, substitute, sum and print polynomials and keys through the
@@ -42,10 +43,10 @@ depend on the order of first use, so keys sort and print through their
 canonical tuples and never by id.  ``fac_key`` finds a stored factor by
 its packed terms and builds the canonical tuple only for a new one.
 The table, filled on first use, holds for each key its packed
-polynomial, its values at ``PROBE_POINTS``, its rank, its canonical
-tuple and, for a primitive linear form ``a*x_i + r`` (``x_i`` its
-grlex-leading variable, ``a > 0``, ``r`` linear in the other variables
-plus a constant), the form's ``(i, a, r)`` in both coordinates; for a
+polynomial, its rank, its canonical tuple and, for a primitive linear
+form ``a*x_i + r`` (``x_i`` its grlex-leading variable, ``a > 0``, ``r``
+linear in the other variables plus a constant), its values at
+``PROBE_POINTS`` and the form's ``(i, a, r)`` in both coordinates; for a
 family form ``h_i - h_j + k`` (i < j) or ``h_i + k`` it also holds the
 triple ``(i, j, k)`` (j None for ``h_i + k``) and the units of its
 stored form, so ``p_mul_family`` multiplies by it as two or three
@@ -53,19 +54,21 @@ shifted copies of the multiplicand (a power of the bare x_n as one add
 per monomial).
 
 Every divisor is a primitive linear form, named by its key, and one
-routine divides by it.  ``p_divexact`` first rejects by evaluation: if
-the form ``b`` divides ``a`` in Z[h] then ``b(pt)`` divides ``a(pt)`` at
-every integer point, so a point of ``PROBE_POINTS`` where ``b(pt)`` is
-nonzero and does not divide ``a(pt)`` proves that ``b`` does not divide
-``a``.  The value of each monomial at each probe point is kept, one
-memo per rank and point, so a probe costs a lookup per term.  A
-division that passes is synthetic division in ``x_i``: grouped by powers
-of ``x_i``, the dividend's coefficients are polynomials in the other
-variables, each quotient coefficient is the next dividend coefficient
-minus ``r`` times the previous one, divided by ``a``, and the division
-is exact when each of these divisions by ``a`` is exact and the last
-remainder is zero.  ``p_cancel`` probes a numerator once for a whole run
-of trial divisions and carries its values through the quotients.
+routine divides by it: ``p_cancel`` trial-divides by the forms its
+caller names, and ``p_divexact`` is its one-try case.  It first
+rejects by evaluation: if the form ``b`` divides ``a`` in Z[h] then
+``b(pt)`` divides ``a(pt)`` at every integer point, so a point of
+``PROBE_POINTS`` where ``b(pt)`` is nonzero and does not divide
+``a(pt)`` proves that ``b`` does not divide ``a``.  The value of each
+monomial at each probe point is kept, one memo per rank and point, so a
+probe costs a lookup per term.  A division that passes is synthetic
+division in ``x_i``: grouped by powers of ``x_i``, the dividend's
+coefficients are polynomials in the other variables, each quotient
+coefficient is the next dividend coefficient minus ``r`` times the
+previous one, divided by ``a``, and the division is exact when each of
+these divisions by ``a`` is exact and the last remainder is zero.  The
+numerator is probed once for a whole run of trial divisions, and its
+values are carried through the quotients.
 """
 
 from functools import lru_cache
@@ -75,12 +78,12 @@ from ..errors import ResourceLimitError
 
 BACKEND = "python"
 
-# Integer points in h at which the factor table evaluates each factor, and
-# p_divexact and p_cancel the dividend, before dividing; a rank-n
-# polynomial is evaluated at their first n coordinates.  Coordinates lie
-# hundreds apart, so a linear form h_i - h_j + k or h_i + k with a small
-# offset k takes a large nonzero value at each point.  Polynomials in more
-# variables than a point has coordinates are not probed.
+# Integer points in h at which the factor table evaluates each linear
+# form, and p_cancel the dividend, before dividing; a rank-n polynomial is
+# evaluated at their first n coordinates.  Coordinates lie hundreds apart,
+# so a linear form h_i - h_j + k or h_i + k with a small offset k takes a
+# large nonzero value at each point.  Polynomials in more variables than a
+# point has coordinates are not probed.
 PROBE_POINTS = (
     tuple(1000 + 211 * i + 37 * i * i for i in range(16)),
     tuple(3001 + 433 * i + 61 * i * i for i in range(16)),
@@ -212,16 +215,22 @@ def p_mul(a, b):
 def _binomial(a, shift, step, d):
     # substitute x_i -> x_i + d, or x_i -> x_i + d x_j, where shift is the
     # shift of e_i's field and step moves one unit of degree from x_i
-    # (-u_i, or u_j - u_i): x_i^e becomes sum_t comb(e, t) x_i^t
-    # (d x_j)^(e - t)
+    # (-u_i, or u_j - u_i): x_i^e becomes sum_s comb(e, s) d^s x_i^(e - s)
+    # x_j^s, one row of (s * step, comb(e, s) d^s) per exponent e, made
+    # once per call
     res = {}
+    rows = {}
     for m, c in a.items():
         e = (m >> shift) & _MASK
-        for t in range(e + 1):
-            ne = m if t == e else m + (e - t) * step
-            s = res.get(ne, 0) + c * comb(e, t) * d ** (e - t)
-            if s:
-                res[ne] = s
+        row = rows.get(e)
+        if row is None:
+            row = rows[e] = [(s * step, comb(e, s) * d ** s)
+                             for s in range(e, -1, -1)]
+        for off, w in row:
+            ne = m + off
+            v = res.get(ne, 0) + c * w
+            if v:
+                res[ne] = v
             else:
                 res.pop(ne, None)
     return res
@@ -248,28 +257,19 @@ def p_shift(a, deltas):
     return dict(res) if res is a else res
 
 
-def _permute_fields(a, perm):
-    # exponent field i moves to field perm[i]
-    top, shifts, _ = _layout(len(perm))
+def p_permute(a, perm):
+    """Substitute h_i -> h_{perm[i]} (0-based); perm must be a bijection.
+    a goes through h, where exponent field i moves to field perm[i]."""
+    n = len(perm)
+    top, shifts, _ = _layout(n)
     moves = [(s, shifts[p]) for s, p in zip(shifts, perm)]
     res = {}
-    for m, c in a.items():
+    for m, c in _recoordinate(n, a, -1).items():
         ne = m >> top << top
         for s, t in moves:
             ne |= ((m >> s) & _MASK) << t
         res[ne] = c
-    return res
-
-
-def p_permute(a, perm):
-    """Substitute h_i -> h_{perm[i]} (0-based); perm must be a bijection.
-    When perm fixes h_n it permutes x_1 ... x_{n-1} alike; otherwise a
-    goes through h."""
-    n = len(perm)
-    if perm[-1] == n - 1:
-        return _permute_fields(a, perm)
-    return _recoordinate(n, _permute_fields(_recoordinate(n, a, -1), perm),
-                         1)
+    return _recoordinate(n, res, 1)
 
 
 def p_negate(n, a):
@@ -280,7 +280,8 @@ def p_negate(n, a):
 
 def _mono_value(n, m, point):
     v = 1
-    for x, e in zip(point, _unpack(n, m)):
+    for x, s in zip(point, _layout(n)[1]):
+        e = (m >> s) & _MASK
         if e:
             v *= x ** e
     return v
@@ -426,7 +427,8 @@ def p_str(n, a, facs=(), group=False):
 # first-use order; _IDS maps a canonical tuple and _BY_POLY the rank and
 # the packed terms of a stored polynomial to its index.  Each entry is
 # (packed polynomial, values at PROBE_POINTS, stored linear form, family
-# triple, rank, canonical tuple, linear form in h, family plan); the
+# triple, rank, canonical tuple, linear form in h, family plan), the
+# probe values and the forms None unless the polynomial has degree 1; the
 # polynomial is shared by every caller and never changed.
 _FACTORS = []
 _IDS = {}
@@ -443,7 +445,12 @@ def _intern(n, canon):
     key = _IDS.get(canon)
     if key is None:
         poly = _recoordinate(n, {_pack(n, e): c for e, c in canon}, 1)
-        form, hform = _linear(_canon(n, poly)), _linear(canon)
+        # the change of coordinates keeps the degree, and only a form of
+        # degree 1 is a divisor: others get no stored form or probe values
+        hform = _linear(canon)
+        form = hform and _linear(_canon(n, poly))
+        fvals = hform and tuple(_probe_value(n, poly, pt)
+                                for pt in _probes(n))
         family = _family(hform)
         plan = None
         if family is not None:
@@ -454,9 +461,7 @@ def _intern(n, canon):
             plan = top, units[i], None if j is None else units[j], c, k
         key = _IDS[canon] = _BY_POLY[n, frozenset(poly.items())] = len(
             _FACTORS)
-        _FACTORS.append((
-            poly, tuple(_probe_value(n, poly, probe) for probe in _probes(n)),
-            form, family, n, canon, hform, plan))
+        _FACTORS.append((poly, fvals, form, family, n, canon, hform, plan))
     return key
 
 
@@ -622,30 +627,25 @@ def _div_linear(a, n, form):
         cur = nxt
 
 
-def p_cancel(num, facs, keys):
-    """Divide num by the factors named in keys, each as often as it
-    divides and at most its multiplicity in facs (a dict from the key of
-    a primitive linear form to multiplicity).
+def p_cancel(num, facs):
+    """Divide num by each primitive linear form named in facs (a dict from
+    key to multiplicity), as often as it divides and at most its
+    multiplicity, and return the quotient.  facs is lowered in place; a
+    factor that cancelled fully is dropped.  Distinct primitive linear
+    forms are coprime primes, so neither the quotient nor facs depends on
+    the order of facs.
 
-    Returns the quotient and a copy of facs with those multiplicities
-    lowered; a factor that cancelled fully is dropped.
+    num is evaluated at PROBE_POINTS once, not once per trial: an exact
+    division by f turns each value v into v // f(pt), exact when
+    f(pt) != 0, and only where f(pt) == 0 is the quotient evaluated
+    again.
     """
-    facs = dict(facs)
-    return _cancel(num, facs, sorted(keys, key=fac_tuple)), facs
-
-
-def _cancel(num, facs, keys):
-    # Trial-divide num by facs[key] for each key in turn, updating facs
-    # in place.  num is evaluated at PROBE_POINTS once, not once per
-    # trial: an exact division by f turns each value v into v // f(pt),
-    # exact when f(pt) != 0, and only where f(pt) == 0 is the quotient
-    # evaluated again.
-    if not keys:
+    if not facs:
         return num
-    n = _FACTORS[keys[0]][4]
+    n = _FACTORS[next(iter(facs))][4]
     probes = _probes(n)
     values = [_probe_value(n, num, probe) for probe in probes]
-    for key in keys:
+    for key in list(facs):
         _, fvals, form, _, _, _, _, _ = _FACTORS[key]
         m = facs[key]
         while m and not any(f and v % f for v, f in zip(values, fvals)):
@@ -665,10 +665,7 @@ def _cancel(num, facs, keys):
 
 def p_divexact(a, key):
     """Exact division of a by the primitive linear form named by key, or
-    None when it does not divide a: first the probe, then synthetic
-    division (see the module docstring)."""
-    _, fvals, form, _, n, _, _, _ = _FACTORS[key]
-    if any(f and _probe_value(n, a, probe) % f
-           for f, probe in zip(fvals, _probes(n))):
-        return None
-    return _div_linear(a, n, form)
+    None when it does not divide a: the one-try case of p_cancel."""
+    facs = {key: 1}
+    q = p_cancel(a, facs)
+    return None if facs else q

@@ -1,5 +1,5 @@
-"""Verification reports: failure records, suite selection and one record
-per suite run, JSON-serializable."""
+"""Verification reports: failure records, suite selection and the JSON
+report of a run, one record per suite."""
 
 from __future__ import annotations
 
@@ -46,36 +46,17 @@ def select_units(kind, table, suite):
     return units
 
 
-class SuiteReport:
-    """The record of one suite run: its name, the options it ran under,
-    its failure records and its wall time."""
-
-    def __init__(self, suite, config, failures=None, wall_time_s=0.0):
-        self.suite = suite
-        self.config = config
-        self.failures = [] if failures is None else failures
-        self.wall_time_s = wall_time_s
-
-    @property
-    def status(self):
-        return "pass" if not self.failures else "fail"
-
-    def to_dict(self):
-        return {
-            "suite": self.suite,
-            "config": self.config,
-            "status": self.status,
-            "failures": self.failures,
-            "wall_time_s": round(self.wall_time_s, 6),
-        }
-
-
-def render_reports(reports, wall_time_s):
-    """Deterministic JSON for a list of reports and the run's total wall
-    time; the wall times are the only fields that vary between runs."""
+def render_reports(records, wall_time_s):
+    """Deterministic JSON for a run's (suite, config, failures, seconds)
+    records and its total wall time; the wall times are the only fields
+    that vary between runs."""
+    suites = [{"suite": suite, "config": config,
+               "status": "fail" if failures else "pass",
+               "failures": failures, "wall_time_s": round(seconds, 6)}
+              for suite, config, failures, seconds in records]
     payload = {
-        "status": "pass" if all(not r.failures for r in reports) else "fail",
-        "suites": [r.to_dict() for r in reports],
+        "status": "fail" if any(s["failures"] for s in suites) else "pass",
+        "suites": suites,
         "wall_time_s": round(wall_time_s, 6),
     }
     return json.dumps(payload, indent=2, sort_keys=True)

@@ -4,8 +4,9 @@ The rank-4 tensors (the exchange operator ``rhat``, its companion
 ``that``, the variant ``shat`` and the skew inverse ``psihat``) are
 sparse maps ``(i, k, j, l) -> RatFun`` with upper index pair (i, k) and
 lower pair (j, l); an absent key means the entry is zero.  Every stored
-entry has {i, k} == {j, l} as multisets, and rank-2 operators (``qplus``
-/ ``qminus`` weights and the Cartan matrix ``hmat``) are diagonal.
+entry has {i, k} == {j, l} as multisets.  The diagonal operators
+(``qplus_op`` / ``qminus_op`` weights and the Cartan matrix ``hmat``)
+are dicts ``i -> RatFun``.
 
 Checkers enumerate index tuples exhaustively and return a list of
 failure records; an empty list means the identity holds exactly.  Each
@@ -28,26 +29,13 @@ from .report import expect, select_units
 from .store import stored
 
 
-class DynTensor2:
-    """Diagonal operator: map i -> RatFun."""
-
-    __slots__ = ("n", "entries")
-
-    def __init__(self, n, entries):
-        self.n = n
-        self.entries = dict(entries)
-
-    def __getitem__(self, i):
-        return self.entries.get(i) or RatFun.zero(self.n)
-
-
 class DynTensor4:
     """Sparse rank-4 tensor over the coefficient ring."""
 
-    __slots__ = ("n", "entries")
+    __slots__ = ("entries", "zero")
 
     def __init__(self, n, entries):
-        self.n = n
+        self.zero = RatFun.zero(n)      # the value of every absent entry
         self.entries = {key: val for key, val in entries.items()
                         if not val.is_zero}
         for (i, k, j, l) in self.entries:
@@ -59,7 +47,7 @@ class DynTensor4:
         return self.entries.get((i, k, j, l))
 
     def __getitem__(self, key):
-        return self.entries.get(key) or RatFun.zero(self.n)
+        return self.entries.get(key, self.zero)
 
     def by_upper(self):
         idx = {}
@@ -174,19 +162,19 @@ def psihat(n):
 
 @stored
 def qplus_op(n):
-    return DynTensor2(n, {i: qplus(n, i) for i in range(1, n + 1)})
+    return {i: qplus(n, i) for i in range(1, n + 1)}
 
 
 @stored
 def qminus_op(n):
-    return DynTensor2(n, {i: qminus(n, i) for i in range(1, n + 1)})
+    return {i: qminus(n, i) for i in range(1, n + 1)}
 
 
 @stored
 def hmat(n):
     """Cartan diagonal matrix with entries h_j + n."""
-    return DynTensor2(n, {j: hdiff(n, j, j) + RatFun.var(n, j) + n
-                          for j in range(1, n + 1)})
+    return {j: hdiff(n, j, j) + RatFun.var(n, j) + n
+            for j in range(1, n + 1)}
 
 
 # ---------------------------------------------------------------------------
@@ -311,7 +299,6 @@ def check_aux_identities(n):
                for i in rng for k in rng}
     qp_self = {i: qp[i].shift(neps[i]) for i in rng}
     minus_one = RatFun.const(n, -1)
-    zero = RatFun.zero(n)
     failures = []
 
     for k in rng:
@@ -320,12 +307,10 @@ def check_aux_identities(n):
                 for j in rng:
                     # shifted that equals transposed-swapped rhat
                     expect(failures, "that_from_rhat", (k, l, i, j),
-                           (t.get(k, l, i, j) or zero).shift(neps[l]),
-                           r.get(l, k, j, i) or zero)
+                           t[k, l, i, j].shift(neps[l]), r[l, k, j, i])
                     # shat is the one-step shift of rhat
                     expect(failures, "shat_from_rhat", (i, j, k, l),
-                           s.get(i, j, k, l) or zero,
-                           (r.get(i, j, k, l) or zero).shift(eps(n, k)))
+                           s[i, j, k, l], r[i, j, k, l].shift(eps(n, k)))
     for i in rng:
         for k in rng:
             # qp[i][eps_k - eps_l] for each l, shifted once per (i, k)
@@ -335,12 +320,11 @@ def check_aux_identities(n):
             for j in rng:
                 for l in rng:
                     expect(failures, "psihat_from_shat", (i, k, j, l),
-                           psi.get(i, k, j, l) or zero,
-                           qp_kl[l] * (s.get(i, k, j, l) or zero) * qp_inv[l])
+                           psi[i, k, j, l],
+                           qp_kl[l] * s[i, k, j, l] * qp_inv[l])
                     # transpose symmetry under global sign reversal
                     expect(failures, "rhat_transpose_negation", (i, k, j, l),
-                           r.get(k, i, l, j) or zero,
-                           (r.get(j, l, i, k) or zero).negate_h())
+                           r[k, i, l, j], r[j, l, i, k].negate_h())
     # weighted row/column sums of rhat collapse to the identity
     for m in rng:
         for nn in rng:
@@ -374,7 +358,7 @@ def check_traces(n):
     for identity, op in (("trace_qplus", qplus_op),
                          ("trace_qminus", qminus_op)):
         expect(failures, identity, (n,),
-               add_many(n, [*op(n).entries.values(), RatFun.const(n, -n)]))
+               add_many(n, [*op(n).values(), RatFun.const(n, -n)]))
     for j in range(1, n + 1):
         expect(failures, "qminus_qplus_reciprocal", (j,),
                qm[j].shift(eps(n, j)) * qp[j], one)

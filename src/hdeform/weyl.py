@@ -204,7 +204,7 @@ def check_forward_exchange(n, copies=1, fermionic=False):
                                 parts.append(alg.word_element(
                                     (dgen(k, b), xgen(l, a)), c * sgn))
                     if a == b and i == j:
-                        parts.append(alg.one().times_int(-sgn))
+                        parts.append(alg.scalar(-sgn))
                     expect(failures, "forward_exchange_round_trip",
                            (i, j, a, b),
                            alg.normal_form(add_elements(alg, parts)))

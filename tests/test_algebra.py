@@ -82,7 +82,7 @@ def test_algebra_mismatch_raises():
 def test_equal_config_algebras_interoperate():
     a = WeylAlgebra(2, 1)
     b = WeylAlgebra(2, 1)
-    assert a.x(1) + b.x(1) == a.x(1).times_int(2)
+    assert a.x(1) + b.x(1) == a.x(1).times_coeff_left(RatFun.const(2, 2))
 
 
 def test_weight_decomposition():
@@ -95,7 +95,8 @@ def test_weight_decomposition():
 def test_element_printing():
     alg = WeylAlgebra(2, 1)
     h = hdiff(2, 1, 2)
-    e = alg.x(1).times_coeff_left(h) + alg.one() + alg.d(2).times_int(-2)
+    e = (alg.x(1).times_coeff_left(h) + alg.one()
+         + alg.d(2).times_coeff_left(RatFun.const(2, -2)))
     assert str(e) == "1 + (h1-h2)*x[1,1] + -2*D[2,1]"
     assert str(alg.zero()) == "0"
 

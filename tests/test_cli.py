@@ -534,6 +534,27 @@ def test_out_file(tmp_path, capsys):
     assert json.loads(target.read_text())["status"] == "pass"
 
 
+@pytest.mark.parametrize("argv", [("verify", "rmatrix", "--n", "2"),
+                                  ("central", "--n", "2", "--power", "1")])
+@pytest.mark.parametrize("missing_dir", [True, False])
+def test_unwritable_out_is_a_usage_error_before_any_work(
+        tmp_path, capsys, monkeypatch, argv, missing_dir):
+    from hdeform import cli
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("work ran before --out was checked")
+
+    monkeypatch.setattr(cli, "run_unit", no_work)
+    monkeypatch.setattr(dra, "central_element", no_work)
+    # a file in a directory that does not exist, or a directory
+    path = str(tmp_path / "missing" / "x.json" if missing_dir else tmp_path)
+    code, out, err = run_cli(capsys, *argv, "--out", path)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and path in err
+    assert err.count("\n") == 1
+
+
 def test_jobs_parallel_matches_serial(capsys, monkeypatch):
     import multiprocessing
     c1, out1, _ = run_cli(capsys, "verify", "rmatrix", "--n", "2")

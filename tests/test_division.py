@@ -234,7 +234,9 @@ def test_division_decides_where_the_probe_cannot():
             a2 = K.p_add(a, random_poly(rng, 3, terms=3, deg=2, span=9))
             assert divexact(3, a2, b) == schoolbook_divexact(3, a2, b)
             key = K.fac_key(3, b)
-            assert K.p_cancel(a, {key: 2}, [key]) == (q, {key: 1})
+            facs = {key: 2}
+            assert K.p_cancel(a, facs) == q
+            assert facs == {key: 1}
 
 
 def test_probe_points_keep_small_linear_forms_nonzero():
@@ -355,7 +357,8 @@ def test_normalize_carries_probe_values_through_divisions(case):
             want[key] = m
     assert any(K.p_eval(K.fac_poly(key), pt[:n]) == 0
                for key in facs for pt in K.PROBE_POINTS)
-    assert K.p_cancel(num, facs, facs) == (want_num, want)
+    assert K.p_cancel(num, facs) == want_num
+    assert facs == want
 
 
 # -- the family-form fast paths -----------------------------------------------
@@ -567,7 +570,22 @@ def numerator_and_mixed_factors(draw):
 @given(numerator_and_mixed_factors())
 def test_cancel_matches_plain_division(case):
     n, num, facs = case
-    assert K.p_cancel(num, facs, facs) == reference_cancel(n, num, facs)
+    want_num, want = reference_cancel(n, num, facs)
+    assert K.p_cancel(num, facs) == want_num
+    assert facs == want
+
+
+@settings(max_examples=200, deadline=None)
+@given(numerator_and_mixed_factors(), st.data())
+def test_cancel_does_not_depend_on_the_order_of_facs(case, data):
+    # distinct primitive linear forms are coprime primes, so every
+    # insertion order of facs gives the same quotient and the same
+    # multiplicities left over
+    _, num, facs = case
+    order = data.draw(st.permutations(list(facs)))
+    reordered = {key: facs[key] for key in order}
+    assert K.p_cancel(num, facs) == K.p_cancel(num, reordered)
+    assert facs == reordered
 
 
 # -- the packed monomials against exponent tuples ----------------------------
