@@ -47,18 +47,19 @@ non-constant cofactor is ever trial-divided:
   into it, so a denominator factor cancels against the other operand's
   numerator factor in the sum of exponents.  A factor of one operand's
   denominator alone that is still negative after the sum is then tried
-  against the other operand's cofactor; a factor both denominators
-  share divides neither numerator, so it cannot divide their product.
+  against the other operand's cofactor unless that is 1; a factor both
+  denominators share divides neither numerator, so not their product.
 * ``a1 + ... + ak`` (:func:`add_many`; ``a + b`` is its two-term
   case, and :func:`add_part` / :func:`sum_parts` keep the parts of many
   keyed sums, such as a tensor contraction, until each is summed): the
-  numerator factors every summand shares stay outside the bracket, and
-  each summand is expanded once over the common denominator.  When one
-  summand alone carries a factor f at its top multiplicity, its
-  expanded numerator is prime to f while every other one has f as a
-  factor, so f cannot divide the sum; only factors that two or more
-  summands carry at their top multiplicity are tried against the
-  bracket, once.
+  numerator factors every summand shares stay outside the bracket, which
+  is one weighted sum (``K.p_lincomb``) of the summands over the common
+  denominator, each a stored product (``K.p_fac_product``) if its
+  cofactor is 1.  When one summand alone carries a factor f at its top
+  multiplicity, its expanded numerator is prime to f while every other
+  one has f as a factor, so f cannot divide the sum; only factors that
+  two or more summands carry at their top multiplicity are tried
+  against the bracket, once.
 * ``inverse``: every multiplicity changes sign, except that a
   denominator form outside the family moves into the new cofactor (the
   map's numerator holds forms of the family only); only the old
@@ -75,10 +76,11 @@ The kernel owns the layout of a monomial and of a factor key, and the
 coordinates a polynomial is stored in (``x_i = h_i - h_n``, so that a
 function of differences is short); this module works on keys and
 multiplicities only, and its polynomials are opaque.  It decides which
-keys to multiply out (``K.p_mul_family`` for a family form, ``K.p_mul``
-for any other) and which to try (``K.p_cancel``).  A key is an int interned per
-process in first-use order, so every sort of keys here goes by the key's
-canonical tuple (``K.fac_tuple``) and no output depends on an id.
+keys to multiply out (stored by ``K.p_fac_product`` in a sum; else
+``K.p_mul_family`` or ``K.p_mul``) and which to try (``K.p_cancel``).
+A key is an int interned per process in first-use order, so every sort
+of keys here goes by the key's canonical tuple (``K.fac_tuple``) and no
+output depends on an id.
 
 ``shift``, ``permute`` and ``negate_h`` are ring automorphisms that map
 linear forms to linear forms and the family onto itself: sigma(f)
@@ -235,29 +237,26 @@ def _integer_roots(slices):
     """Integer candidates r for a root t = r of every univariate slice
     (dicts from power of t to coefficient).
 
-    A common root is a root of the slice of least degree, so the
-    candidates are its integer roots: 0 when t divides it, and the
-    integers at the ends of the root brackets of its quotient by the
-    power of t, within Cauchy's bound 1 + max |a_k / a_d|, at which it
-    vanishes.  The bisection makes the cost logarithmic in the offsets.
+    The candidates are the common roots of the slices of least degree
+    span, in any order of the slices: 0 when t divides them, and the
+    integers at the ends of the root brackets of one's quotient by its
+    power of t, within Cauchy's bound 1 + max |a_k / a_d|, at which they
+    vanish.  The bisection makes the cost logarithmic in the offsets.
     """
-    best = None
-    for sl in slices:
-        lo, hi = min(sl), max(sl)
-        if hi == 0:
-            return []                       # a slice free of t
-        if best is None or hi - lo < best[1] - best[0]:
-            best = (lo, hi, sl)
-    if best is None:
-        return []
-    lo, hi, sl = best
+    if not slices or any(max(sl) == 0 for sl in slices):
+        return []                           # none, or a slice free of t
+    span = min(max(sl) - min(sl) for sl in slices)
+    least = [sl for sl in slices if max(sl) - min(sl) == span]
+    sl, lo = least[0], min(least[0])
     roots = [0] if lo > 0 else []
-    a = [sl.get(e, 0) for e in range(lo, hi + 1)]   # a[0] != 0 != a[-1]
+    a = [sl.get(e, 0) for e in range(lo, lo + span + 1)]  # a[0] != 0 != a[-1]
     if len(a) > 1:
         bound = 1 - (-max(map(abs, a[:-1])) // abs(a[-1]))
         roots += sorted({x for t in _root_brackets(a, -bound, bound)
                          for x in (t, t + 1) if _horner(a, x) == 0})
-    return roots
+    return [x for x in roots
+            if all(sum(c * x ** e for e, c in other.items()) == 0
+                   for other in least[1:])]
 
 
 def _linear_family_factors(n, poly):
@@ -307,20 +306,20 @@ def _split_denominator(n, den):
     return c * sign, facs
 
 
-def _cancel(cof, fac, keys):
-    """Trial-divide cof by the denominator factors keys of the map fac,
-    each as often as it divides and at most its multiplicity; fac is
-    raised in place.  Returns the quotient."""
-    if not keys or _p_is_const(cof):
-        return cof
-    left = {key: -fac[key] for key in keys}
-    cof = K.p_cancel(cof, left)
-    for key in keys:
-        m = left.get(key)
-        if m:
-            fac[key] = -m
-        else:
-            del fac[key]
+def _cancel(cof, fac, own, other):
+    """Trial-divide cof, the cofactor of the operand with map own, by the
+    denominator factors of fac that the map other alone brought, each at
+    most its multiplicity; fac is raised in place.  Returns the quotient."""
+    left = {key: -fac[key] for key, m in other.items()
+            if m < 0 and own.get(key, 0) >= 0 and fac.get(key, 0) < 0}
+    if left:
+        keys = list(left)
+        cof = K.p_cancel(cof, left)
+        for key in keys:
+            if key in left:
+                fac[key] = -left[key]
+            else:
+                del fac[key]
     return cof
 
 
@@ -523,23 +522,17 @@ class RatFun:
             return other if self.content == 1 else -other
         fa, fb = self.fac, other.fac
         fac = dict(fa)
-        try_a, try_b = [], []   # keys to try against self.cof, other.cof
         for key, m in fb.items():
-            old = fac.get(key, 0)
-            s = old + m
+            s = fac.get(key, 0) + m
             if s:
                 fac[key] = s
             else:
                 del fac[key]
-            if s < 0:
-                if old >= 0:
-                    try_a.append(key)
-                elif m > 0:
-                    try_b.append(key)
-        if not _p_is_const(other.cof):
-            try_b += [key for key, m in fa.items() if m < 0 and key not in fb]
-        ca = _cancel(self.cof, fac, try_a)
-        cb = _cancel(other.cof, fac, try_b)
+        ca, cb = self.cof, other.cof
+        if not _p_is_const(ca):
+            ca = _cancel(ca, fac, fa, fb)
+        if not _p_is_const(cb):
+            cb = _cancel(cb, fac, fb, fa)
         cof = (ca if _p_is_const(cb) else cb if _p_is_const(ca)
                else K.p_mul(ca, cb))
         return RatFun._new(self.n, self.content * other.content, fac, cof,
@@ -705,19 +698,20 @@ def add_many(n, terms):
         common = {key: min(m, fac[key]) for key, m in common.items()
                   if fac.get(key, 0) > 0}
 
-    def expanded():
-        for t in terms:
-            fac = t.fac
-            # the numerator over common, then the denominator up to facs
-            over = [(key, m - common.get(key, 0)) for key, m in fac.items()
-                    if m > common.get(key, 0)]
-            for key, m in facs.items():
-                m += min(fac.get(key, 0), 0)
-                if m:
-                    over.append((key, m))
-            yield _expand(dint // t.dint * t.content, t.cof, over)
-
-    bracket = K.p_sum(expanded())
+    parts = []
+    for t in terms:
+        fac = t.fac
+        # numerator over common, then denominator up to facs: a key may repeat
+        over = [(key, m - common.get(key, 0)) for key, m in fac.items()
+                if m > common.get(key, 0)]
+        for key, m in facs.items():
+            m += min(fac.get(key, 0), 0)
+            if m:
+                over.append((key, m))
+        parts.append((dint // t.dint * t.content,
+                      K.p_fac_product(over) if over and _p_is_const(t.cof)
+                      else _expand(1, t.cof, over)))
+    bracket = K.p_lincomb(parts)
     if not bracket:
         return RatFun.zero(n)
     c, sign, cof = K.p_primitive_sign(bracket)

@@ -28,11 +28,11 @@ reads a field takes ``n`` (``p_family_slices``, ``p_negate``,
 ``p_permute`` from the permutation, ``p_mul_family``, ``p_cancel`` and
 ``p_divexact`` from the key's table entry).  No function mutates its
 arguments except ``p_cancel``, which lowers the multiplicities it is
-given, and the only state is the memos and the factor table.  This
-module is the only one that packs or unpacks a monomial, and the only
-one that knows the layout of a factor key (``fac_key``): callers build,
-read, substitute, sum and print polynomials and keys through the
-functions here.
+given, and the only state is the memos and the factor and product
+tables.  This module is the only one that packs or unpacks a monomial,
+and the only one that knows the layout of a factor key (``fac_key``):
+callers build, read, substitute, sum and print polynomials and keys
+through the functions here.
 
 Factors are named by keys (``fac_key``): small ints, interned per
 process.  A factor's canonical tuple (``fac_tuple``) is its (exponent
@@ -51,7 +51,8 @@ family form ``h_i - h_j + k`` (i < j) or ``h_i + k`` it also holds the
 triple ``(i, j, k)`` (j None for ``h_i + k``) and the units of its
 stored form, so ``p_mul_family`` multiplies by it as two or three
 shifted copies of the multiplicand (a power of the bare x_n as one add
-per monomial).
+per monomial).  The one sum is ``p_lincomb``; the product table keeps
+up to 2**14 terms of factor products (``p_fac_product``), never changed.
 
 Every divisor is a primitive linear form, named by its key, and one
 routine divides by it: ``p_cancel`` trial-divides by the forms its
@@ -129,10 +130,6 @@ def _x_point(point):
     return [v - last for v in point[:-1]] + [last]
 
 
-def p_zero():
-    return {}
-
-
 def p_const(nvars, c):
     if c == 0:
         return {}
@@ -160,29 +157,17 @@ def p_is_const(a):
     return not a or (len(a) == 1 and 0 in a)
 
 
-def p_sum(polys):
-    """The sum of the polynomials polys, an iterable read once: no list
-    of summands is held."""
-    res = None
-    for a in polys:
-        if res is None:
-            res = dict(a)
-            continue
-        for e, c in a.items():
-            s = res.get(e, 0) + c
+def p_lincomb(terms):
+    """The sum of c * a over the (c, a) pairs of the list terms."""
+    res = {}
+    for c, a in terms:
+        for e, v in a.items():
+            s = res.get(e, 0) + c * v
             if s:
                 res[e] = s
             else:
                 res.pop(e, None)
-    return {} if res is None else res
-
-
-def p_add(a, b):
-    return p_sum((a, b))
-
-
-def p_sub(a, b):
-    return p_sum((a, p_neg(b)))
+    return res
 
 
 def p_neg(a):
@@ -361,15 +346,6 @@ def p_degree(n, a):
     return max(a) >> _layout(n)[0]
 
 
-def p_content(a):
-    g = 0
-    for c in a.values():
-        g = gcd(g, c)
-        if g == 1:
-            return 1
-    return g
-
-
 def p_primitive_sign(a):
     """Return (content, sign, primitive part with positive grlex lead).
 
@@ -377,7 +353,7 @@ def p_primitive_sign(a):
     """
     if not a:
         return 0, 1, {}
-    g = p_content(a)
+    g = gcd(*a.values())
     _, lc = p_lead(a)
     sign = 1 if lc > 0 else -1
     d = g * sign
@@ -518,8 +494,9 @@ def fac_poly(key):
 def fac_form(nvars, i, j, k):
     """The key of h_i - h_j + k (i < j, 0-based), or of h_i + k when j is
     None."""
-    return fac_key(nvars, p_sum((p_var(nvars, i), p_const(nvars, k),
-                                 {} if j is None else p_var(nvars, j, -1))))
+    return fac_key(nvars, p_lincomb([(1, p_var(nvars, i)), (k, p_one(nvars)),
+                                     (-1, {} if j is None else
+                                      p_var(nvars, j))]))
 
 
 # The key maps below take the key of a primitive linear form f and return
@@ -579,6 +556,35 @@ def p_mul_family(a, key, m):
                     del res[ne]
         a = res
     return a
+
+
+_PRODUCTS = {}          # sorted (key, multiplicity) pairs -> their product
+_room = 1 << 14         # terms it may still take: rank 4 asks most once
+
+
+def p_fac_product(facs):
+    """The product of facs, (key, multiplicity) pairs in which a key may
+    repeat: kept while the table has room and shared, so never change it."""
+    global _room
+    if len(facs) == 1 and facs[0][1] == 1:
+        return _FACTORS[facs[0][0]][0]      # the stored form itself
+    merged = {}
+    for key, m in facs:
+        merged[key] = merged.get(key, 0) + m
+    items = tuple(sorted(merged.items()))
+    poly = _PRODUCTS.get(items)
+    if poly is None:
+        poly = {0: 1}
+        for key, m in merged.items():
+            if _FACTORS[key][3] is None:
+                for _ in range(m):
+                    poly = p_mul(poly, _FACTORS[key][0])
+            else:
+                poly = p_mul_family(poly, key, m)
+        if len(poly) <= _room:
+            _room -= len(poly)
+            _PRODUCTS[items] = poly
+    return poly
 
 
 def _div_linear(a, n, form):

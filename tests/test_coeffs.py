@@ -332,25 +332,26 @@ def test_division_splits_composite_denominators():
 def test_from_poly_constructor():
     import hdeform.kernel as K
     num = K.p_var(2, 0)
-    den = K.p_sub(K.p_var(2, 0), K.p_var(2, 1))
+    den = K.p_lincomb([(1, K.p_var(2, 0)), (-1, K.p_var(2, 1))])
     f = RatFun.from_poly(2, num, den)
     assert serialize(f) == "h1/(h1-h2)"
     with pytest.raises(CoefficientError):
-        RatFun.from_poly(2, num, K.p_zero())
+        RatFun.from_poly(2, num, {})
 
 
 def test_denominators_are_linear_forms():
     import hdeform.kernel as K
     h1, h2 = K.p_var(2, 0), K.p_var(2, 1)
-    quad = K.p_add(K.p_mul(h1, h1), K.p_add(h1, K.p_const(2, 1)))
+    quad = K.p_lincomb([(1, K.p_mul(h1, h1)), (1, h1), (1, K.p_one(2))])
     with pytest.raises(CoefficientError,
                        match=r"denominator factor h1\^2\+h1\+1 is not linear"):
         RatFun.from_poly(2, h2, quad)
     # family forms split off first; the non-linear rest still raises
     with pytest.raises(CoefficientError, match="not linear"):
-        RatFun.from_poly(2, h2, K.p_mul(quad, K.p_sub(h1, h2)))
+        RatFun.from_poly(2, h2,
+                         K.p_mul(quad, K.p_lincomb([(1, h1), (-1, h2)])))
     # one linear form outside the family is a denominator factor
-    f = RatFun.from_poly(2, h2, K.p_add(h1, h2))
+    f = RatFun.from_poly(2, h2, K.p_lincomb([(1, h1), (1, h2)]))
     assert serialize(f) == "h2/(h1+h2)"
     assert f * parse(2, "h1+h2") == RatFun.var(2, 2)
     # a product of such forms is written factor by factor
@@ -388,8 +389,9 @@ def test_unit_detection_in_localization():
     # test_parse_rejects_non_linear_denominators)
     # an expanded numerator is split whatever the offsets of its factors
     far = RatFun.from_poly(3, K.p_mul(
-        K.p_sub(K.p_add(K.p_var(3, 0), K.p_const(3, 400)), K.p_var(3, 2)),
-        K.p_add(K.p_var(3, 1), K.p_const(3, -250))))
+        K.p_lincomb([(1, K.p_var(3, 0)), (400, K.p_one(3)),
+                     (-1, K.p_var(3, 2))]),
+        K.p_lincomb([(1, K.p_var(3, 1)), (-250, K.p_one(3))])))
     assert far.is_unit_in_localization()
     assert not (far + 1).is_unit_in_localization()
 
@@ -403,9 +405,9 @@ def _trial_factors(n, poly):
     for i in range(n):
         for j in [-1] + list(range(i + 1, n)):
             for k in range(-window, window + 1):
-                fac = K.p_add(K.p_var(n, i), K.p_const(n, k))
+                fac = K.p_lincomb([(1, K.p_var(n, i)), (k, K.p_one(n))])
                 if j >= 0:
-                    fac = K.p_sub(fac, K.p_var(n, j))
+                    fac = K.p_lincomb([(1, fac), (-1, K.p_var(n, j))])
                 key = K.fac_key(n, fac)
                 while not K.p_is_const(rem):
                     q = K.p_divexact(rem, key)
@@ -425,14 +427,16 @@ def test_probed_factor_split_matches_trial_division():
         poly = K.p_const(n, rng.choice([1, 2, 3]))
         for _ in range(rng.randint(1, 5)):
             i, j = rng.sample(range(n), 2)
-            fac = K.p_add(K.p_var(n, i), K.p_const(n, rng.randint(-9, 9)))
+            fac = K.p_lincomb([(1, K.p_var(n, i)),
+                               (rng.randint(-9, 9), K.p_one(n))])
             if rng.random() < 0.7:
-                fac = K.p_sub(fac, K.p_var(n, j))
+                fac = K.p_lincomb([(1, fac), (-1, K.p_var(n, j))])
             poly = K.p_mul(poly, fac)
         if rng.random() < 0.5:
             # a cofactor with no linear factor
-            poly = K.p_mul(poly, K.p_add(K.p_mul(K.p_var(n, 0), K.p_var(n, 0)),
-                                         K.p_const(n, rng.randint(1, 5))))
+            poly = K.p_mul(poly, K.p_lincomb(
+                [(1, K.p_mul(K.p_var(n, 0), K.p_var(n, 0))),
+                 (rng.randint(1, 5), K.p_one(n))]))
         _, _, prim = K.p_primitive_sign(poly)
         assert _linear_family_factors(n, prim) == _trial_factors(n, prim)
 
@@ -449,18 +453,71 @@ def test_factor_search_ignores_insertion_order(data):
     poly = K.p_const(n, data.draw(st.sampled_from([1, 2, 3])))
     for _ in range(data.draw(st.integers(1, 4))):
         i, j = data.draw(st.permutations(range(n)))[:2]
-        fac = K.p_add(K.p_var(n, i), K.p_const(n, data.draw(st.integers(-9, 9))))
+        fac = K.p_lincomb([(1, K.p_var(n, i)),
+                           (data.draw(st.integers(-9, 9)), K.p_one(n))])
         if data.draw(st.booleans()):
-            fac = K.p_sub(fac, K.p_var(n, j))
+            fac = K.p_lincomb([(1, fac), (-1, K.p_var(n, j))])
         poly = K.p_mul(poly, fac)
     if data.draw(st.booleans()):
         # a cofactor with no linear factor
         h = K.p_var(n, data.draw(st.integers(0, n - 1)))
-        poly = K.p_mul(poly, K.p_add(K.p_mul(h, h), K.p_const(n, 1)))
+        poly = K.p_mul(poly, K.p_lincomb([(1, K.p_mul(h, h)),
+                                          (1, K.p_one(n))]))
     _, _, prim = K.p_primitive_sign(poly)
     other = dict(data.draw(st.permutations(list(prim.items()))))
     assert _linear_family_factors(n, other) == _linear_family_factors(n, prim)
     assert K.fac_key(n, other) == K.fac_key(n, prim)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.lists(st.lists(st.integers(-6, 6), min_size=1, max_size=3),
+                min_size=1, max_size=4),
+       st.randoms(use_true_random=False))
+def test_integer_roots_ignore_the_order_of_the_slices(root_lists, rnd):
+    # each slice is the product of t - r over its roots r; the candidates
+    # are the same in every order of the slices, every common root is
+    # one, and each is a root of every slice of least span
+    from hdeform.coeffs import _integer_roots
+    slices = []
+    for roots in root_lists:
+        poly = {0: 1}
+        for r in roots:
+            out = {}
+            for e, c in poly.items():
+                out[e + 1] = out.get(e + 1, 0) + c
+                out[e] = out.get(e, 0) - r * c
+            poly = {e: c for e, c in out.items() if c}
+        slices.append(poly)
+    got = _integer_roots(slices)
+    assert _integer_roots(rnd.sample(slices, len(slices))) == got
+    assert set.intersection(*map(set, root_lists)) <= set(got)
+    span = min(max(sl) - min(sl) for sl in slices)
+    for sl in slices:
+        if max(sl) - min(sl) == span:
+            assert all(sum(c * x ** e for e, c in sl.items()) == 0
+                       for x in got)
+
+
+def test_product_table_is_not_aliased_by_results():
+    # a sum reads the kernel's stored products; changing an expanded
+    # numerator, a sum's cofactor or a weighted sum changes no entry
+    import hdeform.kernel as K
+    from hdeform.kernel import _poly_py
+    a = parse(3, "1/((h1-h2+5)*(h2-h3+7))")
+    b = parse(3, "h1/(h1-h2+5)")
+    c = parse(3, "(h1-h2+5)*(h2-h3+7)")
+    total = a + b
+    assert not K.p_is_const(total.cof)
+    key = c.nfac[0][0]
+    stored = K.p_fac_product([(key, 1), (key, 1)])
+    assert stored == K.p_mul(K.fac_poly(key), K.fac_poly(key))
+    table = {k: dict(v) for k, v in _poly_py._PRODUCTS.items()}
+    for poly in (c.num, total.num, total.cof,
+                 K.p_lincomb([(1, stored)]), K.p_lincomb([(2, stored)])):
+        poly.clear()
+        poly[0] = 99
+    assert {k: dict(v) for k, v in _poly_py._PRODUCTS.items()} == table
+    assert a + b == parse(3, "(h1*(h2-h3+7)+1)/((h1-h2+5)*(h2-h3+7))")
 
 
 def test_difference_values_carry_no_last_variable():
@@ -500,7 +557,7 @@ def _reference_build(n, num, dint, fac_items):
             if q is None:
                 break
             num, facs[key] = q, facs[key] - 1
-    g = gcd(K.p_content(num), dint)
+    g = gcd(*num.values(), dint)
     return ({e: v // g for e, v in num.items()}, dint // g,
             tuple(sorted(((key, m) for key, m in facs.items() if m),
                          key=by_form)))
@@ -531,7 +588,7 @@ def _reference_add(a, b):
             ka = K.p_mul(ka, K.fac_poly(key))
         for _ in range(m - fb.get(key, 0)):
             kb = K.p_mul(kb, K.fac_poly(key))
-    num = K.p_add(K.p_mul(a.num, ka), K.p_mul(b.num, kb))
+    num = K.p_lincomb([(1, K.p_mul(a.num, ka)), (1, K.p_mul(b.num, kb))])
     return _reference_build(a.n, num, a.dint * (b.dint // g), lcm.items())
 
 
@@ -771,9 +828,9 @@ def _family_poly(n, i, j, k):
     """h_i - h_j + k, or h_i + k when j is None, primitive with positive
     lead (0-based indices in either order)."""
     import hdeform.kernel as K
-    form = K.p_add(K.p_var(n, i), K.p_const(n, k))
+    form = K.p_lincomb([(1, K.p_var(n, i)), (k, K.p_one(n))])
     if j is not None:
-        form = K.p_sub(form, K.p_var(n, j))
+        form = K.p_lincomb([(1, form), (-1, K.p_var(n, j))])
     return K.p_primitive_sign(form)[2]
 
 
@@ -783,10 +840,10 @@ def test_factor_search_finds_every_family_factor():
     rng = random.Random(41)
     h = [K.p_var(4, i) for i in range(4)]
     cofactors = [K.p_const(4, 1),
-                 K.p_add(K.p_add(K.p_mul(h[0], h[0]), K.p_mul(h[1], h[1])),
-                         K.p_const(4, 1)),
-                 K.p_add(K.p_add(K.p_mul(h[0], h[0]), K.p_mul(h[1], h[1])),
-                         h[2])]
+                 K.p_lincomb([(1, K.p_mul(h[0], h[0])),
+                              (1, K.p_mul(h[1], h[1])), (1, K.p_one(4))]),
+                 K.p_lincomb([(1, K.p_mul(h[0], h[0])),
+                              (1, K.p_mul(h[1], h[1])), (1, h[2])])]
     for _ in range(80):
         cof = rng.choice(cofactors)
         poly, want = K.p_const(4, rng.choice([1, 3])), {}

@@ -28,8 +28,8 @@ from hdeform.kernel import _poly_py as K
 
 def packed(n, terms):
     """The kernel polynomial of terms, a dict from exponent tuple to
-    coefficient, built from p_const, p_var and p_mul and summed by p_sum
-    in the order of terms."""
+    coefficient, built from p_const, p_var and p_mul and summed by
+    p_lincomb in the order of terms."""
     monos = []
     for exp, c in terms.items():
         mono = K.p_const(n, c)
@@ -37,7 +37,7 @@ def packed(n, terms):
             for _ in range(e):
                 mono = K.p_mul(mono, K.p_var(n, i))
         monos.append(mono)
-    return K.p_sum(monos)
+    return K.p_lincomb([(1, mono) for mono in monos])
 
 
 def tuples(n, poly):
@@ -104,17 +104,17 @@ def divexact(n, a, b):
 
 def linear_form(nvars, i, j, k):
     """h_i - h_j + k, or h_i + k when j is None (0-based indices)."""
-    form = K.p_var(nvars, i)
+    terms = [(1, K.p_var(nvars, i)), (k, K.p_one(nvars))]
     if j is not None:
-        form = K.p_sub(form, K.p_var(nvars, j))
-    return K.p_add(form, K.p_const(nvars, k))
+        terms.append((-1, K.p_var(nvars, j)))
+    return K.p_lincomb(terms)
 
 
 def form_of(nvars, coeffs, k):
     """The primitive part (positive lead) of sum coeffs[v] h_{v+1} + k;
     coeffs may be shorter than nvars and must not be all zero."""
-    form = K.p_sum([K.p_var(nvars, v, c) for v, c in enumerate(coeffs)]
-                   + [K.p_const(nvars, k)])
+    form = K.p_lincomb([(c, K.p_var(nvars, v)) for v, c in enumerate(coeffs)]
+                       + [(k, K.p_one(nvars))])
     return K.p_primitive_sign(form)[2]
 
 
@@ -194,7 +194,8 @@ def test_non_multiples_are_rejected():
         b = random_divisor(rng, nvars)
         q = random_poly(rng, nvars, terms=8, deg=4, span=50)
         # b is not constant, so it divides no nonzero constant
-        a = K.p_add(K.p_mul(q, b), K.p_const(nvars, rng.choice([-3, 1, 7])))
+        a = K.p_lincomb([(1, K.p_mul(q, b)),
+                         (rng.choice([-3, 1, 7]), K.p_one(nvars))])
         assert divexact(nvars, a, b) is None
         assert schoolbook_divexact(nvars, a, b) is None
 
@@ -230,8 +231,10 @@ def test_division_decides_where_the_probe_cannot():
             for extra in (packed(3, {tuple(mono): rng.randint(1, lead - 1)}),
                           K.p_const(3, rng.randint(1, 9))):
                 # a monomial is no multiple of b
-                assert divexact(3, K.p_add(a, extra), b) is None
-            a2 = K.p_add(a, random_poly(rng, 3, terms=3, deg=2, span=9))
+                a1 = K.p_lincomb([(1, a), (1, extra)])
+                assert divexact(3, a1, b) is None
+            a2 = K.p_lincomb(
+                [(1, a), (1, random_poly(rng, 3, terms=3, deg=2, span=9))])
             assert divexact(3, a2, b) == schoolbook_divexact(3, a2, b)
             key = K.fac_key(3, b)
             facs = {key: 2}
@@ -303,7 +306,7 @@ def test_probe_never_rejects_a_true_divisor(bq):
 @given(divisor_and_quotient(), st.integers(min_value=1, max_value=50))
 def test_constant_perturbation_is_rejected(bq, c):
     n, b, q = bq
-    a = K.p_add(K.p_mul(q, b), K.p_const(n, c))
+    a = K.p_lincomb([(1, K.p_mul(q, b)), (c, K.p_one(n))])
     # a nonzero constant is never a multiple of a non-constant b
     assert divexact(n, a, b) is None
     assert schoolbook_divexact(n, a, b) is None
@@ -476,7 +479,7 @@ def test_linear_division_matches_schoolbook(case, kind, c):
         poly = K.p_mul(poly, form)
     elif kind == "perturbed":
         # a non-divisor whenever poly * form is not constant
-        poly = K.p_add(K.p_mul(poly, form), K.p_const(nvars, c))
+        poly = K.p_lincomb([(1, K.p_mul(poly, form)), (c, K.p_one(nvars))])
     got = divexact(nvars, poly, form)
     assert got == schoolbook_divexact(nvars, poly, form)
     if kind == "perturbed":
@@ -487,7 +490,7 @@ def test_fac_family_rejects_other_linear_forms():
     # 2*h1+1, h1+h2, h1^2+1 and h1-2*h2
     h1 = K.p_var(2, 0)
     for poly in (form_of(2, [2], 1), form_of(2, [1, 1], 0),
-                 K.p_add(K.p_mul(h1, h1), K.p_const(2, 1)),
+                 K.p_lincomb([(1, K.p_mul(h1, h1)), (1, K.p_one(2))]),
                  form_of(2, [1, -2], 0)):
         assert K.fac_family(K.fac_key(2, poly)) is None
 
@@ -586,6 +589,50 @@ def test_cancel_does_not_depend_on_the_order_of_facs(case, data):
     reordered = {key: facs[key] for key in order}
     assert K.p_cancel(num, facs) == K.p_cancel(num, reordered)
     assert facs == reordered
+
+
+def test_fac_product_matches_sequential_products():
+    # the stored product of a factor list equals the product of its forms
+    # one by one, whatever the table held before; a key may repeat, as
+    # add_many lists a form once for a summand's numerator and once for
+    # the common denominator, and a repeated pair counts twice
+    rng = random.Random(29)
+    for _ in range(150):
+        nvars = rng.randint(2, 4)
+        forms = named_forms(nvars) + [form_of(nvars, [1, 1], 2)]
+        for _ in range(3):
+            i, j = sorted(rng.sample(range(nvars), 2))
+            forms.append(linear_form(nvars, i, j if rng.random() < 0.7
+                                     else None, rng.randint(-9, 9)))
+        keys = [K.fac_key(nvars, form) for form in forms]
+        facs = [(rng.choice(keys), rng.randint(1, 2))
+                for _ in range(rng.randint(0, 3))]
+        facs += rng.sample(facs, rng.randint(0, len(facs)))
+        rng.shuffle(facs)
+        want = K.p_one(nvars)
+        for key, m in facs:
+            for _ in range(m):
+                want = K.p_mul(want, K.fac_poly(key))
+        assert K.p_fac_product(facs) == want
+    key = K.fac_key(2, linear_form(2, 0, 1, 3))
+    square = K.p_mul(K.fac_poly(key), K.fac_poly(key))
+    for facs in ([(key, 1)], [(key, 1), (key, 1)], [(key, 2)]):
+        want = square if sum(m for _, m in facs) == 2 else K.fac_poly(key)
+        assert K.p_fac_product(facs) == want
+
+
+def test_product_table_stops_growing_at_its_room(monkeypatch):
+    # a product that no longer fits is still right but is not kept
+    monkeypatch.setattr(K, "_PRODUCTS", dict(K._PRODUCTS))
+    monkeypatch.setattr(K, "_room", 6)
+    cube = K.fac_key(3, linear_form(3, 0, 2, 4099))     # x1 + 4099
+    pair = K.fac_key(3, linear_form(3, 0, 1, 4099))     # x1 - x2 + 4099
+    size = len(K._PRODUCTS)
+    assert len(K.p_fac_product([(cube, 3)])) == 4
+    assert (len(K._PRODUCTS), K._room) == (size + 1, 2)
+    want = K.p_mul(K.fac_poly(pair), K.fac_poly(pair))
+    assert K.p_fac_product([(pair, 2)]) == want and len(want) == 6
+    assert (len(K._PRODUCTS), K._room) == (size + 1, 2)
 
 
 # -- the packed monomials against exponent tuples ----------------------------
@@ -712,7 +759,7 @@ def test_packed_kernel_matches_exponent_tuples(case):
          {e: -c if sum(e) % 2 else c for e, c in a.items()})
     for pt, probe in zip(K.PROBE_POINTS, K._probes(n)):
         assert K._probe_value(n, pa, probe) == t_eval(a, pt[:n])
-    assert K.p_content(pa) == gcd(*a.values())
+    assert gcd(*pa.values()) == gcd(*a.values())
     if a:
         # the change of coordinates keeps the grlex lead and the degree
         lead = t_lead(a)

@@ -93,18 +93,22 @@ def test_legacy_probes_install_on_the_package_and_uninstall_cleanly():
 
 
 def test_tracer_sees_the_family_form_entry_points():
-    # coeffs calls the family product through ``K.``, so the tracer's
-    # kernel wrappers see it
+    # coeffs calls the stored product of a sum and the unstored family
+    # product of an expanded numerator through ``K.``, so the tracer's
+    # kernel wrappers see both, however warm the product table is
     tracer_mod = load_tracer()
     a = coeffs.parse(2, "1/(h1-h2+1)")
     b = coeffs.parse(2, "h1/((h1-h2)*(h2+3))")
+    a + b       # the product table keeps what the sum expands
     before = snapshot()
     tracer = tracer_mod.Tracer()
     try:
         tracer_mod.install(tracer)
-        for name in ("fac_family", "p_mul_family"):
+        for name in ("fac_family", "p_mul_family", "p_fac_product"):
             assert hasattr(getattr(kernel, name), "__wrapped__"), name
         total = a + b
+        assert tracer.stats["kernel.p_fac_product"][0] > 0
+        assert b.num == kernel.p_var(2, 0)
         assert tracer.stats["kernel.p_mul_family"][0] > 0
     finally:
         tracer.uninstall()
