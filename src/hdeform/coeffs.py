@@ -54,7 +54,10 @@ non-constant cofactor is ever trial-divided:
   keyed sums, such as a tensor contraction, until each is summed): the
   numerator factors every summand shares stay outside the bracket, which
   is one weighted sum (``K.p_lincomb``) of the summands over the common
-  denominator, each a stored product (``K.p_fac_product``) if its
+  denominator.  Each summand is its cofactor times one exponent map, key
+  -> multiplicity, in which a form of its numerator that is also a form
+  of the common denominator appears once, with the sum of both; the
+  product of the map is a stored one (``K.p_fac_product``) if the
   cofactor is 1.  When one summand alone carries a factor f at its top
   multiplicity, its expanded numerator is prime to f while every other
   one has f as a factor, so f cannot divide the sum; only factors that
@@ -76,8 +79,9 @@ The kernel owns the layout of a monomial and of a factor key, and the
 coordinates a polynomial is stored in (``x_i = h_i - h_n``, so that a
 function of differences is short); this module works on keys and
 multiplicities only, and its polynomials are opaque.  It decides which
-keys to multiply out (stored by ``K.p_fac_product`` in a sum; else
-``K.p_mul_family`` or ``K.p_mul``) and which to try (``K.p_cancel``).
+keys to multiply out, each once with its multiplicity (the product of a
+sum's exponent map is stored by ``K.p_fac_product``; else
+``K.p_mul_family`` or ``K.p_mul``), and which to try (``K.p_cancel``).
 A key is an int interned per process in first-use order, so every sort
 of keys here goes by the key's canonical tuple (``K.fac_tuple``) and no
 output depends on an id.
@@ -670,47 +674,55 @@ def add_many(n, terms):
 
     The denominator is the lcm of the dints times each factor at its
     largest multiplicity; the numerator factors every summand has stay
-    outside the bracket.  Each summand is expanded once over that
-    denominator, the bracket is made primitive once, and only the
-    factors that two or more summands carry at their top multiplicity
-    are tried against it (see the module docstring).  A single nonzero
-    summand comes back as it is.
+    outside the bracket.  One pass over the summands finds the lcm, each
+    denominator factor's top multiplicity and how many summands hold it,
+    and the common numerator map.  Each summand is then expanded once
+    over that denominator from one exponent map, key -> multiplicity,
+    that names each key once (a form in the summand's numerator and in
+    the common denominator gets the sum of both), the bracket is made
+    primitive once, and only the factors that two or more summands carry
+    at their top multiplicity are tried against it (see the module
+    docstring).  A single nonzero summand comes back as it is.
     """
     terms = [t for t in terms if t.content]
     if len(terms) < 2:
         return terms[0] if terms else RatFun.zero(n)
-    dint = 1
+    dint, common = 1, None
     facs, top = {}, {}      # key -> top multiplicity, summands holding it
     for t in terms:
-        dint = dint * t.dint // gcd(dint, t.dint)
-        for key, m in t.fac.items():
+        if t.dint != 1:
+            dint = dint * t.dint // gcd(dint, t.dint)
+        fac = t.fac
+        for key, m in fac.items():
             if m < 0:
                 old = facs.get(key, 0)
                 if -m > old:
                     facs[key], top[key] = -m, 1
                 elif -m == old:
                     top[key] += 1
-    common = {key: m for key, m in terms[0].fac.items() if m > 0}
-    for t in terms[1:]:
-        if not common:
-            break
-        fac = t.fac
-        common = {key: min(m, fac[key]) for key, m in common.items()
-                  if fac.get(key, 0) > 0}
+        if common is None:
+            common = {key: m for key, m in fac.items() if m > 0}
+        elif common:
+            common = {key: min(m, fac[key]) for key, m in common.items()
+                      if fac.get(key, 0) > 0}
 
+    # each summand's map is its own plus base: the common denominator over
+    # the common numerator, whose keys are disjoint
+    base = facs.copy()
+    for key, m in common.items():
+        base[key] = -m
     parts = []
     for t in terms:
-        fac = t.fac
-        # numerator over common, then denominator up to facs: a key may repeat
-        over = [(key, m - common.get(key, 0)) for key, m in fac.items()
-                if m > common.get(key, 0)]
-        for key, m in facs.items():
-            m += min(fac.get(key, 0), 0)
+        over = base.copy()
+        for key, m in t.fac.items():
+            m += over.get(key, 0)
             if m:
-                over.append((key, m))
+                over[key] = m
+            else:
+                del over[key]
         parts.append((dint // t.dint * t.content,
                       K.p_fac_product(over) if over and _p_is_const(t.cof)
-                      else _expand(1, t.cof, over)))
+                      else _expand(1, t.cof, over.items())))
     bracket = K.p_lincomb(parts)
     if not bracket:
         return RatFun.zero(n)

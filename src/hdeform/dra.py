@@ -283,18 +283,17 @@ class ReductionAlgebra(FreeReductionAlgebra):
         self.signature = ("reduction", n, copies, self.order)
         self.same_rules = rule_system(n, self.order)
         self._relabelled = {}   # (g1, g2) -> (source rule, relabelled rule)
+        self._order_key = {g: (g[0], *self.order(g[1:]))
+                           for t in range(1, copies + 1)
+                           for g in self.generators(t)}
 
     @property
     def cross_rules(self):
         # only multi-copy words ever need these; extracted on first use
         return rule_system(self.n, self.order, cross=True)
 
-    def _key(self, g):
-        t, i, j = g
-        return (t,) + tuple(self.order((i, j)))
-
     def needs_rewrite(self, g1, g2):
-        return self._key(g1) > self._key(g2)
+        return self._order_key[g1] > self._order_key[g2]
 
     def pair_rule(self, g1, g2):
         """The rule for g1 g2 relabelled to their copies: one list per

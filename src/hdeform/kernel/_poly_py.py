@@ -52,7 +52,8 @@ triple ``(i, j, k)`` (j None for ``h_i + k``) and the units of its
 stored form, so ``p_mul_family`` multiplies by it as two or three
 shifted copies of the multiplicand (a power of the bare x_n as one add
 per monomial).  The one sum is ``p_lincomb``; the product table keeps
-up to 2**14 terms of factor products (``p_fac_product``), never changed.
+up to 2**14 terms of the products of factor maps, key -> multiplicity,
+each key once (``p_fac_product``), never changed.
 
 Every divisor is a primitive linear form, named by its key, and one
 routine divides by it: ``p_cancel`` trial-divides by the forms its
@@ -563,19 +564,16 @@ _room = 1 << 14         # terms it may still take: rank 4 asks most once
 
 
 def p_fac_product(facs):
-    """The product of facs, (key, multiplicity) pairs in which a key may
-    repeat: kept while the table has room and shared, so never change it."""
+    """The product of facs, a dict from key to multiplicity (>= 1): kept
+    while the table has room and shared, so never change it."""
     global _room
-    if len(facs) == 1 and facs[0][1] == 1:
-        return _FACTORS[facs[0][0]][0]      # the stored form itself
-    merged = {}
-    for key, m in facs:
-        merged[key] = merged.get(key, 0) + m
-    items = tuple(sorted(merged.items()))
+    items = tuple(sorted(facs.items()))
+    if len(items) == 1 and items[0][1] == 1:
+        return _FACTORS[items[0][0]][0]     # the stored form itself
     poly = _PRODUCTS.get(items)
     if poly is None:
         poly = {0: 1}
-        for key, m in merged.items():
+        for key, m in items:
             if _FACTORS[key][3] is None:
                 for _ in range(m):
                     poly = p_mul(poly, _FACTORS[key][0])

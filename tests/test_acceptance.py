@@ -5,12 +5,12 @@ capture) and enforces its runtime budget where one is specified.
 """
 
 import json
-import re
 import subprocess
 import sys
 import time
 
 import pytest
+from conftest import strip_timing
 
 from hdeform import dra, rmatrix, weyl
 from hdeform.coeffs import RatFun, mu_coeff, qminus, qplus
@@ -155,10 +155,9 @@ def test_criterion_11_cli_determinism():
     c2, rel2 = _run_cli("relations", "--n", "2")
     if not (c1 == c2 == 0 and rel1 == rel2):
         failures.append({"identity": "relations_determinism"})
-    strip = lambda s: re.sub(r'"wall_time_s": [0-9.]+', "", s)
     c3, v1 = _run_cli("verify", "all", "--n", "2", "--N", "2")
     c4, v2 = _run_cli("verify", "all", "--n", "2", "--N", "2")
-    if not (c3 == c4 == 0 and strip(v1) == strip(v2)):
+    if not (c3 == c4 == 0 and strip_timing(v1) == strip_timing(v2)):
         failures.append({"identity": "verify_determinism"})
     if json.loads(v1)["status"] != "pass":
         failures.append({"identity": "verify_status"})

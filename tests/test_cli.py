@@ -10,21 +10,19 @@ import subprocess
 import sys
 
 import pytest
+from conftest import strip_timing
 
 from hdeform import dra, rmatrix, store, weyl
 from hdeform.cli import (UsageError, _dra_units, _rmatrix_units,
                          _verify_units, _weyl_units, build_parser, main)
 from hdeform.errors import RelationExtractionError
+from hdeform.report import render_reports
 
 
 def run_cli(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def strip_timing(text):
-    return re.sub(r'"wall_time_s": [0-9.]+', '"wall_time_s": X', text)
 
 
 def test_relations_byte_identical(capsys):
@@ -62,6 +60,18 @@ def test_relations_s_generators(capsys):
     rows = json.loads(out)
     assert len(rows) == 6
     assert all("lhs" in r and "rhs" in r for r in rows)
+
+
+def test_strip_timing_drops_every_wall_time():
+    # a unit under 0.1 ms prints its time in exponent form
+    fast = render_reports([("s", {"n": 2}, [], 7.7e-05)], 7.7e-05)
+    slow = render_reports([("s", {"n": 2}, [], 1.25)], 2.5)
+    assert '"wall_time_s": 7.7e-05' in fast
+    assert strip_timing(fast) == strip_timing(slow)
+    assert strip_timing(fast) == {
+        "status": "pass",
+        "suites": [{"suite": "s", "config": {"n": 2}, "status": "pass",
+                    "failures": []}]}
 
 
 def test_verify_all_deterministic_modulo_timing(monkeypatch, capsys):

@@ -509,7 +509,7 @@ def test_product_table_is_not_aliased_by_results():
     total = a + b
     assert not K.p_is_const(total.cof)
     key = c.nfac[0][0]
-    stored = K.p_fac_product([(key, 1), (key, 1)])
+    stored = K.p_fac_product({key: 2})
     assert stored == K.p_mul(K.fac_poly(key), K.fac_poly(key))
     table = {k: dict(v) for k, v in _poly_py._PRODUCTS.items()}
     for poly in (c.num, total.num, total.cof,
@@ -622,9 +622,13 @@ _SPECIALS = ([phi(3, i) for i in (1, 2)] + [qplus(3, 2), qminus(3, 1)]
              + [alpha_coeff(3, 1, 3), beta_coeff(3, 2, 1), mu_coeff(3, 1),
                 phi_prime(3, 3)])
 
-_atoms = (st.builds(_linear, st.integers(1, 3), st.integers(0, 3),
-                    st.integers(-40, 40))
-          | st.sampled_from(_SPECIALS))
+# primitive numerators that a product leaves in the cofactor
+_COFACTORS = [parse(3, "h1*h2+h3^2+7"), parse(3, "2*h1-h2-h3-1"),
+              parse(3, "(h1-h2)^2+h3")]
+
+_linears = st.builds(_linear, st.integers(1, 3), st.integers(0, 3),
+                     st.integers(-40, 40))
+_atoms = _linears | st.sampled_from(_SPECIALS)
 
 
 @st.composite
@@ -685,10 +689,13 @@ def _fold_reference_add(n, terms):
 @st.composite
 def _summands(draw):
     """0-6 coefficients, sometimes with a forced case appended: a value
-    and its negative, a repeated summand, or two summands sharing a
-    denominator factor at the same top power."""
+    and its negative, a repeated summand, two summands sharing a
+    denominator factor at the same top power, or a form in the numerator
+    of one summand and the denominator of another, the first with a
+    non-constant cofactor in the "cofactor" case."""
     terms = draw(st.lists(_coefficients(), max_size=6))
-    case = draw(st.sampled_from(["none", "cancel", "repeat", "shared"]))
+    case = draw(st.sampled_from(["none", "cancel", "repeat", "shared",
+                                 "crossed", "cofactor"]))
     if case == "cancel":
         a = draw(_coefficients())
         terms += [a, -a]
@@ -697,10 +704,16 @@ def _summands(draw):
     elif case == "shared":
         f = draw(_atoms) ** draw(st.integers(1, 2))
         terms += [draw(_coefficients()) / f, draw(_coefficients()) / f]
+    elif case in ("crossed", "cofactor"):
+        f = draw(_linears)
+        a = draw(_coefficients()) * f ** draw(st.integers(1, 2))
+        if case == "cofactor":
+            a = a * draw(st.sampled_from(_COFACTORS))
+        terms += [a, draw(_coefficients()) / f]
     return draw(st.permutations(terms))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=90, deadline=None)
 @given(_summands())
 def test_n_ary_sum_matches_the_pairwise_reference(terms):
     import hdeform.kernel as K

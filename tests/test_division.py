@@ -592,10 +592,9 @@ def test_cancel_does_not_depend_on_the_order_of_facs(case, data):
 
 
 def test_fac_product_matches_sequential_products():
-    # the stored product of a factor list equals the product of its forms
-    # one by one, whatever the table held before; a key may repeat, as
-    # add_many lists a form once for a summand's numerator and once for
-    # the common denominator, and a repeated pair counts twice
+    # the stored product of a factor map, key -> multiplicity, equals the
+    # product of its forms one by one, whatever the table held before and
+    # in whatever order the map lists its keys
     rng = random.Random(29)
     for _ in range(150):
         nvars = rng.randint(2, 4)
@@ -605,20 +604,20 @@ def test_fac_product_matches_sequential_products():
             forms.append(linear_form(nvars, i, j if rng.random() < 0.7
                                      else None, rng.randint(-9, 9)))
         keys = [K.fac_key(nvars, form) for form in forms]
-        facs = [(rng.choice(keys), rng.randint(1, 2))
-                for _ in range(rng.randint(0, 3))]
-        facs += rng.sample(facs, rng.randint(0, len(facs)))
-        rng.shuffle(facs)
+        facs = {rng.choice(keys): rng.randint(1, 3)
+                for _ in range(rng.randint(1, 4))}
         want = K.p_one(nvars)
-        for key, m in facs:
+        for key, m in facs.items():
             for _ in range(m):
                 want = K.p_mul(want, K.fac_poly(key))
+        order = list(facs)
+        rng.shuffle(order)
         assert K.p_fac_product(facs) == want
+        assert K.p_fac_product({key: facs[key] for key in order}) == want
     key = K.fac_key(2, linear_form(2, 0, 1, 3))
     square = K.p_mul(K.fac_poly(key), K.fac_poly(key))
-    for facs in ([(key, 1)], [(key, 1), (key, 1)], [(key, 2)]):
-        want = square if sum(m for _, m in facs) == 2 else K.fac_poly(key)
-        assert K.p_fac_product(facs) == want
+    assert K.p_fac_product({key: 1}) == K.fac_poly(key)
+    assert K.p_fac_product({key: 2}) == square
 
 
 def test_product_table_stops_growing_at_its_room(monkeypatch):
@@ -628,10 +627,10 @@ def test_product_table_stops_growing_at_its_room(monkeypatch):
     cube = K.fac_key(3, linear_form(3, 0, 2, 4099))     # x1 + 4099
     pair = K.fac_key(3, linear_form(3, 0, 1, 4099))     # x1 - x2 + 4099
     size = len(K._PRODUCTS)
-    assert len(K.p_fac_product([(cube, 3)])) == 4
+    assert len(K.p_fac_product({cube: 3})) == 4
     assert (len(K._PRODUCTS), K._room) == (size + 1, 2)
     want = K.p_mul(K.fac_poly(pair), K.fac_poly(pair))
-    assert K.p_fac_product([(pair, 2)]) == want and len(want) == 6
+    assert K.p_fac_product({pair: 2}) == want and len(want) == 6
     assert (len(K._PRODUCTS), K._room) == (size + 1, 2)
 
 

@@ -1,6 +1,7 @@
 """Reduction algebra: extraction, ordering, central elements, braiding."""
 
 import hashlib
+import itertools
 import re
 
 import pytest
@@ -17,7 +18,7 @@ from hdeform.dra import (FreeReductionAlgebra, ReductionAlgebra,
                          check_relation_roundtrip, check_weight_zero_diagonal,
                          check_weyl_realization, cross_copy_convention_report,
                          extract_cross_rules, extract_rewrite_rules,
-                         invert_transform, relation_catalogue,
+                         invert_transform, normal_order, relation_catalogue,
                          reflection_components, rewrite_graph_cycle,
                          rule_system)
 from hdeform.errors import RelationExtractionError
@@ -93,6 +94,25 @@ def test_elements_of_different_orders_do_not_mix():
         a + FreeReductionAlgebra(2).gen(1, 1)
     # one order, one algebra, however many times it is built
     assert a == ReductionAlgebra(2, gen_order=appendix_order).gen(1, 1)
+
+
+@pytest.mark.parametrize("order", [None, appendix_order])
+@pytest.mark.parametrize("copies", [1, 2])
+@pytest.mark.parametrize("n", [2, 3])
+def test_needs_rewrite_follows_the_generator_order(n, copies, order):
+    # copy labels are major, then the pattern order: every pair of the
+    # alphabet, either way round, and a generator never before itself
+    alg = ReductionAlgebra(n, copies, order)
+    pattern_order = order or normal_order
+    gens = [g for t in range(1, copies + 1) for g in alg.generators(t)]
+    assert len(gens) == copies * n * n
+    for g1, g2 in itertools.product(gens, repeat=2):
+        want = ((g1[0], *pattern_order(g1[1:]))
+                > (g2[0], *pattern_order(g2[1:])))
+        assert alg.needs_rewrite(g1, g2) == want
+    assert sum(alg.needs_rewrite(a, b) for a, b
+               in itertools.product(gens, repeat=2)) == len(gens) * (
+                   len(gens) - 1) // 2
 
 
 @pytest.mark.parametrize("n", [2, 3])
